@@ -23,6 +23,9 @@ EXHAUSTIVE_LIMIT = 7
 
 _INTERIOR_NAMES = "abcdefghij"
 
+# Interior elements are labelled by single letters, so sizes stop here.
+MAX_SIZE = len(_INTERIOR_NAMES) + 2
+
 
 @dataclass(frozen=True)
 class CatalogSpec:
@@ -30,7 +33,8 @@ class CatalogSpec:
 
     Exhaustive mode yields every isomorphism class of size 2..max_size
     and refuses max_size beyond EXHAUSTIVE_LIMIT.  Random mode yields
-    sample_count reproducible instances of exactly max_size elements.
+    sample_count reproducible instances of exactly max_size elements and
+    refuses max_size beyond MAX_SIZE.
     """
 
     max_size: int
@@ -47,6 +51,9 @@ class CatalogSpec:
             raise TooLargeError(
                 f"exhaustive enumeration supports sizes up to {EXHAUSTIVE_LIMIT}, "
                 f"got {self.max_size}")
+        if self.max_size > MAX_SIZE:
+            raise TooLargeError(
+                f"catalog instances support sizes up to {MAX_SIZE}, got {self.max_size}")
         if self.mode == "random" and self.sample_count < 1:
             raise ValueError("random mode needs sample_count >= 1")
 

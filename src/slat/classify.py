@@ -104,7 +104,10 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
     zd = is_zero_disjunctive(S)
     sep = is_separative(S)
     ms = meet_separation(S)
-    trap = satisfies_trapping(S)
+    witnesses = tuple(
+        ((e, f), tuple(w) if (w := trapping_witness(S, e, f)) is not None else None)
+        for e, f in nonzero_pairs_below(S))
+    trap = all(w is not None for _, w in witnesses)
     ultra = {F.carrier for F in enumerate_ultrafilters(S)}
     tight = {F.carrier for F in tight_filters(S)}
     teu = ultra == tight
@@ -118,7 +121,4 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
         odd = sorted(tuple(sorted(c)) for c in ultra ^ tight)
         raise TheoremViolationError(
             f"tight filters differ from ultrafilters at carriers {odd}")
-    witnesses = tuple(
-        ((e, f), tuple(w) if (w := trapping_witness(S, e, f)) is not None else None)
-        for e, f in nonzero_pairs_below(S))
     return ClassificationReport(zd, sep, ms, trap, teu, witnesses)

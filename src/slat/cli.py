@@ -16,7 +16,7 @@ from . import cantor, classify, pathlat, stone
 from .catalog import CatalogSpec
 from .core import EXHAUSTIVE_SIZE_TARGET, Semilattice, parse_semilattice
 from .errors import SlatError, TheoremViolationError
-from .filters import enumerate_filters, is_tight, is_ultrafilter, tight_violations
+from .filters import enumerate_filters, is_tight, is_ultrafilter
 from .suite import run_suite
 
 
@@ -51,13 +51,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     for F in enumerate_filters(S):
         ultra = is_ultrafilter(S, F)
         tight = is_tight(S, F)
-        note = ""
-        if not tight:
-            fails = list(tight_violations(S, F))
-            if fails and all(v.vacuous for v in fails):
-                note = " (fails only through vacuous covers)"
         print(f"  {_fmt_set(S, F.carrier)} ultrafilter={str(ultra).lower()} "
-              f"tight={str(tight).lower()}{note}")
+              f"tight={str(tight).lower()}")
     print("trapping witnesses:")
     for (e, f), W in report.witnesses:
         shown = " ".join(S.labels_for(W)) if W else ("-" if W is not None else "none")

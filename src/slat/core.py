@@ -11,7 +11,6 @@ command line surface just warns above the target.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -104,14 +103,6 @@ class Semilattice:
 
     def nonzero(self) -> tuple[int, ...]:
         return tuple(e for e in self.elements() if e != self.zero)
-
-    def atoms(self) -> tuple[int, ...]:
-        """Non-zero elements with nothing strictly between them and zero."""
-        out = []
-        for e in self.nonzero():
-            if all(not (self.leq(f, e) and f != e) for f in self.nonzero()):
-                out.append(e)
-        return tuple(out)
 
     def index(self, label: str) -> int:
         try:
@@ -266,10 +257,6 @@ def parse_semilattice(text: str) -> Semilattice:
     if labels is None:
         raise FormatError("missing elements line")
     return _assemble(labels, pairs, overrides)
-
-
-def leq(S: Semilattice, e: int, f: int) -> bool:
-    return S.leq(e, f)
 
 
 def star(S: Semilattice, e: int) -> ElementSet:

@@ -3,16 +3,17 @@
 A filter is a non-empty, meet-closed, upward-closed set of elements that
 excludes zero.  In a finite semilattice every filter is the up-set of its
 smallest member, so enumeration reduces to the non-zero principal up-sets;
-the test suite asserts this identity against a raw subset scan.
+the test suite asserts this identity against a raw subset scan.  Being
+principal also lets tightness be decided one element at a time, with no
+scan over excluded sets; the tests keep that scan as an oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ElementSet, Semilattice, constrained_set, up
+from .core import ElementSet, Semilattice, down, is_cover, up
 from .errors import NotAFilterError, ZeroElementError
 
 
@@ -112,50 +113,32 @@ def enumerate_ultrafilters(S: Semilattice) -> list[Filter]:
     return [F for F in enumerate_filters(S) if is_ultrafilter(S, F)]
 
 
-@dataclass(frozen=True)
-class TightViolation:
-    """One witness that a filter fails tightness.
+def tight_violations(S: Semilattice, F: Filter) -> Iterator[int]:
+    """Yield, in index order, each x in F whose down-set is covered by
+    down(x) - F - {0}.
 
-    pivot lies in the filter, excluded is disjoint from it, and candidate
-    covers the constrained set of ({pivot}, excluded) while avoiding the
-    filter.  vacuous marks the degenerate case where that constrained set
-    is {0} and the empty cover suffices.
-    """
-
-    pivot: int
-    excluded: frozenset
-    candidate: frozenset
-    vacuous: bool
-
-
-def tight_violations(S: Semilattice, F: Filter) -> Iterator[TightViolation]:
-    """Yield tightness failures in deterministic order.
-
-    Only singleton pivots from F are needed: a finite subset of F bounds
-    the same constrained set as its meet, which is again in F.  And only
-    the maximal candidate matters: covering survives enlargement inside
-    the constrained set, so if any filter-avoiding cover exists then the
-    whole complement-in-the-constrained-set is one.
+    This is the single-element criterion: F is tight iff nothing is
+    yielded.  A finite pivot set X in F constrains like its meet, which
+    lies in F, so single pivots suffice.  The general definition also
+    lets an excluded set Y disjoint from F shrink the constrained set,
+    but for F = up(g) that adds no violation.  If some (x, Y) had a cover Z avoiding F while g is an
+    atom, then g, which lies below x and meets nothing outside F, would
+    be a non-zero member of the constrained set meeting no member of Z.
+    So any violation makes g a non-atom, and then Y = {} gives one at
+    every x in F: each non-zero e below x either lies outside F or sits
+    above g and meets the non-zero elements below g.
     """
     _require_filter(S, F)
-    outside = sorted(set(S.elements()) - F.carrier - {S.zero})
-    for pivot in sorted(F.carrier):
-        for r in range(len(outside) + 1):
-            for Y in itertools.combinations(outside, r):
-                target = constrained_set(S, {pivot}, Y)
-                candidate = target - F.carrier - {S.zero}
-                nonzero = [x for x in target if x != S.zero]
-                if all(any(S.meet(x, z) != S.zero for z in candidate) for x in nonzero):
-                    yield TightViolation(pivot, frozenset(Y), candidate, vacuous=not nonzero)
+    for x in sorted(F.carrier):
+        if is_cover(S, down(S, {x}) - F.carrier - {S.zero}, {x}, ()):
+            yield x
 
 
 def is_tight(S: Semilattice, F: Filter) -> bool:
-    """A filter is tight when it meets every finite cover it constrains.
+    """A filter is tight when no cover of a set it constrains avoids it.
 
-    Concretely: no pivot in F and excluded set disjoint from F admit a
-    cover of their constrained set that avoids F entirely.  The vacuous
-    constrained set {0} counts as covered by the empty family, so such a
-    configuration already defeats tightness.
+    On a finite semilattice this reduces to the single-element criterion
+    of tight_violations, so tight filters are exactly the ultrafilters.
     """
     return next(tight_violations(S, F), None) is None
 

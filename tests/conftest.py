@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from slat import classify
 from slat.core import Semilattice
 from slat.pathlat import RootedGraph
 
@@ -53,6 +54,13 @@ def two_loop() -> RootedGraph:
 @pytest.fixture
 def single_edge() -> RootedGraph:
     return RootedGraph(("r", "s"), (("a", "s", "r"),), "r")
+
+
+@pytest.fixture
+def lose_a_tight_filter(monkeypatch):
+    """Fault injection: classification sees every tight filter but the first."""
+    tight_filters = classify.tight_filters
+    monkeypatch.setattr(classify, "tight_filters", lambda S: tight_filters(S)[1:])
 
 
 def idx(S: Semilattice, label: str) -> int:

@@ -62,6 +62,13 @@ def test_exhaustive_size_cap():
         CatalogSpec(max_size=8)
 
 
+def test_random_size_cap():
+    assert len(next(enumerate_catalog(
+        CatalogSpec(max_size=12, mode="random", sample_count=1)))) == 12
+    with pytest.raises(TooLargeError, match="up to 12"):
+        CatalogSpec(max_size=13, mode="random", sample_count=1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CatalogSpec(max_size=1)

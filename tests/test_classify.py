@@ -17,7 +17,7 @@ from slat.classify import (
     trapping_witness,
 )
 from slat.core import arrow, down, nonzero_pairs_below, star
-from slat.errors import BadPairError
+from slat.errors import BadPairError, TheoremViolationError
 
 
 def oracle_zero_disjunctive(S) -> bool:
@@ -140,3 +140,8 @@ def test_report_on_all_catalog_instances():
     for S in enumerate_catalog(CatalogSpec(max_size=6)):
         rep = is_compactable_finite(S)
         assert rep.booleans()["tight_equals_ultrafilters"]
+
+
+def test_tight_equals_ultra_cross_check_fires(vee, lose_a_tight_filter):
+    with pytest.raises(TheoremViolationError, match="tight filters differ"):
+        is_compactable_finite(vee)

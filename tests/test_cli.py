@@ -158,6 +158,22 @@ def test_graph_single_edge(tmp_path, capsys):
     assert "zero_disjunctive=false" in out
 
 
+def test_catalog_refuses_sizes_beyond_labels(capsys):
+    assert main(["catalog", "--max-size", "13", "--random", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: catalog instances support sizes up to 12, got 13\n"
+
+
+def test_cross_check_violation_exits_one(vee_file, two_loop_file, lose_a_tight_filter,
+                                         capsys):
+    for argv in (["check", vee_file], ["graph", two_loop_file, "--depth", "1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: tight filters differ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/file.slat"]) == 2
     assert "error:" in capsys.readouterr().err

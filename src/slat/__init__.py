@@ -19,7 +19,6 @@ from .classify import (
     trapping_witness,
 )
 from .core import (
-    ElementSet,
     Semilattice,
     arrow,
     constrained_set,

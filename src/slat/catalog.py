@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Semilattice
-from .errors import TooLargeError
+from .core import Semilattice, _meet_table
+from .errors import NoMeetError, TooLargeError
 
 EXHAUSTIVE_LIMIT = 7
 
@@ -62,52 +62,21 @@ def _interior_labels(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(_INTERIOR_NAMES[: n - 2]) + ("1",)
 
 
-def _close_transitive(rel: set[tuple[int, int]], mids: range) -> set[tuple[int, int]]:
-    rel = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c in mids:
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return rel
-
-
 def _is_transitive(rel: set[tuple[int, int]], mids: range) -> bool:
     return all((a, c) in rel
                for a, b in rel for c in mids if (b, c) in rel)
 
 
-def _leq_from_interior(n: int, rel: set[tuple[int, int]]) -> list[list[bool]]:
+def _meet_table_of(labels: tuple[str, ...],
+                   rel: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...] | None:
+    """Meet table of the interior relation plus the bounds, None if a pair has no meet."""
     # Interior indices are 1..n-2; 0 is the bottom and n-1 the top.
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for j in range(n):
-        leq[0][j] = True
-        leq[j][n - 1] = True
-    for a, b in rel:
-        leq[a][b] = True
-    return leq
-
-
-def _meet_table(leq: list[list[bool]]) -> tuple[tuple[int, ...], ...] | None:
-    n = len(leq)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            glb = None
-            for m in lower:
-                if all(leq[k][m] for k in lower):
-                    glb = m
-                    break
-            if glb is None:
-                return None
-            row.append(glb)
-        table.append(tuple(row))
-    return tuple(table)
+    n = len(labels)
+    bounds = [(0, j) for j in range(n)] + [(j, n - 1) for j in range(n)]
+    try:
+        return _meet_table(labels, bounds + list(rel), {})
+    except NoMeetError:
+        return None
 
 
 def canonical_key(S: Semilattice) -> tuple:
@@ -141,7 +110,7 @@ def _instances_of_size(n: int) -> list[Semilattice]:
         rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
         if not _is_transitive(rel, mids):
             continue
-        table = _meet_table(_leq_from_interior(n, rel))
+        table = _meet_table_of(labels, rel)
         if table is None:
             continue
         S = Semilattice(labels, table, zero=0, one=n - 1)
@@ -155,8 +124,7 @@ def _random_instance(n: int, rng: random.Random) -> Semilattice:
     labels = _interior_labels(n)
     while True:
         rel = {p for p in pairs if rng.random() < 0.5}
-        rel = _close_transitive(rel, mids)
-        table = _meet_table(_leq_from_interior(n, rel))
+        table = _meet_table_of(labels, rel)
         if table is not None:
             return Semilattice(labels, table, zero=0, one=n - 1)
 

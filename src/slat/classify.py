@@ -11,19 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import stone
-from .core import Semilattice, arrow, down, nonzero_pairs_below, star
+from .core import (
+    Semilattice, _below_orthogonal, _members, arrow, constrained_set, nonzero_pairs_below)
 from .errors import BadPairError, TheoremViolationError
 from .filters import enumerate_ultrafilters, tight_filters
 
 
 def is_zero_disjunctive(S: Semilattice) -> bool:
     """Whenever 0 != e < f, some non-zero element below f avoids e."""
-    for f, e in nonzero_pairs_below(S):  # here e < f after renaming: f is the larger
-        if not any(
-                x != S.zero and S.leq(x, f) and S.meet(x, e) == S.zero
-                for x in S.elements()):
-            return False
-    return True
+    return all(len(constrained_set(S, (f,), (e,))) > 1 for f, e in nonzero_pairs_below(S))
 
 
 def is_separative(S: Semilattice) -> bool:
@@ -36,16 +32,10 @@ def meet_separation(S: Semilattice) -> bool:
 
     For e != f some g meets exactly one of them non-trivially.  The
     symmetric form is deliberate; the one-sided variant degenerates.
+    Such a g exists iff star(e) != star(f), so the star rows must be
+    pairwise distinct.
     """
-    for e in S.elements():
-        for f in S.elements():
-            if e == f:
-                continue
-            if not any(
-                    (S.meet(e, g) == S.zero) != (S.meet(f, g) == S.zero)
-                    for g in S.elements()):
-                return False
-    return True
+    return len(set(S.star)) == len(S)
 
 
 def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
@@ -59,7 +49,7 @@ def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
     if f == S.zero or f == e or not S.leq(f, e):
         raise BadPairError(
             f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
-    W = sorted((down(S, {e}) & star(S, f)) - {S.zero})
+    W = _members(_below_orthogonal(S, e, (f,)) & ~(1 << S.zero))
     if W and arrow(S, e, W + [f]):
         return W
     return None

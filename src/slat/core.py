@@ -4,14 +4,25 @@ Elements are dense integer indices 0..n-1; labels are presentation only.
 The meet table is the canonical internal form: the partial order and the
 bounds are derived from it via  e <= f  iff  meet(e, f) == e.
 
-All operations are exact and run exhaustive loops.  They stay fast up to
-around EXHAUSTIVE_SIZE_TARGET elements; nothing caps the size hard, the
+Construction also derives three int bitmask rows per element: down[e],
+up[e] and star[e] (the elements whose meet with e is zero).  The order
+primitives read them through one kernel, the elements below m orthogonal
+to all of Y, and return frozensets; masks never leave the library.
+Validation is O(n^2): an idempotent, commutative table is associative
+iff down[meet(e, f)] == down[e] & down[f] for all e, f.
+
+All operations are exact.  Classification stays fast up to around
+EXHAUSTIVE_SIZE_TARGET elements; nothing caps the size hard, the
 command line surface just warns above the target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import eq, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -24,13 +35,23 @@ from .errors import (
     ZeroSourceError,
 )
 
-# Subsets of element indices.  A plain frozenset keeps set algebra cheap.
-ElementSet = frozenset
-
 EXHAUSTIVE_SIZE_TARGET = 12
 
 # Labels appear in the text format, so they must survive tokenization.
 _FORBIDDEN_LABEL_CHARS = set("<#=")
+
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_ONE_BIT = re.compile("1")
+
+
+def _row(flags: Iterable[bool]) -> int:
+    """Bitmask with bit f set iff the f-th flag is true."""
+    return int(bytes(flags).translate(_FLAG_DIGITS)[::-1], 2)
+
+
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    return [m.start() for m in _ONE_BIT.finditer(bin(mask)[:1:-1])]
 
 
 def _check_label(label: str) -> None:
@@ -45,12 +66,17 @@ class Semilattice:
     Construction validates everything: the table must be idempotent,
     commutative, associative, and the designated zero and one must be
     absorbing and neutral.  Invalid tables raise InvalidSemilatticeError.
+    The down, up and star rows (see the module docstring) are derived
+    here and take no part in equality, hashing or repr.
     """
 
     labels: tuple[str, ...]
     meet_table: tuple[tuple[int, ...], ...]
     zero: int
     one: int
+    down: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    up: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    star: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -80,14 +106,22 @@ class Semilattice:
                 if t[i][j] != t[j][i]:
                     raise InvalidSemilatticeError(
                         f"meet not commutative at ({self.labels[i]!r}, {self.labels[j]!r})")
-        for i in range(n):
-            for j in range(n):
-                tij = t[i][j]
-                for k in range(n):
-                    if t[tij][k] != t[i][t[j][k]]:
-                        raise InvalidSemilatticeError(
-                            "meet not associative at "
-                            f"({self.labels[i]!r}, {self.labels[j]!r}, {self.labels[k]!r})")
+        rng = range(n)
+        down = tuple(_row(map(eq, row, rng)) for row in t)  # meet(e, f) == f
+        object.__setattr__(self, "down", down)
+        up = tuple(_row(map(eq, row, repeat(e))) for e, row in enumerate(t))  # meet(e, f) == e
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "star", tuple(_row(map(eq, row, repeat(self.zero))) for row in t))
+        # The row law: with idempotence and commutativity it makes the rows
+        # the down-sets of a partial order whose glb is the table.
+        for e in rng:
+            de, row = down[e], t[e]
+            for f in range(e + 1, n):
+                if down[row[f]] != de & down[f]:
+                    a, b, c = _associativity_witness(t, down, e, f)
+                    raise InvalidSemilatticeError(
+                        "meet not associative at "
+                        f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -140,27 +174,65 @@ class Semilattice:
         Emits the covering pairs of the order; the meet table is recovered
         exactly because meets are greatest lower bounds of the order.
         """
-        covers = []
-        n = len(self)
-        for x in range(n):
-            for y in range(n):
-                if x == y or not self.leq(x, y):
-                    continue
-                if any(self.leq(x, z) and self.leq(z, y) and z not in (x, y) for z in range(n)):
-                    continue
-                covers.append(f"{self.labels[x]}<{self.labels[y]}")
+        covers = [
+            f"{self.labels[x]}<{self.labels[y]}"
+            for x, ux in enumerate(self.up)
+            for y in _members(ux ^ 1 << x)
+            if ux & self.down[y] == 1 << x | 1 << y]
         lines = ["elements: " + " ".join(self.labels)]
         if covers:
             lines.append("order: " + " ".join(covers))
         return "\n".join(lines) + "\n"
 
 
-def _glb(leq: list[list[bool]], i: int, j: int) -> int | None:
-    lower = [k for k in range(len(leq)) if leq[k][i] and leq[k][j]]
-    for m in lower:
-        if all(leq[k][m] for k in lower):
-            return m
-    return None
+def _associativity_witness(t, down, e: int, f: int) -> tuple[int, int, int]:
+    """A triple (a, b, c) with meet(meet(a, b), c) != meet(a, meet(b, c)).
+
+    t is idempotent and commutative, and the row law fails at (e, f).
+    """
+    m = t[e][f]
+    diff = down[m] ^ (down[e] & down[f])
+    x = (diff & -diff).bit_length() - 1
+    if not down[m] >> x & 1:
+        return (e, f, x)  # x lies below e and f but not below their meet
+    a, b = (e, f) if t[e][x] != x else (f, e)  # x lies below m but not below a
+    return (a, a, b) if t[a][m] != m else (a, m, x)
+
+
+def _meet_table(labels: Sequence[str], pairs: Iterable[tuple[int, int]],
+                preset: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """Meet table of the order generated by index pairs (a, b) meaning a <= b.
+
+    The reflexive-transitive closure is kept as down rows, so the meet of
+    i and j is the element whose row is below[i] & below[j].  Preset
+    entries win.  Cycles raise CycleError; NoMeetError names the first
+    pair, in row order, that has no meet.
+    """
+    n = len(labels)
+    below = [1 << i for i in range(n)]
+    for a, b in pairs:
+        below[b] |= 1 << a
+    for k in range(n):  # Warshall closure
+        for i in range(n):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if below[i] == below[j]:
+                raise CycleError(f"order pairs force {labels[i]!r} = {labels[j]!r}")
+    by_row = {row: m for m, row in enumerate(below)}
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            g = preset[i, j] if (i, j) in preset else by_row.get(below[i] & below[j])
+            if g is None:
+                raise NoMeetError(
+                    f"no meet for ({labels[i]!r}, {labels[j]!r}): "
+                    "not determined by the declared order or meet lines")
+            row.append(g)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _assemble(labels: Sequence[str], pairs: list[tuple[str, str]],
@@ -178,40 +250,17 @@ def _assemble(labels: Sequence[str], pairs: list[tuple[str, str]],
             raise FormatError(f"unknown label {lab!r}")
         return idx[lab]
 
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for a, b in pairs:
-        leq[lookup(a)][lookup(b)] = True
-    for k in range(n):  # Warshall closure
-        for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise CycleError(f"order pairs force {labels[i]!r} = {labels[j]!r}")
-
-    table = [[i if i == j else None for j in range(n)] for i in range(n)]
+    order = [(lookup(a), lookup(b)) for a, b in pairs]
+    preset = {}
     for (a, b), c in overrides.items():
-        table[lookup(a)][lookup(b)] = lookup(c)
-        table[lookup(b)][lookup(a)] = lookup(c)
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] is None:
-                g = _glb(leq, i, j) if pairs else None
-                if g is None:
-                    raise NoMeetError(
-                        f"no meet for ({labels[i]!r}, {labels[j]!r}): "
-                        "not determined by the declared order or meet lines")
-                table[i][j] = g
+        preset[lookup(a), lookup(b)] = preset[lookup(b), lookup(a)] = lookup(c)
+    table = _meet_table(labels, order, preset)
 
     mins = [z for z in range(n) if all(table[z][e] == z for e in range(n))]
     maxs = [u for u in range(n) if all(table[u][e] == e for e in range(n))]
     if not mins or not maxs:
         raise NoBoundError("the order has no global minimum or no global maximum")
-    return Semilattice(labels, tuple(tuple(row) for row in table), mins[0], maxs[0])
+    return Semilattice(labels, table, mins[0], maxs[0])
 
 
 def parse_semilattice(text: str) -> Semilattice:
@@ -259,34 +308,39 @@ def parse_semilattice(text: str) -> Semilattice:
     return _assemble(labels, pairs, overrides)
 
 
-def star(S: Semilattice, e: int) -> ElementSet:
+def _below_orthogonal(S: Semilattice, m: int, Y: Iterable[int]) -> int:
+    """Mask of the elements below m orthogonal to every member of Y (zero included).
+
+    The one order kernel behind this module and the modules built on it.
+    """
+    mask = S.down[m]
+    for y in Y:
+        mask &= S.star[y]
+    return mask
+
+
+def star(S: Semilattice, e: int) -> frozenset:
     """All elements whose meet with e is zero."""
-    return frozenset(f for f in S.elements() if S.meet(e, f) == S.zero)
+    return frozenset(_members(S.star[e]))
 
 
-def up(S: Semilattice, X: Iterable[int]) -> ElementSet:
+def up(S: Semilattice, X: Iterable[int]) -> frozenset:
     """Upward closure: everything above some member of X."""
-    X = frozenset(X)
-    return frozenset(e for e in S.elements() if any(S.leq(x, e) for x in X))
+    return frozenset(_members(reduce(or_, map(S.up.__getitem__, X), 0)))
 
 
-def down(S: Semilattice, X: Iterable[int]) -> ElementSet:
+def down(S: Semilattice, X: Iterable[int]) -> frozenset:
     """Downward closure: everything below some member of X."""
-    X = frozenset(X)
-    return frozenset(e for e in S.elements() if any(S.leq(e, x) for x in X))
+    return frozenset(_members(reduce(or_, map(S.down.__getitem__, X), 0)))
 
 
-def constrained_set(S: Semilattice, X: Iterable[int], Y: Iterable[int]) -> ElementSet:
+def constrained_set(S: Semilattice, X: Iterable[int], Y: Iterable[int]) -> frozenset:
     """Elements below every member of X and orthogonal to every member of Y.
 
     Always contains zero.  An empty X constrains nothing, so the result is
     the set of elements orthogonal to all of Y.
     """
-    X = frozenset(X)
-    Y = frozenset(Y)
-    return frozenset(
-        e for e in S.elements()
-        if all(S.leq(e, x) for x in X) and all(S.meet(e, y) == S.zero for y in Y))
+    return frozenset(_members(_below_orthogonal(S, S.meet_all(X), Y)))
 
 
 def is_cover(S: Semilattice, Z: Iterable[int], X: Iterable[int], Y: Iterable[int]) -> bool:
@@ -295,15 +349,14 @@ def is_cover(S: Semilattice, Z: Iterable[int], X: Iterable[int], Y: Iterable[int
     Z must be a subset of the constrained set.  Covering means every
     non-zero member of the constrained set meets some member of Z; when
     the constrained set is {0} this holds vacuously, even for empty Z.
+    So Z covers iff constraining by Y and Z together leaves only zero.
     """
-    target = constrained_set(S, X, Y)
-    Z = frozenset(Z)
-    if not Z <= target:
-        extra = S.labels_for(Z - target)
-        raise NotSubsetError(f"cover candidates {extra} lie outside the constrained set")
-    return all(
-        any(S.meet(e, z) != S.zero for z in Z)
-        for e in target if e != S.zero)
+    m, Y, Z = S.meet_all(X), tuple(Y), frozenset(Z)
+    target = _below_orthogonal(S, m, Y)
+    outside = S.labels_for(z for z in Z if not target >> z & 1)
+    if outside:
+        raise NotSubsetError(f"cover candidates {outside} lie outside the constrained set")
+    return _below_orthogonal(S, m, Y + tuple(Z)) == 1 << S.zero
 
 
 def arrow(S: Semilattice, f: int, es: Iterable[int]) -> bool:
@@ -315,15 +368,11 @@ def arrow(S: Semilattice, f: int, es: Iterable[int]) -> bool:
     """
     if f == S.zero:
         raise ZeroSourceError("refinement source must be non-zero")
-    targets = tuple(es)
-    return all(
-        any(S.meet(x, e) != S.zero for e in targets)
-        for x in S.nonzero() if S.leq(x, f))
+    return _below_orthogonal(S, f, es) == 1 << S.zero
 
 
 def nonzero_pairs_below(S: Semilattice) -> Iterator[tuple[int, int]]:
     """All pairs (e, f) with 0 != f < e, in deterministic index order."""
     for e in S.nonzero():
-        for f in S.nonzero():
-            if f != e and S.leq(f, e):
-                yield (e, f)
+        for f in _members(S.down[e] & ~(1 << e | 1 << S.zero)):
+            yield (e, f)

@@ -11,9 +11,9 @@ scan over excluded sets; the tests keep that scan as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .core import ElementSet, Semilattice, down, is_cover, up
+from .core import Semilattice, _below_orthogonal, _members, up
 from .errors import NotAFilterError, ZeroElementError
 
 
@@ -35,21 +35,18 @@ class Filter:
         return (len(self.carrier), tuple(sorted(self.carrier)))
 
 
-def is_filter(S: Semilattice, A: ElementSet) -> bool:
-    """Check the filter axioms for a carrier set."""
+def is_filter(S: Semilattice, A: Iterable[int]) -> bool:
+    """Check the filter axioms for a carrier set.
+
+    A finite filter holds its meet g and everything above it, so it is
+    the up-set of g; conversely every up-set of a non-zero g is a filter.
+    """
     A = frozenset(A)
     if not A or S.zero in A:
         return False
     if any(not (0 <= e < len(S)) for e in A):
         return False
-    for e in A:
-        for f in A:
-            if S.meet(e, f) not in A:
-                return False
-        for f in S.elements():
-            if S.leq(e, f) and f not in A:
-                return False
-    return True
+    return frozenset(_members(S.up[S.meet_all(A)])) == A
 
 
 def _require_filter(S: Semilattice, F: Filter) -> None:
@@ -80,15 +77,13 @@ def is_ultrafilter(S: Semilattice, F: Filter) -> bool:
 
     F is an ultrafilter iff it already contains every element whose meet
     with each member of F is non-zero.  The suite asserts this agrees
-    with literal maximality among all filters.
+    with literal maximality among all filters.  Every member of F lies
+    above its generator g, so b meets all of F non-trivially iff b meets
+    g non-trivially: F is maximal iff each b lies above g or in star(g).
     """
     _require_filter(S, F)
-    for b in S.elements():
-        if b in F.carrier:
-            continue
-        if all(S.meet(b, c) != S.zero for c in F.carrier):
-            return False
-    return True
+    g = S.meet_all(F.carrier)
+    return S.up[g] | S.star[g] == (1 << len(S)) - 1
 
 
 def extend_to_ultrafilter(S: Semilattice, e: int) -> Filter:
@@ -101,12 +96,10 @@ def extend_to_ultrafilter(S: Semilattice, e: int) -> Filter:
     if e == S.zero:
         raise ZeroElementError("zero extends to no ultrafilter")
     g = e
-    while True:
-        candidates = [b for b in S.elements()
-                      if S.meet(b, g) != S.zero and not S.leq(g, b)]
-        if not candidates:
-            return principal_filter(S, g)
-        g = S.meet(g, candidates[0])
+    full = (1 << len(S)) - 1
+    while candidates := full ^ (S.up[g] | S.star[g]):
+        g = S.meet(g, (candidates & -candidates).bit_length() - 1)
+    return principal_filter(S, g)
 
 
 def enumerate_ultrafilters(S: Semilattice) -> list[Filter]:
@@ -129,8 +122,11 @@ def tight_violations(S: Semilattice, F: Filter) -> Iterator[int]:
     above g and meets the non-zero elements below g.
     """
     _require_filter(S, F)
+    zero = 1 << S.zero
+    avoid = S.up[S.meet_all(F.carrier)] | zero
     for x in sorted(F.carrier):
-        if is_cover(S, down(S, {x}) - F.carrier - {S.zero}, {x}, ()):
+        # down(x) - F - {0} covers iff only zero is orthogonal to all of it.
+        if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero:
             yield x
 
 

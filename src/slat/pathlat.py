@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Semilattice, up
+from .core import Semilattice, _members
 from .errors import (
     BadDepthError,
     BadPairError,
@@ -179,17 +179,15 @@ def level(S: Semilattice, e: int) -> int | float:
     """
     if e == S.zero:
         return math.inf
-    return len(up(S, {e}))
+    return S.up[e].bit_count()
 
 
 def covers_hat(S: Semilattice, e: int) -> frozenset:
     """Elements directly below e, with nothing strictly between."""
     if e == S.zero:
         raise ZeroElementError("zero has no lower covers")
-    below = [f for f in S.elements() if f != e and S.leq(f, e)]
-    return frozenset(
-        f for f in below
-        if not any(g != f and g != e and S.leq(f, g) and S.leq(g, e) for g in S.elements()))
+    below = S.down[e] ^ 1 << e
+    return frozenset(f for f in _members(below) if S.up[f] & below == 1 << f)
 
 
 def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
@@ -203,9 +201,7 @@ def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
     if f == S.zero or f == e or not S.leq(f, e):
         raise BadPairError(
             f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
-    interval = sorted(
-        (g for g in S.elements() if S.leq(f, g) and S.leq(g, e)),
-        key=lambda g: len(up(S, {g})))
+    interval = sorted(_members(S.up[f] & S.down[e]), key=lambda g: S.up[g].bit_count())
     witness: list[int] = []
     for g, child in zip(interval, interval[1:]):
         covs = covers_hat(S, g)

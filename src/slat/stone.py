@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import ElementSet, Semilattice
+from .core import Semilattice
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -95,12 +95,14 @@ def hausdorff_witness(space: UltrafilterSpace, F: Filter, G: Filter) -> tuple[in
 
 
 def opens(space: UltrafilterSpace) -> list[frozenset]:
-    """Every open set: all unions of base sets, exactly."""
-    distinct = sorted(set(space.base), key=_point_set_key)
+    """Every open set: all unions of base sets, exactly.
+
+    Closes {} under union with each distinct base set in turn, so the
+    work grows with the number of opens, not of base-set families.
+    """
     found = {frozenset()}
-    for r in range(1, len(distinct) + 1):
-        for combo in itertools.combinations(distinct, r):
-            found.add(frozenset().union(*combo))
+    for b in set(space.base):
+        found |= {o | b for o in found}
     return sorted(found, key=_point_set_key)
 
 

@@ -6,7 +6,10 @@ to all, and the meet table is the table of greatest lower bounds.  So
 enumeration walks all transitive relations on the interior along a fixed
 linear extension, keeps those where every pair has a greatest lower
 bound, and rejects isomorphs through a canonical key that minimizes the
-meet-table encoding over interior relabelings.
+meet-table encoding over the interior relabelings that keep each element
+in its invariant cell, (|down|, |up|).  Cells make the key cheap on most
+shapes; an interior antichain of k elements is one cell and still costs
+k! permutations.
 """
 
 from __future__ import annotations
@@ -80,17 +83,27 @@ def _meet_table_of(labels: tuple[str, ...],
 
 
 def canonical_key(S: Semilattice) -> tuple:
-    """Minimal meet-table encoding over relabelings fixing the bounds.
+    """Least meet-table encoding over relabelings that respect invariant cells.
 
-    Isomorphisms preserve the bounds, so the key relabels zero to 0, one
-    to n-1, runs all permutations of the interior, and keeps the least
-    flattened table.  Equal keys mean isomorphic instances.
+    Isomorphisms fix the bounds and preserve each interior element's
+    invariant (|down|, |up|), so they map the cell of interior elements
+    sharing an invariant onto itself.  The key relabels zero to 0 and one
+    to n-1, lays the cells out in invariant order, tries every
+    permutation within each cell, and keeps the least flattened table.
+    Isomorphic inputs reach the same encodings, and equal encodings are
+    equal relabeled tables, so equal keys mean isomorphic instances.  The
+    worst case, an interior antichain of k elements, is one cell and k!
+    permutations.
     """
     n = len(S)
-    interior = [i for i in S.elements() if i not in (S.zero, S.one)]
+    invariant = {i: (S.down[i].bit_count(), S.up[i].bit_count())
+                 for i in S.elements() if i not in (S.zero, S.one)}
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in sorted(invariant, key=invariant.__getitem__):
+        cells.setdefault(invariant[i], []).append(i)
     best: tuple | None = None
-    for perm in itertools.permutations(interior):
-        old_of_new = [S.zero] + list(perm) + [S.one]
+    for perms in itertools.product(*map(itertools.permutations, cells.values())):
+        old_of_new = [S.zero, *itertools.chain.from_iterable(perms), S.one]
         new_of_old = {old: new for new, old in enumerate(old_of_new)}
         enc = tuple(
             new_of_old[S.meet(old_of_new[i], old_of_new[j])]
@@ -98,7 +111,7 @@ def canonical_key(S: Semilattice) -> tuple:
         if best is None or enc < best:
             best = enc
     assert best is not None
-    return (n, best)
+    return (n, tuple(sorted(invariant.values())), best)
 
 
 def _instances_of_size(n: int) -> list[Semilattice]:

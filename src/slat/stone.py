@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
-from .core import Semilattice
+from .core import Semilattice, _members
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -24,7 +26,13 @@ from .errors import (
     TheoremViolationError,
     UndecomposableError,
 )
-from .filters import Filter, enumerate_filters, enumerate_ultrafilters, is_filter, is_ultrafilter
+from .filters import (
+    Filter,
+    enumerate_ultrafilters,
+    is_filter,
+    is_ultrafilter,
+    principal_filter,
+)
 
 
 def _point_set_key(ps: frozenset) -> tuple:
@@ -38,10 +46,10 @@ class UltrafilterSpace:
     base: tuple[frozenset, ...]  # indexed by element: point indices whose filter holds it
 
     def point_index(self, F: Filter) -> int:
-        for i, P in enumerate(self.points):
-            if P == F:
-                return i
-        raise ValueError("not a point of this space")
+        try:
+            return self.points.index(F)
+        except ValueError:
+            raise ValueError("not a point of this space") from None
 
 
 def build_space(S: Semilattice) -> UltrafilterSpace:
@@ -212,15 +220,20 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     """Basic neighbourhood in the space of all filters.
 
     Filters containing e and omitting each listed element; the listed
-    elements must sit below e.
+    elements must sit below e.  Every filter is up(g) for a non-zero g,
+    which holds e iff g <= e and omits x iff g is not below x, so the
+    generators are read off the down rows.  Smallest carriers first, as
+    in enumerate_filters.
     """
     es = tuple(es)
     bad = [x for x in es if not S.leq(x, e)]
     if bad:
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
-    return [F for F in enumerate_filters(S)
-            if e in F.carrier and all(x not in F.carrier for x in es)]
+    omitted = reduce(or_, (S.down[x] for x in es), 1 << S.zero)
+    hood = [principal_filter(S, g) for g in _members(S.down[e] & ~omitted)]
+    hood.sort(key=Filter.sort_key)
+    return hood
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,38 @@
+"""Brute-force routes the catalog and the filter space ran before they were sped up.
+
+canonical_key permutes the whole interior, with no invariant cells, and
+filterspace_nbhd scans every filter; the tests hold the library's
+versions to both.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable
+
+from slat.core import Semilattice
+from slat.filters import Filter, enumerate_filters
+
+
+def canonical_key(S: Semilattice) -> tuple:
+    """Least flattened meet table over all relabelings fixing the bounds."""
+    n = len(S)
+    interior = [i for i in S.elements() if i not in (S.zero, S.one)]
+    best = None
+    for perm in itertools.permutations(interior):
+        old_of_new = [S.zero, *perm, S.one]
+        new_of_old = {old: new for new, old in enumerate(old_of_new)}
+        enc = tuple(
+            new_of_old[S.meet(old_of_new[i], old_of_new[j])]
+            for i in range(n) for j in range(n))
+        if best is None or enc < best:
+            best = enc
+    return (n, best)
+
+
+def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
+    """Filters containing e and omitting every listed element, by a scan of all filters."""
+    es = tuple(es)
+    return [F for F in enumerate_filters(S)
+            if e in F.carrier and all(x not in F.carrier for x in es)]
+

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
+import catalog_oracle
+from slat.catalog import CatalogSpec, _instances_of_size, canonical_key, enumerate_catalog
 from slat.core import Semilattice
 from slat.errors import TooLargeError
 
@@ -48,6 +51,44 @@ def test_canonical_key_is_iso_invariant(vee):
 
 def test_canonical_key_separates_shapes(vee, chain4):
     assert canonical_key(vee) != canonical_key(chain4)
+
+
+def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:
+    """An isomorphic copy under a random permutation of all indices, bounds included."""
+    n = len(S)
+    new = list(range(n))
+    rng.shuffle(new)
+    labels = [""] * n
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        labels[new[i]] = S.labels[i]
+        for j in range(n):
+            table[new[i]][new[j]] = new[S.meet(i, j)]
+    return Semilattice(tuple(labels), tuple(map(tuple, table)), new[S.zero], new[S.one])
+
+
+def partition(keys: list) -> set[frozenset[int]]:
+    """The classes of positions that share a key."""
+    classes: dict = {}
+    for i, k in enumerate(keys):
+        classes.setdefault(k, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_canonical_key_partitions_like_the_permutation_oracle():
+    rng = random.Random(4)
+    instances = list(enumerate_catalog(CatalogSpec(max_size=7)))
+    for n, count in ((8, 20), (9, 4), (10, 1)):
+        instances += enumerate_catalog(
+            CatalogSpec(max_size=n, mode="random", sample_count=count, seed=n))
+    instances += [relabeled(S, rng) for S in instances]
+    want = partition([catalog_oracle.canonical_key(S) for S in instances])
+    assert partition([canonical_key(S) for S in instances]) == want
+    assert len(want) < len(instances) // 2  # the random samples repeat some shapes
+
+
+def test_size_eight_class_count():
+    assert len(_instances_of_size(8)) == 222  # OEIS A006966
 
 
 def test_instances_are_lawful_and_deterministic():

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import catalog_oracle
 from conftest import idx
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.errors import (
@@ -199,6 +200,24 @@ def test_filterspace_nbhd(vee):
     assert len(everything) == len(enumerate_filters(vee))
     with pytest.raises(BadBasisError):
         filterspace_nbhd(vee, a, [b])  # b is not below a
+
+
+def test_filterspace_nbhd_matches_filter_scan():
+    instances = [*enumerate_catalog(CatalogSpec(max_size=7)),
+                 *enumerate_catalog(CatalogSpec(max_size=10, mode="random", sample_count=4, seed=5))]
+    for S in instances:
+        for e in S.nonzero():
+            below = [x for x in S.elements() if S.leq(x, e)]
+            for r in range(3):
+                for es in itertools.combinations(below, r):
+                    assert filterspace_nbhd(S, e, es) == catalog_oracle.filterspace_nbhd(S, e, es)
+
+
+def test_point_index_rejects_non_points(vee):
+    space = build_space(vee)
+    assert [space.point_index(F) for F in space.points] == list(range(len(space.points)))
+    with pytest.raises(ValueError, match="^not a point of this space$"):
+        space.point_index(principal_filter(vee, vee.one))
 
 
 def test_extend_hom_success(vee):

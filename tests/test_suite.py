@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+from slat import core, suite
 from slat.catalog import CatalogSpec
 from slat.core import Semilattice
 from slat.suite import VerificationReport, run_suite
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
 CHECK_NAMES = {
     "filters_are_principal",
@@ -78,3 +84,22 @@ def test_random_mode_suite():
     report = run_suite(CatalogSpec(max_size=8, mode="random", sample_count=5, seed=3))
     assert report.ok()
     assert report.instances == {8: 5}
+
+
+def test_size_seven_kv_report_matches_golden():
+    golden = json.loads(GOLDENS.read_text())["catalog --max-size 7 --report kv"]["stdout"]
+    assert run_suite(CatalogSpec(max_size=7)).render(kv=True) == golden
+
+
+def test_refinement_monotone_fires(monkeypatch):
+    # true on families of odd size only: a one-element step can lose it
+    monkeypatch.setattr(suite, "arrow", lambda S, f, es: len(es) % 2 == 1)
+    report = run_suite(CatalogSpec(max_size=4))
+    assert report.checks["refinement_monotone"][1] > 0
+
+
+def test_constraint_reduces_to_meet_fires(monkeypatch):
+    monkeypatch.setattr(suite, "constrained_set",
+                        lambda S, X, Y: core.constrained_set(S, X, ()))
+    report = run_suite(CatalogSpec(max_size=4))
+    assert report.checks["constraint_reduces_to_meet"][1] > 0

@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (SlatError, OSError, ValueError) as exc:
+    except (SlatError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ Points are ultrafilters.  Each element e owns the base set K(e) of
 ultrafilters containing it, base sets generate the topology, and the
 clopen algebra is materialized extensionally.  Nothing assumes the space
 is discrete; that it comes out discrete on finite instances is observed
-by the test suite, not baked in.
+by the test suite, not baked in.  The Boolean laws and density are read
+off the clopen atoms, and opens() refuses spaces over MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     PreconditionFailedError,
     SamePointError,
     TheoremViolationError,
+    TooLargeError,
     UndecomposableError,
 )
 from .filters import (
@@ -33,6 +35,8 @@ from .filters import (
     is_ultrafilter,
     principal_filter,
 )
+
+MAX_POINTS = 16
 
 
 def _point_set_key(ps: frozenset) -> tuple:
@@ -58,8 +62,7 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
     base = tuple(
         frozenset(i for i, U in enumerate(points) if e in U.carrier)
         for e in S.elements())
-    full = frozenset(range(len(points)))
-    if base[S.zero] or base[S.one] != full:
+    if base[S.zero] or base[S.one] != frozenset(range(len(points))):
         raise TheoremViolationError("base sets at the bounds are wrong")
     for e in S.nonzero():
         if not base[e]:
@@ -108,6 +111,8 @@ def opens(space: UltrafilterSpace) -> list[frozenset]:
     Closes {} under union with each distinct base set in turn, so the
     work grows with the number of opens, not of base-set families.
     """
+    if len(space.points) > MAX_POINTS:  # up to 2^points opens
+        raise TooLargeError(f"opens are listed for up to {MAX_POINTS} points, got {len(space.points)}")
     found = {frozenset()}
     for b in set(space.base):
         found |= {o | b for o in found}
@@ -116,36 +121,47 @@ def opens(space: UltrafilterSpace) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class ClopenAlgebra:
-    """The Boolean algebra of clopen point sets, listed extensionally."""
+    """The Boolean algebra of clopen point sets, listed extensionally, and its atoms."""
 
     universe: frozenset
     elements: tuple[frozenset, ...]
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
+    atoms: tuple[frozenset, ...]
 
     def complement(self, a: frozenset) -> frozenset:
         return self.universe - a
 
 
+def _boolean_atoms(universe: frozenset, family: list[frozenset]) -> tuple[frozenset, ...] | None:
+    """Atoms of a complement-closed family holding {}, or None if not closed (see below)."""
+    atom = dict.fromkeys(universe, universe)
+    for C in family:
+        for p in C:
+            atom[p] &= C
+    atoms = sorted(set(atom.values()), key=_point_set_key)
+    return tuple(atoms) if len(family) == 2 ** len(atoms) else None
+
+
 def clopen_algebra(space: UltrafilterSpace) -> ClopenAlgebra:
-    """Opens with open complement, checked to form a Boolean algebra."""
+    """Opens with open complement, checked to form a Boolean algebra.
+
+    Base sets, {} = K(0) among them, must be clopen.  A point's atom is the
+    intersection of the clopens holding it; the atoms partition the points,
+    as the complement of a clopen holding q but not p holds p but not q.  So
+    every clopen is a union of atoms, and the clopens are closed under union
+    and intersection exactly when all 2^(number of atoms) unions are clopen.
+    That takes O(clopens x points) work, not a scan over pairs.
+    """
     os = set(opens(space))
     universe = frozenset(range(len(space.points)))
     elems = sorted((o for o in os if universe - o in os), key=_point_set_key)
-    got = set(elems)
     for e in space.lattice.elements():
-        if space.base[e] not in got:
+        if space.base[e] not in os or universe - space.base[e] not in os:
             raise TheoremViolationError(
                 f"base set of {space.lattice.labels[e]!r} is not clopen")
-    for a in elems:
-        for b in elems:
-            if a & b not in got or a | b not in got:
-                raise TheoremViolationError("clopens not closed under set operations")
-    return ClopenAlgebra(universe, tuple(elems))
+    atoms = _boolean_atoms(universe, elems)
+    if atoms is None:
+        raise TheoremViolationError("clopens not closed under set operations")
+    return ClopenAlgebra(universe, tuple(elems), atoms)
 
 
 def join_decomposition(space: UltrafilterSpace, C: Iterable[int]) -> list[int]:
@@ -158,8 +174,7 @@ def join_decomposition(space: UltrafilterSpace, C: Iterable[int]) -> list[int]:
     C = frozenset(C)
     S = space.lattice
     picks = [e for e in S.nonzero() if space.base[e] <= C]
-    union = frozenset().union(*(space.base[e] for e in picks)) if picks else frozenset()
-    if union != C:
+    if frozenset().union(*(space.base[e] for e in picks)) != C:
         raise UndecomposableError(
             f"point set {sorted(C)} is not a union of base sets")
     return picks
@@ -170,16 +185,14 @@ def dense_check(space: UltrafilterSpace) -> bool:
 
     Two things must hold: the base-set map is injective, so the lattice
     really sits inside the algebra, and every non-empty clopen contains a
-    non-empty base set of a non-zero element.
+    non-empty base set of a non-zero element.  Each one holds an atom of
+    the algebra, and atoms are clopens, so only the atoms are tested.
     """
     if not kappa_injective(space):
         return False
     S = space.lattice
     nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
-    for C in clopen_algebra(space).elements:
-        if C and not any(b <= C for b in nonzero_bases):
-            return False
-    return True
+    return all(any(b <= A for b in nonzero_bases) for A in clopen_algebra(space).atoms)
 
 
 @dataclass(frozen=True)
@@ -191,15 +204,10 @@ class Representation:
 
 
 def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
-    if len(values) != len(S) or any(v not in (0, 1) for v in values):
-        return False
-    if values[S.zero] != 0 or values[S.one] != 1:
-        return False
-    for e in S.elements():
-        for f in S.elements():
-            if values[S.meet(e, f)] != values[e] * values[f]:
-                return False
-    return True
+    return (len(values) == len(S) and all(v in (0, 1) for v in values)
+            and values[S.zero] == 0 and values[S.one] == 1
+            and all(values[S.meet(e, f)] == values[e] * values[f]
+                    for e in S.elements() for f in S.elements()))
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
@@ -231,9 +239,8 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
     omitted = reduce(or_, (S.down[x] for x in es), 1 << S.zero)
-    hood = [principal_filter(S, g) for g in _members(S.down[e] & ~omitted)]
-    hood.sort(key=Filter.sort_key)
-    return hood
+    return sorted((principal_filter(S, g) for g in _members(S.down[e] & ~omitted)),
+                  key=Filter.sort_key)
 
 
 @dataclass(frozen=True)
@@ -255,16 +262,8 @@ class FiniteBooleanAlgebra:
         return frozenset(self.atoms)
 
     def elements(self) -> list[frozenset]:
-        out = [frozenset()]
-        for r in range(1, len(self.atoms) + 1):
-            out.extend(frozenset(c) for c in itertools.combinations(sorted(self.atoms), r))
-        return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
+        return sorted((frozenset(c) for r in range(len(self.atoms) + 1)
+                       for c in itertools.combinations(self.atoms, r)), key=_point_set_key)
 
     def complement(self, a: frozenset) -> frozenset:
         return self.top - a
@@ -335,7 +334,6 @@ def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
                 raise TheoremViolationError("extension breaks meet or join")
     for C in algebra.elements:
         parts = join_decomposition(space, C)
-        via_parts = frozenset().union(*(frozenset(alpha[e]) for e in parts)) if parts else frozenset()
-        if via_parts != beta[C]:
+        if frozenset().union(*(frozenset(alpha[e]) for e in parts)) != beta[C]:
             raise TheoremViolationError("decomposition route disagrees with the extension")
     return beta

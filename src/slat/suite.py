@@ -199,8 +199,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         except SlatError:
             decomposes = False
             break
-        union = frozenset().union(*(space.base[e] for e in parts)) if parts else frozenset()
-        if union != C:
+        if frozenset().union(*(space.base[e] for e in parts)) != C:
             decomposes = False
             break
     report.record("clopens_decompose", decomposes, S, "a clopen failed to decompose")

@@ -1,0 +1,51 @@
+"""The clopen algebra and the density test by pairwise scans.
+
+These are the routines the library ran before it read the Boolean laws
+and density off the atoms: closure is checked over every pair of
+clopens, and density scans every non-empty clopen against every base
+set.  The tests hold the atom-based versions to them.
+"""
+
+from __future__ import annotations
+
+from slat.errors import TheoremViolationError
+from slat.stone import UltrafilterSpace, kappa_injective, opens
+
+
+def closed_pairwise(family) -> bool:
+    """Is the family closed under union and intersection, pair by pair?"""
+    got = set(family)
+    return all(a & b in got and a | b in got for a in got for b in got)
+
+
+def minimal_members(family) -> list[frozenset]:
+    """The non-empty members with no non-empty member strictly inside."""
+    nonempty = [C for C in family if C]
+    return sorted((C for C in nonempty if not any(D < C for D in nonempty)),
+                  key=lambda ps: (len(ps), tuple(sorted(ps))))
+
+
+def clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
+    """Opens with open complement, sorted, after the pairwise closure check."""
+    os = set(opens(space))
+    universe = frozenset(range(len(space.points)))
+    elems = sorted((o for o in os if universe - o in os),
+                   key=lambda ps: (len(ps), tuple(sorted(ps))))
+    got = set(elems)
+    for e in space.lattice.elements():
+        if space.base[e] not in got:
+            raise TheoremViolationError(
+                f"base set of {space.lattice.labels[e]!r} is not clopen")
+    if not closed_pairwise(elems):
+        raise TheoremViolationError("clopens not closed under set operations")
+    return tuple(elems)
+
+
+def dense_check(space: UltrafilterSpace) -> bool:
+    """Injective base map, and every non-empty clopen holds a non-empty base set."""
+    if not kappa_injective(space):
+        return False
+    S = space.lattice
+    nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
+    return all(any(b <= C for b in nonzero_bases)
+               for C in clopen_elements(space) if C)

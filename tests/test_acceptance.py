@@ -210,8 +210,8 @@ def test_acceptance_5_stone_extension():
         if any(m[kappa(space, e)] != alpha[e] for e in vee.elements()):
             continue
         if any(
-            m[algebra.meet(C, D)] != m[C] & m[D]
-            or m[algebra.join(C, D)] != m[C] | m[D]
+            m[C & D] != m[C] & m[D]
+            or m[C | D] != m[C] | m[D]
             for C in clopens for D in clopens
         ):
             continue

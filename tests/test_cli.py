@@ -111,6 +111,18 @@ def test_cantor_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["!" * 3000 + "a", "!" + "ab" * 1000],
+                         ids=["nested-complements", "long-cylinder"])
+def test_cantor_recursion_ends_in_one_error_line(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "slat.cli", "cantor", "--alphabet", "ab", expr],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_catalog_command(capsys):
     assert main(["catalog", "--max-size", "5"]) == 0
     out = capsys.readouterr().out

@@ -118,8 +118,8 @@ def test_clopen_algebra_is_boolean():
         for C in elems:
             assert alg.complement(C) in elems
             for D in elems:
-                assert alg.meet(C, D) in elems
-                assert alg.join(C, D) in elems
+                assert C & D in elems
+                assert C | D in elems
         assert frozenset() in elems
         assert alg.universe in elems
 
@@ -260,7 +260,7 @@ def test_extend_hom_unique(vee):
         if any(m[base_of[e]] != alpha[e] for e in vee.elements()):
             continue
         if any(
-            m[alg.meet(C, D)] != m[C] & m[D] or m[alg.join(C, D)] != m[C] | m[D]
+            m[C & D] != m[C] & m[D] or m[C | D] != m[C] | m[D]
             for C in clopens for D in clopens
         ):
             continue

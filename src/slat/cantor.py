@@ -6,6 +6,11 @@ proper prefix of another, no node keeps its complete family of children,
 and words are sorted shortlex in alphabet order.  The empty set of words
 is the bottom and the singleton {empty word} is the top.
 
+One pass in symbol order computes that form (_reduce); the constructor
+accepts exactly its fixed points.  complement descends the symbol tree
+with one Python frame per symbol, so a cylinder longer than the
+recursion limit raises RecursionError.
+
 Alphabets are strings of distinct symbols.  A one-symbol alphabet is
 permitted but degenerate: the word space is a single point and the
 algebra collapses to {bottom, top}.
@@ -14,7 +19,8 @@ algebra collapses to {bottom, top}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, ForeignSymbolError, ParseError
 
@@ -38,17 +44,49 @@ def _check_word(alphabet: str, word: str) -> None:
             f"word {word!r} uses symbols {sorted(foreign)} outside alphabet {alphabet!r}")
 
 
+@lru_cache(maxsize=16)
+def _ranks(alphabet: str) -> dict[int, int]:
+    """Translation of each symbol to the character of its rank, so that
+    string order on translated words is symbol order: a word sorts right
+    after its prefixes."""
+    return str.maketrans(alphabet, "".join(map(chr, range(len(alphabet)))))
+
+
 def _shortlex_key(alphabet: str):
-    rank = {c: i for i, c in enumerate(alphabet)}
-    return lambda w: (len(w), tuple(rank[c] for c in w))
+    ranks = _ranks(alphabet)
+    return lambda w: (len(w), w.translate(ranks))
+
+
+def _reduce(alphabet: str, words: Iterable[str]) -> tuple[str, ...]:
+    """The reduced prefix antichain covering the same points, shortlex sorted.
+
+    One pass over the distinct words in symbol order.  A word extending the
+    last kept word is absorbed by it; any other word is kept, and when it is
+    the last member of a complete sibling family the family folds into its
+    parent, repeatedly while that completes a family in turn.
+    """
+    last, k = alphabet[-1], len(alphabet)
+    kept: list[str] = []
+    ranks = _ranks(alphabet)
+    for w in sorted(set(words), key=lambda w: w.translate(ranks)):
+        if kept and w.startswith(kept[-1]):
+            continue
+        kept.append(w)
+        # w ends its parent's family, and a complete family is the last k
+        # kept words: whatever is kept between two siblings extends one.
+        while w and w[-1] == last and kept[-k:] == [w[:-1] + s for s in alphabet]:
+            w = w[:-1]
+            kept[-k:] = [w]
+    return tuple(sorted(kept, key=_shortlex_key(alphabet)))
 
 
 @dataclass(frozen=True)
 class PrefixClopen:
     """A clopen set in reduced prefix antichain form.
 
-    Construct through normalize, top, bottom or the operations; the
-    constructor only verifies that the invariants already hold.
+    Construct through normalize, top, bottom or the operations.  Direct
+    construction accepts exactly the fixed points of normalization: words
+    that _reduce returns unchanged.
     """
 
     alphabet: str
@@ -56,20 +94,11 @@ class PrefixClopen:
 
     def __post_init__(self) -> None:
         _check_alphabet(self.alphabet)
-        seen = set(self.words)
-        if len(seen) != len(self.words):
-            raise ValueError("duplicate words")
         for w in self.words:
             _check_word(self.alphabet, w)
-            for cut in range(len(w)):
-                if w[:cut] in seen:
-                    raise ValueError(f"{w[:cut]!r} is a proper prefix of {w!r}")
-        parents = {w[:-1] for w in self.words if w}
-        for p in parents:
-            if all(p + s in seen for s in self.alphabet):
-                raise ValueError(f"complete sibling family under {p!r} not collapsed")
-        if list(self.words) != sorted(self.words, key=_shortlex_key(self.alphabet)):
-            raise ValueError("words not in shortlex order")
+        if _reduce(self.alphabet, self.words) != tuple(self.words):
+            raise ValueError(
+                "words are not a shortlex-sorted prefix antichain without complete sibling families")
 
     def is_bottom(self) -> bool:
         return not self.words
@@ -108,27 +137,15 @@ def top(alphabet: str) -> PrefixClopen:
 def normalize(alphabet: str, words: Iterable[str]) -> PrefixClopen:
     """Canonical reduced prefix antichain for a set of cylinder words.
 
-    Words with a proper prefix already present are absorbed, complete
-    sibling families collapse into their parent repeatedly, and the
-    result is sorted shortlex.  This preserves the covered point set.
+    Words with a proper prefix present are absorbed, complete sibling
+    families fold into their parent, and the result is sorted shortlex,
+    all in one pass (_reduce).  This preserves the covered point set.
     """
     _check_alphabet(alphabet)
-    pool = set()
+    words = list(words)
     for w in words:
         _check_word(alphabet, w)
-        pool.add(w)
-    kept = {w for w in pool
-            if not any(w[:cut] in pool for cut in range(len(w)))}
-    changed = True
-    while changed:
-        changed = False
-        for p in {w[:-1] for w in kept if w}:
-            family = {p + s for s in alphabet}
-            if family <= kept:
-                kept -= family
-                kept.add(p)
-                changed = True
-    return PrefixClopen(alphabet, tuple(sorted(kept, key=_shortlex_key(alphabet))))
+    return PrefixClopen(alphabet, _reduce(alphabet, words))
 
 
 def _same_alphabet(P: PrefixClopen, Q: PrefixClopen) -> None:
@@ -158,23 +175,28 @@ def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
 def complement(P: PrefixClopen) -> PrefixClopen:
     """Set complement inside the whole word space.
 
-    Recursive descent over the symbol tree: a node covered by P emits
-    nothing, a node disjoint from P emits itself, and a node above some
-    word of P splits into its children.
+    Recursive descent over the symbol tree, one frame per symbol: the
+    words of P through a node at depth d are split by their symbol at d.
+    A node that is itself a word of P emits nothing, a child no word
+    passes through emits itself, and every other child is descended.
     """
-    have = set(P.words)
+    out = [] if P.words else [""]
 
-    def walk(u: str) -> list[str]:
-        if any(u[:cut] in have for cut in range(len(u) + 1)):
-            return []
-        if not any(w.startswith(u) for w in have):
-            return [u]
-        out: list[str] = []
-        for s in P.alphabet:
-            out.extend(walk(u + s))
-        return out
+    def walk(words: Sequence[str], d: int) -> None:
+        if len(words[0]) == d:  # an antichain holds no other word through it
+            return
+        below: dict[str, list[str]] = {s: [] for s in P.alphabet}
+        for w in words:
+            below[w[d]].append(w)
+        for s, through in below.items():
+            if through:
+                walk(through, d + 1)
+            else:
+                out.append(words[0][:d] + s)
 
-    return normalize(P.alphabet, walk(""))
+    if P.words:
+        walk(P.words, 0)
+    return normalize(P.alphabet, out)
 
 
 def leq(P: PrefixClopen, Q: PrefixClopen) -> bool:

@@ -70,9 +70,10 @@ def cmd_stone(args: argparse.Namespace) -> int:
     for e in S.elements():
         inside = ",".join(str(i) for i in sorted(space.base[e]))
         print(f"  K[{S.labels[e]}] = {{{inside}}}")
+    separative = stone.kappa_injective(space)
     print(f"clopens: {len(algebra.elements)}")
-    print(f"separative={'true' if stone.kappa_injective(space) else 'false'}")
-    print(f"dense={'true' if stone.dense_check(space) else 'false'}")
+    print(f"separative={'true' if separative else 'false'}")
+    print(f"dense={'true' if separative and stone._dense_atoms(space, algebra) else 'false'}")
     if len(space.points) <= 6:
         print("decompositions:")
         for C in algebra.elements:

@@ -185,14 +185,17 @@ def dense_check(space: UltrafilterSpace) -> bool:
 
     Two things must hold: the base-set map is injective, so the lattice
     really sits inside the algebra, and every non-empty clopen contains a
-    non-empty base set of a non-zero element.  Each one holds an atom of
-    the algebra, and atoms are clopens, so only the atoms are tested.
+    non-empty base set of a non-zero element (_dense_atoms).
     """
-    if not kappa_injective(space):
-        return False
-    S = space.lattice
-    nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
-    return all(any(b <= A for b in nonzero_bases) for A in clopen_algebra(space).atoms)
+    return kappa_injective(space) and _dense_atoms(space, clopen_algebra(space))
+
+
+def _dense_atoms(space: UltrafilterSpace, algebra: ClopenAlgebra) -> bool:
+    """Does every non-empty clopen hold a non-empty base set of a non-zero
+    element?  Each one holds an atom of the algebra, and atoms are clopens,
+    so only the atoms are tested."""
+    nonzero_bases = [space.base[e] for e in space.lattice.nonzero() if space.base[e]]
+    return all(any(b <= A for b in nonzero_bases) for A in algebra.atoms)
 
 
 @dataclass(frozen=True)
@@ -294,9 +297,13 @@ def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
     Requires the base-set map to be injective and, for every atom of B,
     the pullback {e : atom in alpha(e)} to be an ultrafilter.  The
     extension sends a clopen C to the atoms whose pullback point lies in
-    C; by construction it matches alpha on base sets.  The result is
-    verified to be a Boolean homomorphism and to agree with the greedy
-    join-decomposition route, which pins uniqueness.
+    C.  It is the preimage map of atom -> pullback point, so it keeps the
+    bounds, complements, meets and joins.  It matches alpha on base sets:
+    a point lies in K(e) iff its ultrafilter holds e (build_space), and the
+    pullback at an atom holds e iff the atom is in alpha(e).  It is unique:
+    every clopen is open, so a union of base sets, and a Boolean
+    homomorphism that matches alpha on base sets is fixed on their unions.
+    None of this is re-checked here; the tests hold the result to the laws.
     """
     _check_bounded_hom(S, B, alpha)
     space = build_space(S)
@@ -315,25 +322,5 @@ def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
                 f"pullback at atom {atom!r} is not an ultrafilter")
         pull_point[atom] = space.point_index(F)
 
-    algebra = clopen_algebra(space)
-    beta = {
-        C: frozenset(atom for atom in B.atoms if pull_point[atom] in C)
-        for C in algebra.elements}
-
-    for e in S.elements():
-        if beta[space.base[e]] != frozenset(alpha[e]):
-            raise TheoremViolationError(
-                f"extension disagrees with the map at {S.labels[e]!r}")
-    if beta[frozenset()] != B.bottom or beta[algebra.universe] != B.top:
-        raise TheoremViolationError("extension breaks the bounds")
-    for C in algebra.elements:
-        if beta[algebra.complement(C)] != B.complement(beta[C]):
-            raise TheoremViolationError("extension breaks complement")
-        for D in algebra.elements:
-            if beta[C & D] != beta[C] & beta[D] or beta[C | D] != beta[C] | beta[D]:
-                raise TheoremViolationError("extension breaks meet or join")
-    for C in algebra.elements:
-        parts = join_decomposition(space, C)
-        if frozenset().union(*(frozenset(alpha[e]) for e in parts)) != beta[C]:
-            raise TheoremViolationError("decomposition route disagrees with the extension")
-    return beta
+    return {C: frozenset(atom for atom in B.atoms if pull_point[atom] in C)
+            for C in clopen_algebra(space).elements}

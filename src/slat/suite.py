@@ -208,7 +208,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
                   f"embedded={embedded} separative={sep}")
 
     # Dense embedding exists exactly for 0-disjunctive instances.
-    dense = stone.dense_check(space)
+    dense = stone.kappa_injective(space) and stone._dense_atoms(space, algebra)
     report.record("dense_embedding_iff_zero_disjunctive", dense == zd, S,
                   f"dense={dense} zero_disjunctive={zd}")
 

@@ -3,6 +3,12 @@
 A clopen is modelled by the set of length-L words it covers, for L at
 least the longest word involved.  Everything here is computed from raw
 string operations so it shares no code with the library.
+
+The normal form is also kept here the way the library first computed it:
+two-phase normalization (prefix absorption, then repeated sibling
+collapse), the four-rule validator (duplicates, prefixes, sibling
+families, shortlex order) and the complement that rescans every prefix
+at every node.  The tests hold the one-pass routines to them.
 """
 
 from __future__ import annotations
@@ -11,6 +17,65 @@ import itertools
 import random
 
 from slat.cantor import PrefixClopen, eval_expr
+
+
+def shortlex(alphabet: str, words) -> tuple[str, ...]:
+    rank = {c: i for i, c in enumerate(alphabet)}
+    return tuple(sorted(words, key=lambda w: (len(w), [rank[c] for c in w])))
+
+
+def normalize_two_phase(alphabet: str, words) -> tuple[str, ...]:
+    """Absorb words with a proper prefix present, then collapse complete
+    sibling families into their parent until none is left."""
+    pool = set(words)
+    kept = {w for w in pool
+            if not any(w[:cut] in pool for cut in range(len(w)))}
+    changed = True
+    while changed:
+        changed = False
+        for p in {w[:-1] for w in kept if w}:
+            family = {p + s for s in alphabet}
+            if family <= kept:
+                kept -= family
+                kept.add(p)
+                changed = True
+    return shortlex(alphabet, kept)
+
+
+def four_rule_violation(alphabet: str, words) -> str | None:
+    """Which rule of the reduced shortlex prefix antichain `words` breaks, if any."""
+    seen = set(words)
+    if len(seen) != len(words):
+        return "duplicate words"
+    for w in words:
+        for cut in range(len(w)):
+            if w[:cut] in seen:
+                return f"{w[:cut]!r} is a proper prefix of {w!r}"
+    for p in {w[:-1] for w in words if w}:
+        if all(p + s in seen for s in alphabet):
+            return f"complete sibling family under {p!r} not collapsed"
+    if tuple(words) != shortlex(alphabet, words):
+        return "words not in shortlex order"
+    return None
+
+
+def complement_by_prefix_scan(P: PrefixClopen) -> tuple[str, ...]:
+    """Descend the symbol tree by words: a node covered by P (some prefix of
+    it is a word of P) emits nothing, a node no word of P passes through
+    emits itself, and any other node splits into its children."""
+    have = set(P.words)
+
+    def walk(u: str) -> list[str]:
+        if any(u[:cut] in have for cut in range(len(u) + 1)):
+            return []
+        if not any(w.startswith(u) for w in have):
+            return [u]
+        out: list[str] = []
+        for s in P.alphabet:
+            out.extend(walk(u + s))
+        return out
+
+    return normalize_two_phase(P.alphabet, walk(""))
 
 
 def cover_set(alphabet: str, words, L: int) -> frozenset:

@@ -63,6 +63,20 @@ def lose_a_tight_filter(monkeypatch):
     monkeypatch.setattr(classify, "tight_filters", lambda S: tight_filters(S)[1:])
 
 
+@pytest.fixture
+def blind_zero_disjunctive(monkeypatch):
+    """Fault injection: every constrained set comes back as {0}, so no
+    instance with a strict non-zero pair looks 0-disjunctive."""
+    monkeypatch.setattr(classify, "constrained_set", lambda S, X, Y: frozenset({S.zero}))
+
+
+@pytest.fixture
+def untrap_every_pair(monkeypatch):
+    """Fault injection: the refinement relation never holds, so every
+    strict non-zero pair looks untrapped."""
+    monkeypatch.setattr(classify, "arrow", lambda S, f, es: False)
+
+
 def idx(S: Semilattice, label: str) -> int:
     return S.index(label)
 

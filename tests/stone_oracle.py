@@ -4,12 +4,23 @@ These are the routines the library ran before it read the Boolean laws
 and density off the atoms: closure is checked over every pair of
 clopens, and density scans every non-empty clopen against every base
 set.  The tests hold the atom-based versions to them.
+
+extension_violation is the check extend_hom once ran on its own result:
+the Boolean homomorphism laws over every pair of clopens, agreement with
+the map on base sets, and the join-decomposition route.
 """
 
 from __future__ import annotations
 
 from slat.errors import TheoremViolationError
-from slat.stone import UltrafilterSpace, kappa_injective, opens
+from slat.stone import (
+    FiniteBooleanAlgebra,
+    UltrafilterSpace,
+    clopen_algebra,
+    join_decomposition,
+    kappa_injective,
+    opens,
+)
 
 
 def closed_pairwise(family) -> bool:
@@ -49,3 +60,28 @@ def dense_check(space: UltrafilterSpace) -> bool:
     nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
     return all(any(b <= C for b in nonzero_bases)
                for C in clopen_elements(space) if C)
+
+
+def extension_violation(space: UltrafilterSpace, B: FiniteBooleanAlgebra,
+                        alpha, beta) -> str | None:
+    """Which law the extension beta of alpha breaks, if any."""
+    S = space.lattice
+    algebra = clopen_algebra(space)
+    if set(beta) != set(algebra.elements):
+        return "domain is not the clopens"
+    for e in S.elements():
+        if beta[space.base[e]] != frozenset(alpha[e]):
+            return f"disagrees with the map at {S.labels[e]!r}"
+    if beta[frozenset()] != B.bottom or beta[algebra.universe] != B.top:
+        return "breaks the bounds"
+    for C in algebra.elements:
+        if beta[algebra.complement(C)] != B.complement(beta[C]):
+            return "breaks complement"
+        for D in algebra.elements:
+            if beta[C & D] != beta[C] & beta[D] or beta[C | D] != beta[C] | beta[D]:
+                return "breaks meet or join"
+    for C in algebra.elements:
+        parts = join_decomposition(space, C)
+        if frozenset().union(*(frozenset(alpha[e]) for e in parts)) != beta[C]:
+            return "decomposition route disagrees"
+    return None

@@ -145,3 +145,13 @@ def test_report_on_all_catalog_instances():
 def test_tight_equals_ultra_cross_check_fires(vee, lose_a_tight_filter):
     with pytest.raises(TheoremViolationError, match="tight filters differ"):
         is_compactable_finite(vee)
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("blind_zero_disjunctive", "0-disjunctive=False but separative=True"),
+    ("untrap_every_pair", "trapping=False but separative=True"),
+])
+def test_separative_cross_checks_fire(fault, reason, vee, request):
+    request.getfixturevalue(fault)
+    with pytest.raises(TheoremViolationError, match=f"^{reason} on a finite instance$"):
+        is_compactable_finite(vee)

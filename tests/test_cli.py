@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slat
 from slat.cli import main
 
 VEE_TEXT = "elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\n"
 CHAIN3_TEXT = "elements: 0 a 1\norder: 0<a a<1\n"
 TWO_LOOP_TEXT = "vertices: t\nroot: t\nedge a t t\nedge b t t\n"
 SINGLE_EDGE_TEXT = "vertices: r s\nroot: r\nedge a s r\n"
+
+
+def run_slat(*args: str) -> subprocess.CompletedProcess:
+    """`python -m slat.cli` in a child that imports the slat these tests import."""
+    here = str(Path(slat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (here, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "slat.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -114,9 +125,7 @@ def test_cantor_parse_error(capsys):
 @pytest.mark.parametrize("expr", ["!" * 3000 + "a", "!" + "ab" * 1000],
                          ids=["nested-complements", "long-cylinder"])
 def test_cantor_recursion_ends_in_one_error_line(expr):
-    proc = subprocess.run(
-        [sys.executable, "-m", "slat.cli", "cantor", "--alphabet", "ab", expr],
-        capture_output=True, text=True)
+    proc = run_slat("cantor", "--alphabet", "ab", expr)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -186,6 +195,18 @@ def test_cross_check_violation_exits_one(vee_file, two_loop_file, lose_a_tight_f
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("fault, reason", [
+    ("blind_zero_disjunctive", "0-disjunctive=False but separative=True"),
+    ("untrap_every_pair", "trapping=False but separative=True"),
+])
+def test_classify_cross_checks_exit_one(fault, reason, vee_file, request, capsys):
+    request.getfixturevalue(fault)
+    assert main(["check", vee_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"violation: {reason} on a finite instance\n"
+
+
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/file.slat"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -199,8 +220,6 @@ def test_bad_semilattice_file(tmp_path, capsys):
 
 def test_installed_entry_point(vee_file):
     # one true end-to-end run through the console script
-    proc = subprocess.run(
-        [sys.executable, "-m", "slat.cli", "check", vee_file],
-        capture_output=True, text=True)
+    proc = run_slat("check", vee_file)
     assert proc.returncode == 0
     assert "separative=true" in proc.stdout

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import catalog_oracle
+import stone_oracle
+from slat import stone
 from conftest import idx
 from slat.catalog import CatalogSpec, enumerate_catalog
+from slat.cli import main
+from slat.core import Semilattice
 from slat.errors import (
     BadBasisError,
     NotARepresentationError,
@@ -17,6 +22,7 @@ from slat.errors import (
     UndecomposableError,
 )
 from slat.filters import Filter, enumerate_filters, enumerate_ultrafilters, principal_filter
+from slat.pathlat import truncate
 from slat.stone import (
     FiniteBooleanAlgebra,
     Representation,
@@ -33,6 +39,7 @@ from slat.stone import (
     opens,
     rep_of_filter,
 )
+from slat.suite import run_suite
 
 
 def point_of(space, label: str) -> int:
@@ -303,3 +310,72 @@ def test_extend_hom_constant_top_degenerate(bool1):
     space = build_space(bool1)
     assert beta[kappa(space, bool1.one)] == frozenset({"p"})
     assert beta[frozenset()] == frozenset()
+
+
+def _pullback_homs(rng: random.Random, space, count: int):
+    """Bounded homs into powersets whose pullbacks are ultrafilters.
+
+    Each atom x of B is sent to a point p(x), and alpha(e) holds x iff
+    p(x) is in K(e); the pullback at x is then the ultrafilter of p(x).
+    """
+    S = space.lattice
+    for _ in range(count):
+        atoms = tuple(f"x{i}" for i in range(rng.randint(1, 4)))
+        point = {x: rng.randrange(len(space.points)) for x in atoms}
+        yield FiniteBooleanAlgebra(atoms), {
+            e: frozenset(x for x in atoms if point[x] in space.base[e]) for e in S.elements()}
+
+
+def test_extend_hom_is_a_boolean_hom_on_injective_instances(two_loop):
+    rng = random.Random(3)
+    instances = [S for S in enumerate_catalog(CatalogSpec(max_size=7))
+                 if kappa_injective(build_space(S))]
+    instances.append(truncate(two_loop, 2))
+    assert len(instances) == 10
+    for S in instances:
+        space = build_space(S)
+        for B, alpha in _pullback_homs(rng, space, 3):
+            beta = extend_hom(S, B, alpha)
+            assert stone_oracle.extension_violation(space, B, alpha, beta) is None
+
+
+def test_extension_oracle_sees_every_wrong_image():
+    # M3: three atoms under the top, so clopens {p, q} are not base sets
+    m3 = Semilattice.from_order(
+        ("0", "a", "b", "c", "1"), tuple(("0", x) for x in "abc") + tuple((x, "1") for x in "abc"))
+    space = build_space(m3)
+    B, alpha = next(_pullback_homs(random.Random(1), space, 1))
+    beta = extend_hom(m3, B, alpha)
+    assert len(beta) == 8
+    for C in beta:
+        wrong = dict(beta)
+        wrong[C] = B.complement(beta[C])
+        assert stone_oracle.extension_violation(space, B, alpha, wrong) is not None
+
+
+def _count_opens(monkeypatch) -> list:
+    calls = []
+    listed = stone.opens
+
+    def counted(space):
+        calls.append(len(space.points))
+        return listed(space)
+    monkeypatch.setattr(stone, "opens", counted)
+    return calls
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_stone_cli_lists_the_opens_once(depth, two_loop, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "two-loop.slat"
+    path.write_text(truncate(two_loop, depth).to_text())
+    calls = _count_opens(monkeypatch)
+    assert main(["stone", str(path)]) == 0
+    assert calls == [2 ** depth]
+    assert "dense=true" in capsys.readouterr().out.splitlines()
+
+
+def test_suite_lists_the_opens_once_per_instance(monkeypatch):
+    calls = _count_opens(monkeypatch)
+    report = run_suite(CatalogSpec(max_size=5))
+    assert report.ok()
+    assert len(calls) == sum(report.instances.values()) == 9

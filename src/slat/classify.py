@@ -14,7 +14,7 @@ from . import stone
 from .core import (
     Semilattice, _below_orthogonal, _members, arrow, constrained_set, nonzero_pairs_below)
 from .errors import BadPairError, TheoremViolationError
-from .filters import enumerate_ultrafilters, tight_filters
+from .filters import tight_filters
 
 
 def is_zero_disjunctive(S: Semilattice) -> bool:
@@ -89,16 +89,19 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
 
     On finite instances tight filters and ultrafilters must coincide, and
     the 0-disjunctive, separative and trapping verdicts must agree; a
-    disagreement means a bug, not a finding, hence the raise.
+    disagreement means a bug, not a finding, hence the raise.  The
+    ultrafilter space is built once: the separative verdict and the
+    ultrafilters are both read from it.
     """
     zd = is_zero_disjunctive(S)
-    sep = is_separative(S)
+    space = stone.build_space(S)
+    sep = stone.kappa_injective(space)
     ms = meet_separation(S)
     witnesses = tuple(
         ((e, f), tuple(w) if (w := trapping_witness(S, e, f)) is not None else None)
         for e, f in nonzero_pairs_below(S))
     trap = all(w is not None for _, w in witnesses)
-    ultra = {F.carrier for F in enumerate_ultrafilters(S)}
+    ultra = {U.carrier for U in space.points}
     tight = {F.carrier for F in tight_filters(S)}
     teu = ultra == tight
     if zd != sep:

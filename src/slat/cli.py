@@ -14,7 +14,7 @@ import sys
 
 from . import cantor, classify, pathlat, stone
 from .catalog import CatalogSpec
-from .core import EXHAUSTIVE_SIZE_TARGET, Semilattice, nonzero_pairs_below, parse_semilattice
+from .core import Semilattice, nonzero_pairs_below, parse_semilattice
 from .errors import SlatError, TheoremViolationError
 from .filters import enumerate_filters, is_ultrafilter
 from .suite import run_suite
@@ -25,20 +25,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_semilattice(path: str) -> Semilattice:
-    S = parse_semilattice(_read(path))
-    if len(S) > EXHAUSTIVE_SIZE_TARGET:
-        print(f"warning: {len(S)} elements; exhaustive scans may be slow "
-              f"(target is {EXHAUSTIVE_SIZE_TARGET})", file=sys.stderr)
-    return S
-
-
 def _fmt_set(S: Semilattice, xs) -> str:
     return "{" + ",".join(S.labels_for(xs)) + "}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    S = _load_semilattice(args.file)
+    S = parse_semilattice(_read(args.file))
     report = classify.is_compactable_finite(S)
     if args.report == "kv":
         for key, val in report.booleans().items():
@@ -60,7 +52,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stone(args: argparse.Namespace) -> int:
-    S = _load_semilattice(args.file)
+    S = parse_semilattice(_read(args.file))
     space = stone.build_space(S)
     algebra = stone.clopen_algebra(space)
     print(f"points: {len(space.points)}")
@@ -112,10 +104,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
         print("rooted=false")
         print("unreachable: " + " ".join(pathlat.unreachable_vertices(G)))
         return 2
+    S = pathlat.truncate(G, args.depth)
     print("rooted=true")
     print(f"zero_disjunctive_graph={'true' if pathlat.zero_disjunctive_graph(G) else 'false'}")
     print(f"pseudofinite_graph={'true' if pathlat.pseudofinite_graph(G) else 'false'}")
-    S = pathlat.truncate(G, args.depth)
     report = classify.is_compactable_finite(S)
     print(f"depth={args.depth} elements={len(S)}")
     for key, val in report.booleans().items():

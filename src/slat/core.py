@@ -11,9 +11,10 @@ to all of Y, and return frozensets; masks never leave the library.
 Validation is O(n^2): an idempotent, commutative table is associative
 iff down[meet(e, f)] == down[e] & down[f] for all e, f.
 
-All operations are exact.  Classification stays fast up to around
-EXHAUSTIVE_SIZE_TARGET elements; nothing caps the size hard, the
-command line surface just warns above the target.
+All operations are exact and nothing here caps the size.  The limits
+live where the cost explodes, and refuse with TooLargeError before the
+work starts: stone.opens (2^points opens), the catalog (exhaustive
+sizes) and pathlat.truncate (the n x n meet table).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .errors import (
     NotSubsetError,
     ZeroSourceError,
 )
-
-EXHAUSTIVE_SIZE_TARGET = 12
 
 # Labels appear in the text format, so they must survive tokenization.
 _FORBIDDEN_LABEL_CHARS = set("<#=")

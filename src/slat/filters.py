@@ -108,7 +108,8 @@ def enumerate_ultrafilters(S: Semilattice) -> list[Filter]:
 
 def tight_violations(S: Semilattice, F: Filter) -> Iterator[int]:
     """Yield, in index order, each x in F whose down-set is covered by
-    down(x) - F - {0}.
+    down(x) - F - {0}: all of F when its generator g is not an atom,
+    nothing when it is.
 
     This is the single-element criterion: F is tight iff nothing is
     yielded.  A finite pivot set X in F constrains like its meet, which
@@ -119,15 +120,16 @@ def tight_violations(S: Semilattice, F: Filter) -> Iterator[int]:
     be a non-zero member of the constrained set meeting no member of Z.
     So any violation makes g a non-atom, and then Y = {} gives one at
     every x in F: each non-zero e below x either lies outside F or sits
-    above g and meets the non-zero elements below g.
+    above g and meets the non-zero elements below g.  So the cover test
+    runs once, at g, where down(g) - F - {0} is down(g) - {g, 0}: it
+    covers iff g is not an atom.
     """
     _require_filter(S, F)
+    g = S.meet_all(F.carrier)
     zero = 1 << S.zero
-    avoid = S.up[S.meet_all(F.carrier)] | zero
-    for x in sorted(F.carrier):
-        # down(x) - F - {0} covers iff only zero is orthogonal to all of it.
-        if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero:
-            yield x
+    # down(g) - {g, 0} covers iff only zero is orthogonal to all of it.
+    if _below_orthogonal(S, g, _members(S.down[g] & ~(1 << g | zero))) == zero:
+        yield from sorted(F.carrier)
 
 
 def is_tight(S: Semilattice, F: Filter) -> bool:

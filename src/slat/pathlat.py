@@ -20,8 +20,14 @@ from .errors import (
     BadPairError,
     FormatError,
     NotRootedError,
+    TooLargeError,
     ZeroElementError,
 )
+
+# The n x n meet table is the memory floor: slat graph on the 2048-element
+# two-loop truncation at depth 10 peaks near 340 MB, and each further
+# level of two loops quadruples the table.
+MAX_ELEMENTS = 2048
 
 _RESERVED_IDS = {"0", "^"}
 
@@ -141,35 +147,46 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     root.  Two paths meet at the longer one when one extends the other
     and at zero otherwise.  Path labels concatenate edge ids (dotted when
     ids are not single symbols); '0' and '^' name the bounds.
+
+    Paths are grown level by level, each recording its parent's index,
+    so the paths a path extends are its ancestor chain: row i of the
+    meet table holds i at each ancestor a (and row a holds i at i), and
+    0 everywhere else.  That is O(n * depth) writes.  Growth stops once
+    no path can be extended, and TooLargeError refuses a truncation of
+    more than MAX_ELEMENTS elements before its n x n table is allocated.
     """
     if not validate_rooted(G):
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
     if not isinstance(depth, int) or depth < 1:
         raise BadDepthError(f"depth must be a positive integer, got {depth!r}")
-    paths: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[tuple[str, ...], str]] = [((), G.root)]
-    for _ in range(depth):
-        grown: list[tuple[tuple[str, ...], str]] = []
-        for prefix, at in frontier:
+    paths: list[tuple[str, ...]] = [(), ()]  # indexed by element; 0 is the zero
+    parent = [0, 0]
+    frontier = [(1, G.root)]
+    for d in range(1, depth + 1):
+        grown = []
+        for i, at in frontier:
             for eid, src, _ in G.edges_into(at):
-                grown.append((prefix + (eid,), src))
+                grown.append((len(paths), src))
+                paths.append(paths[i] + (eid,))
+                parent.append(i)
+        if not grown:
+            break
+        if len(paths) > MAX_ELEMENTS:
+            raise TooLargeError(f"truncations are built for up to {MAX_ELEMENTS} elements, "
+                                f"depth {d} already has {len(paths)}")
         frontier = grown
-        paths.extend(p for p, _ in grown)
 
-    labels = ["0"] + _path_labels(paths)
+    labels = ["0"] + _path_labels(paths[1:])
     if len(set(labels)) != len(labels):
         raise FormatError("edge ids produce colliding path labels")
     n = len(labels)
     table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(paths, start=1):
-        for j, q in enumerate(paths, start=1):
-            if p[:len(q)] == q:
-                table[i][j] = i  # p extends q, the longer path is lower
-            elif q[:len(p)] == p:
-                table[i][j] = j
-            else:
-                table[i][j] = 0
-    return Semilattice(tuple(labels), tuple(tuple(r) for r in table), zero=0, one=1)
+    for i in range(1, n):
+        a = i
+        while a:
+            table[i][a] = table[a][i] = i  # i extends a, the longer path is lower
+            a = parent[a]
+    return Semilattice(tuple(labels), tuple(map(tuple, table)), zero=0, one=1)
 
 
 def level(S: Semilattice, e: int) -> int | float:

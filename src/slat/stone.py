@@ -57,22 +57,26 @@ class UltrafilterSpace:
 
 
 def build_space(S: Semilattice) -> UltrafilterSpace:
-    """Materialize the ultrafilter space and verify its base laws."""
+    """Materialize the ultrafilter space: its points and base sets.
+
+    K(e), the base set of e, holds the points whose ultrafilter holds e.
+    The base-set laws hold by construction and are not re-checked here;
+    the suite's base_meet_law check tests them.  Every point is up(g) for
+    a non-zero g, so 0 lies in no point and 1 in every point: K(0) is
+    empty and K(1) is the whole space.  A filter holds e and f iff it
+    holds meet(e, f), being meet-closed and upward closed, so
+    K(meet(e, f)) = K(e) & K(f).  That every non-zero element lies in
+    some ultrafilter is a theorem about the enumeration (see
+    extend_to_ultrafilter), so that one is checked.
+    """
     points = tuple(enumerate_ultrafilters(S))
     base = tuple(
         frozenset(i for i, U in enumerate(points) if e in U.carrier)
         for e in S.elements())
-    if base[S.zero] or base[S.one] != frozenset(range(len(points))):
-        raise TheoremViolationError("base sets at the bounds are wrong")
     for e in S.nonzero():
         if not base[e]:
             raise TheoremViolationError(
                 f"non-zero element {S.labels[e]!r} lies in no ultrafilter")
-    for e in S.elements():
-        for f in S.elements():
-            if base[S.meet(e, f)] != base[e] & base[f]:
-                raise TheoremViolationError(
-                    f"base sets fail the meet law at ({S.labels[e]!r}, {S.labels[f]!r})")
     return UltrafilterSpace(S, points, base)
 
 

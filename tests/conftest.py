@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from slat import classify
+from slat import classify, stone
 from slat.core import Semilattice
 from slat.pathlat import RootedGraph
 
@@ -61,6 +61,13 @@ def lose_a_tight_filter(monkeypatch):
     """Fault injection: classification sees every tight filter but the first."""
     tight_filters = classify.tight_filters
     monkeypatch.setattr(classify, "tight_filters", lambda S: tight_filters(S)[1:])
+
+
+@pytest.fixture
+def lose_an_ultrafilter(monkeypatch):
+    """Fault injection: the ultrafilter space misses its first point."""
+    enumerate_ultrafilters = stone.enumerate_ultrafilters
+    monkeypatch.setattr(stone, "enumerate_ultrafilters", lambda S: enumerate_ultrafilters(S)[1:])
 
 
 @pytest.fixture

@@ -8,6 +8,9 @@ set.  The tests hold the atom-based versions to them.
 extension_violation is the check extend_hom once ran on its own result:
 the Boolean homomorphism laws over every pair of clopens, agreement with
 the map on base sets, and the join-decomposition route.
+
+base_law_violation is the check build_space once ran on its own result:
+the base sets at the bounds, and the meet law over every pair.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ def dense_check(space: UltrafilterSpace) -> bool:
     nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
     return all(any(b <= C for b in nonzero_bases)
                for C in clopen_elements(space) if C)
+
+
+def base_law_violation(space: UltrafilterSpace) -> str | None:
+    """Which base-set law the space breaks, if any."""
+    S = space.lattice
+    if space.base[S.zero] or space.base[S.one] != frozenset(range(len(space.points))):
+        return "base sets at the bounds are wrong"
+    for e in S.elements():
+        for f in S.elements():
+            if space.base[S.meet(e, f)] != space.base[e] & space.base[f]:
+                return f"base sets fail the meet law at ({S.labels[e]!r}, {S.labels[f]!r})"
+    return None
 
 
 def extension_violation(space: UltrafilterSpace, B: FiniteBooleanAlgebra,

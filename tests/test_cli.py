@@ -179,6 +179,23 @@ def test_graph_single_edge(tmp_path, capsys):
     assert "zero_disjunctive=false" in out
 
 
+def test_graph_refuses_truncations_over_the_bound(two_loop_file, capsys):
+    assert main(["graph", two_loop_file, "--depth", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: truncations are built for up to 2048 elements, "
+                            "depth 11 already has 4096\n")
+
+
+def test_graph_depth_beyond_the_last_path(tmp_path, capsys):
+    p = tmp_path / "single.graph"
+    p.write_text(SINGLE_EDGE_TEXT)
+    assert main(["graph", str(p), "--depth", "1000000000"]) == 0
+    captured = capsys.readouterr()
+    assert "depth=1000000000 elements=3" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_catalog_refuses_sizes_beyond_labels(capsys):
     assert main(["catalog", "--max-size", "13", "--random", "1"]) == 2
     captured = capsys.readouterr()
@@ -205,6 +222,14 @@ def test_classify_cross_checks_exit_one(fault, reason, vee_file, request, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"violation: {reason} on a finite instance\n"
+
+
+def test_lost_ultrafilter_exits_one(vee_file, lose_an_ultrafilter, capsys):
+    for command in ("stone", "check"):
+        assert main([command, vee_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "violation: non-zero element 'a' lies in no ultrafilter\n"
 
 
 def test_missing_file(capsys):

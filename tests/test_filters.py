@@ -2,9 +2,11 @@
 
 The oracles here are written from the raw definitions: a subset scan for
 filters, literal set-inclusion maximality for ultrafilters, the full
-(X, Y, Z) triple enumeration for tightness, and the (pivot, Y) subset
-scan that the single-element tightness criterion replaced.  Library
-answers must agree on every catalog instance small enough to scan.
+(X, Y, Z) triple enumeration for tightness, the (pivot, Y) subset scan
+that the single-element tightness criterion replaced, and that
+criterion's cover test at every pivot, which the test at the generator
+replaced.  Library answers must agree on every catalog instance small
+enough to scan.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import idx
 from slat.catalog import CatalogSpec, enumerate_catalog
-from slat.core import Semilattice, constrained_set
+from slat.core import Semilattice, _below_orthogonal, _members, constrained_set
 from slat.errors import NotAFilterError, ZeroElementError
 from slat.filters import (
     Filter,
@@ -87,6 +89,19 @@ def scan_tight_pivots(S: Semilattice, carrier: frozenset) -> list[int]:
                 pivots.append(pivot)
                 break
     return pivots
+
+
+def pivot_violations(S: Semilattice, F: Filter) -> list[int]:
+    """The cover test of tight_violations at every pivot x in F.
+
+    At x the target is down(x) - F - {0}; it covers iff only zero lies
+    below x orthogonal to all of it.  The library runs the test once, at
+    the generator.
+    """
+    zero = 1 << S.zero
+    avoid = S.up[S.meet_all(F.carrier)] | zero
+    return [x for x in sorted(F.carrier)
+            if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero]
 
 
 def _avoiding_cover(S: Semilattice, carrier: frozenset, target: frozenset) -> bool:
@@ -212,6 +227,7 @@ def test_tightness_matches_subset_scan_oracle():
         for F in enumerate_filters(S):
             pivots = scan_tight_pivots(S, F.carrier)
             assert list(tight_violations(S, F)) == pivots, (S.to_text(), F.labels())
+            assert pivot_violations(S, F) == pivots, (S.to_text(), F.labels())
             assert is_tight(S, F) == (not pivots)
 
 

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
-import itertools
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import pathlat_oracle
+from slat import pathlat
 from slat.catalog import canonical_key
+from slat.cli import main
 from slat.core import Semilattice, arrow, down, star
 from slat.errors import (
     BadDepthError,
     BadPairError,
     FormatError,
     NotRootedError,
+    TooLargeError,
     ZeroElementError,
 )
 from slat.filters import principal_filter
 from slat.pathlat import (
+    MAX_ELEMENTS,
     RootedGraph,
     covers_hat,
     level,
@@ -38,6 +45,11 @@ root: t
 edge a t t
 edge b t t
 """
+
+THREE_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
+BENCH_GRAPHS = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "bench" / "inputs").glob("*.txt")
+    if p.read_text().startswith("vertices:"))
 
 
 def by_label(S: Semilattice, lab: str) -> int:
@@ -226,3 +238,55 @@ def test_truncation_sizes(two_loop):
     for d in (1, 2, 3, 4):
         S = truncate(two_loop, d)
         assert len(S) == sum(2 ** k for k in range(d + 1)) + 1
+
+
+def test_truncate_stops_once_no_path_grows(single_edge):
+    # the frontier empties after one level, so a huge depth costs nothing
+    assert truncate(single_edge, 10 ** 9) == truncate(single_edge, 1)
+
+
+def test_truncate_refuses_more_than_max_elements(two_loop):
+    assert len(truncate(two_loop, 10)) == MAX_ELEMENTS == 2048
+    with pytest.raises(TooLargeError, match="^truncations are built for up to 2048 elements, "
+                                            "depth 11 already has 4096$"):
+        truncate(two_loop, 11)
+    with pytest.raises(TooLargeError, match="depth 7 already has 3281$"):
+        truncate(THREE_LOOP, 10 ** 9)
+
+
+@st.composite
+def rooted_graphs(draw) -> RootedGraph:
+    """1-3 vertices, up to four edges with loops, parallel edges and
+    single- and multi-character ids; not every draw is rooted."""
+    vertices = ("r", "s", "t")[:draw(st.integers(1, 3))]
+    ids = draw(st.lists(st.sampled_from(("a", "b", "c", "e1", "e2", "xy")), max_size=4, unique=True))
+    ends = st.sampled_from(vertices)
+    return RootedGraph(vertices, tuple((eid, draw(ends), draw(ends)) for eid in ids), vertices[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_graphs(), st.integers(1, 4))
+def test_truncate_matches_prefix_compare_oracle(G, depth):
+    assume(validate_rooted(G))
+    assert truncate(G, depth) == pathlat_oracle.truncate(G, depth)
+
+
+@pytest.mark.parametrize("G, depths", [
+    (RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t"), range(1, 9)),
+    (THREE_LOOP, range(1, 6)),
+], ids=["two-loop", "three-loop"])
+def test_loop_truncations_match_prefix_compare_oracle(G, depths):
+    for depth in depths:
+        assert truncate(G, depth) == pathlat_oracle.truncate(G, depth)
+
+
+@pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)
+def test_graph_cli_output_matches_oracle_truncation(path, monkeypatch, capsys):
+    for depth in range(1, 7):
+        argv = ["graph", str(path), "--depth", str(depth)]
+        assert main(argv) == 0
+        got = capsys.readouterr()
+        with monkeypatch.context() as patched:
+            patched.setattr(pathlat, "truncate", pathlat_oracle.truncate)
+            assert main(argv) == 0
+        assert capsys.readouterr() == got

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,16 +17,19 @@ from slat.cli import main
 from slat.core import Semilattice
 from slat.errors import (
     BadBasisError,
+    NotAHomomorphismError,
     NotARepresentationError,
     PreconditionFailedError,
     SamePointError,
+    TheoremViolationError,
     UndecomposableError,
 )
 from slat.filters import Filter, enumerate_filters, enumerate_ultrafilters, principal_filter
-from slat.pathlat import truncate
+from slat.pathlat import RootedGraph, truncate
 from slat.stone import (
     FiniteBooleanAlgebra,
     Representation,
+    UltrafilterSpace,
     build_space,
     clopen_algebra,
     dense_check,
@@ -62,12 +66,26 @@ def test_build_space_fixtures(vee, chain3, bool1):
     assert len(build_space(bool1).points) == 1
 
 
+def _base_law_instances():
+    yield from enumerate_catalog(CatalogSpec(max_size=7))
+    for size in range(8, 12):
+        yield from enumerate_catalog(
+            CatalogSpec(max_size=size, mode="random", sample_count=6, seed=size))
+    two_loop = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
+    three_loop = RootedGraph(("t",), tuple((x, "t", "t") for x in "abc"), "t")
+    yield from (truncate(two_loop, d) for d in range(1, 9))
+    yield from (truncate(three_loop, d) for d in range(1, 6))
+
+
 def test_base_respects_meet_everywhere():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
-        space = build_space(S)
-        for e in S.elements():
-            for f in S.elements():
-                assert space.base[S.meet(e, f)] == space.base[e] & space.base[f]
+    # build_space holds the base-set laws by construction; the oracle re-checks them
+    for S in _base_law_instances():
+        assert stone_oracle.base_law_violation(build_space(S)) is None, S.to_text()
+
+
+def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):
+    with pytest.raises(TheoremViolationError, match="^non-zero element 'a' lies in no ultrafilter$"):
+        build_space(vee)
 
 
 def test_kappa(vee):
@@ -92,6 +110,18 @@ def test_hausdorff_witness_vee(vee):
     assert vee.meet(e, f) == vee.zero
     with pytest.raises(SamePointError):
         hausdorff_witness(space, Fa, Fa)
+
+
+def test_hausdorff_witness_sees_intersecting_base_sets(vee):
+    space = build_space(vee)
+    base = list(space.base)
+    base[idx(vee, "b")] = space.base[vee.one]  # K(a) & K(b) is no longer K(0)
+    broken = UltrafilterSpace(vee, space.points, tuple(base))
+    assert stone_oracle.base_law_violation(broken) == "base sets fail the meet law at ('a', 'b')"
+    Fa = principal_filter(vee, idx(vee, "a"))
+    Fb = principal_filter(vee, idx(vee, "b"))
+    with pytest.raises(TheoremViolationError, match="^separating base sets intersect$"):
+        hausdorff_witness(broken, Fa, Fb)
 
 
 def test_hausdorff_witness_separates_all_pairs():
@@ -310,6 +340,24 @@ def test_extend_hom_constant_top_degenerate(bool1):
     space = build_space(bool1)
     assert beta[kappa(space, bool1.one)] == frozenset({"p"})
     assert beta[frozenset()] == frozenset()
+
+
+@pytest.mark.parametrize("label, image, message", [
+    ("a", None, "no image for element 'a'"),
+    ("a", {"p", "z"}, "image of 'a' uses unknown atoms"),
+    ("0", {"p"}, "zero must map to the bottom"),
+    ("1", {"p"}, "one must map to the top"),
+    ("b", {"p"}, "meets not preserved at ('a', 'b')"),
+])
+def test_extend_hom_rejects_non_homomorphisms(vee, label, image, message):
+    B = FiniteBooleanAlgebra(("p", "q"))
+    alpha = {idx(vee, k): frozenset(v) for k, v in (("0", ""), ("a", "p"), ("b", "q"), ("1", "pq"))}
+    if image is None:
+        del alpha[idx(vee, label)]
+    else:
+        alpha[idx(vee, label)] = frozenset(image)
+    with pytest.raises(NotAHomomorphismError, match=f"^{re.escape(message)}$"):
+        extend_hom(vee, B, alpha)
 
 
 def _pullback_homs(rng: random.Random, space, count: int):

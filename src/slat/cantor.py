@@ -7,9 +7,12 @@ and words are sorted shortlex in alphabet order.  The empty set of words
 is the bottom and the singleton {empty word} is the top.
 
 One pass in symbol order computes that form (_reduce); the constructor
-accepts exactly its fixed points.  complement descends the symbol tree
-with one Python frame per symbol, so a cylinder longer than the
-recursion limit raises RecursionError.
+accepts exactly its fixed points.  Every result is reduced once, by the
+constructor's check: meet and complement build the form themselves (the
+proofs are in their docstrings) and only sort their output, while join
+and normalize reduce raw words before the constructor re-checks them.
+complement descends the symbol tree with one Python frame per symbol, so
+a cylinder longer than the recursion limit raises RecursionError.
 
 Alphabets are strings of distinct symbols.  A one-symbol alphabet is
 permitted but degenerate: the word space is a single point and the
@@ -18,8 +21,10 @@ algebra collapses to {bottom, top}.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import methodcaller
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, ForeignSymbolError, ParseError
@@ -37,38 +42,41 @@ def is_degenerate_alphabet(alphabet: str) -> bool:
     return len(alphabet) == 1
 
 
-def _check_word(alphabet: str, word: str) -> None:
-    foreign = set(word) - set(alphabet)
-    if foreign:
-        raise ForeignSymbolError(
-            f"word {word!r} uses symbols {sorted(foreign)} outside alphabet {alphabet!r}")
+def _check_words(alphabet: str, words: Sequence[str]) -> None:
+    """Raise ForeignSymbolError naming the first word with a symbol outside
+    the alphabet; one set test when there is none."""
+    if set().union(*words) <= set(alphabet):
+        return
+    for word in words:
+        foreign = set(word) - set(alphabet)
+        if foreign:
+            raise ForeignSymbolError(
+                f"word {word!r} uses symbols {sorted(foreign)} outside alphabet {alphabet!r}")
 
 
 @lru_cache(maxsize=16)
 def _ranks(alphabet: str) -> dict[int, int]:
     """Translation of each symbol to the character of its rank, so that
     string order on translated words is symbol order: a word sorts right
-    after its prefixes."""
+    after its prefixes.  Within one length symbol order is shortlex order,
+    so a stable sort by length then gives shortlex order."""
     return str.maketrans(alphabet, "".join(map(chr, range(len(alphabet)))))
-
-
-def _shortlex_key(alphabet: str):
-    ranks = _ranks(alphabet)
-    return lambda w: (len(w), w.translate(ranks))
 
 
 def _reduce(alphabet: str, words: Iterable[str]) -> tuple[str, ...]:
     """The reduced prefix antichain covering the same points, shortlex sorted.
 
-    One pass over the distinct words in symbol order.  A word extending the
-    last kept word is absorbed by it; any other word is kept, and when it is
-    the last member of a complete sibling family the family folds into its
-    parent, repeatedly while that completes a family in turn.
+    One pass over the distinct words in symbol order, the only sort.  A
+    word extending the last kept word is absorbed by it; any other word is
+    kept, and when it is the last member of a complete sibling family the
+    family folds into its parent, repeatedly while that completes a family
+    in turn.  The parent sorts right before its children and after every
+    earlier kept word, so kept stays in symbol order and one stable sort by
+    length makes it shortlex.
     """
     last, k = alphabet[-1], len(alphabet)
     kept: list[str] = []
-    ranks = _ranks(alphabet)
-    for w in sorted(set(words), key=lambda w: w.translate(ranks)):
+    for w in sorted(set(words), key=methodcaller("translate", _ranks(alphabet))):
         if kept and w.startswith(kept[-1]):
             continue
         kept.append(w)
@@ -77,7 +85,8 @@ def _reduce(alphabet: str, words: Iterable[str]) -> tuple[str, ...]:
         while w and w[-1] == last and kept[-k:] == [w[:-1] + s for s in alphabet]:
             w = w[:-1]
             kept[-k:] = [w]
-    return tuple(sorted(kept, key=_shortlex_key(alphabet)))
+    kept.sort(key=len)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,7 @@ class PrefixClopen:
 
     def __post_init__(self) -> None:
         _check_alphabet(self.alphabet)
-        for w in self.words:
-            _check_word(self.alphabet, w)
+        _check_words(self.alphabet, self.words)
         if _reduce(self.alphabet, self.words) != tuple(self.words):
             raise ValueError(
                 "words are not a shortlex-sorted prefix antichain without complete sibling families")
@@ -143,8 +151,7 @@ def normalize(alphabet: str, words: Iterable[str]) -> PrefixClopen:
     """
     _check_alphabet(alphabet)
     words = list(words)
-    for w in words:
-        _check_word(alphabet, w)
+    _check_words(alphabet, words)
     return PrefixClopen(alphabet, _reduce(alphabet, words))
 
 
@@ -154,13 +161,28 @@ def _same_alphabet(P: PrefixClopen, Q: PrefixClopen) -> None:
 
 
 def join(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
-    """Union of the covered point sets."""
+    """Union of the covered point sets.
+
+    The words of P and Q are already checked, so they go straight to
+    _reduce; the constructor checks the result.
+    """
     _same_alphabet(P, Q)
-    return normalize(P.alphabet, P.words + Q.words)
+    return PrefixClopen(P.alphabet, _reduce(P.alphabet, P.words + Q.words))
 
 
 def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
-    """Intersection: of each comparable word pair the longer one survives."""
+    """Intersection: of each comparable word pair the longer one survives.
+
+    P and Q are reduced, so the survivors already are and only need
+    sorting.  A survivor w has exactly one prefix in P and one in Q, and
+    comes from that pair alone, so no word repeats.  If w1 were a proper
+    prefix of w2, w1's pair would also be w2's, so w1 = w2.  If every
+    child p+s of p survived: when the prefix in P of some p+s is no longer
+    than p, it is the prefix in P of every p+t, so every p+t is a word of
+    Q; likewise with P and Q swapped; otherwise every p+t is a word of
+    both.  Either way P or Q keeps a complete sibling family, which a
+    reduced form does not.
+    """
     _same_alphabet(P, Q)
     out = []
     for u in P.words:
@@ -169,7 +191,9 @@ def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
                 out.append(u)
             elif v.startswith(u):
                 out.append(v)
-    return normalize(P.alphabet, out)
+    out.sort(key=methodcaller("translate", _ranks(P.alphabet)))
+    out.sort(key=len)
+    return PrefixClopen(P.alphabet, tuple(out))
 
 
 def complement(P: PrefixClopen) -> PrefixClopen:
@@ -179,6 +203,14 @@ def complement(P: PrefixClopen) -> PrefixClopen:
     words of P through a node at depth d are split by their symbol at d.
     A node that is itself a word of P emits nothing, a child no word
     passes through emits itself, and every other child is descended.
+
+    The output is already reduced and in symbol order, so it is only
+    sorted by length.  Emitted nodes are leaves of the tree of descended
+    nodes, so none repeats and none is a prefix of another.  A descended
+    node has a word of P through one of its children, and that child is
+    descended, not emitted, so no complete sibling family is emitted.
+    Children are visited in alphabet order, and whatever is emitted below
+    one child precedes its later siblings in symbol order.
     """
     out = [] if P.words else [""]
 
@@ -196,7 +228,8 @@ def complement(P: PrefixClopen) -> PrefixClopen:
 
     if P.words:
         walk(P.words, 0)
-    return normalize(P.alphabet, out)
+    out.sort(key=len)
+    return PrefixClopen(P.alphabet, tuple(out))
 
 
 def leq(P: PrefixClopen, Q: PrefixClopen) -> bool:
@@ -241,8 +274,7 @@ def membership(P: PrefixClopen, w: UPWord) -> bool:
 
     Exact: expand far enough to compare against the longest word of P.
     """
-    _check_word(P.alphabet, w.preperiod)
-    _check_word(P.alphabet, w.period)
+    _check_words(P.alphabet, (w.preperiod, w.period))
     horizon = max((len(x) for x in P.words), default=0)
     prefix = w.expand(horizon)
     return any(prefix.startswith(x) for x in P.words)
@@ -264,26 +296,9 @@ def filter_prefixes(w: UPWord, k: int) -> list[str]:
 # for the bottom.  The reserved atom spellings make rendered output
 # round-trip through the parser.
 
-_SPECIAL = set("&|!()")
-
-
-def _tokenize(alphabet: str, text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _SPECIAL:
-            tokens.append(c)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in _SPECIAL:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+# A token is one special character or a maximal run of anything else but
+# whitespace; whitespace only separates.
+_TOKEN = re.compile(r"[&|!()]|[^\s&|!()]+")
 
 
 def eval_expr(alphabet: str, text: str) -> PrefixClopen:
@@ -292,7 +307,7 @@ def eval_expr(alphabet: str, text: str) -> PrefixClopen:
     '!' binds tightest, then '&', then '|'; parentheses group.
     """
     _check_alphabet(alphabet)
-    tokens = _tokenize(alphabet, text)
+    tokens = _TOKEN.findall(text)
     pos = 0
 
     def peek() -> str | None:

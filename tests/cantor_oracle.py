@@ -8,7 +8,8 @@ The normal form is also kept here the way the library first computed it:
 two-phase normalization (prefix absorption, then repeated sibling
 collapse), the four-rule validator (duplicates, prefixes, sibling
 families, shortlex order) and the complement that rescans every prefix
-at every node.  The tests hold the one-pass routines to them.
+at every node.  The tests hold the one-pass routines to them, and the
+expression tokenizer's pattern to the character scan it replaced.
 """
 
 from __future__ import annotations
@@ -76,6 +77,28 @@ def complement_by_prefix_scan(P: PrefixClopen) -> tuple[str, ...]:
         return out
 
     return normalize_two_phase(P.alphabet, walk(""))
+
+
+def tokenize_by_scan(text: str) -> list[str]:
+    """Split an expression character by character: whitespace separates,
+    each of &|!() is a token, and any other run of characters is one."""
+    special = set("&|!()")
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in special:
+            tokens.append(c)
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in special:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
 
 
 def cover_set(alphabet: str, words, L: int) -> frozenset:

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_oracle import check_expr_against_oracle, clopen_cover, random_expr
+from cantor_oracle import (
+    check_expr_against_oracle,
+    clopen_cover,
+    normalize_two_phase,
+    random_expr,
+    tokenize_by_scan,
+)
+from slat import cantor
 from slat.cantor import (
     PrefixClopen,
     UPWord,
@@ -29,9 +38,17 @@ from slat.cantor import (
 from slat.errors import AlphabetMismatchError, ForeignSymbolError, ParseError
 
 AB = "ab"
+# Beyond AB: three symbols, a symbol order that is not code point order,
+# and the degenerate one-symbol alphabet.
+MORE_ALPHABETS = ("abc", "ba", "a")
 
-words_ab = st.lists(
-    st.text(alphabet="ab", min_size=0, max_size=4), min_size=0, max_size=5)
+
+def words_over(alphabet: str):
+    return st.lists(
+        st.text(alphabet=alphabet, min_size=0, max_size=4), min_size=0, max_size=5)
+
+
+words_ab = words_over(AB)
 
 
 def clop(ws) -> PrefixClopen:
@@ -194,31 +211,31 @@ def test_density_structural():
         assert any(leq(kappa_word(AB, x), P) for x in P.words)
 
 
-@settings(max_examples=150, deadline=None)
-@given(words_ab, words_ab)
-def test_ops_match_cover_semantics(ws1, ws2):
-    P, Q = clop(ws1), clop(ws2)
+def check_ops_match_cover_semantics(alphabet: str, ws1, ws2) -> None:
+    P, Q = normalize(alphabet, ws1), normalize(alphabet, ws2)
     L = 1 + max((len(w) for w in tuple(ws1) + tuple(ws2)), default=0)
     cp, cq = clopen_cover(P, L), clopen_cover(Q, L)
+    M, C = meet(P, Q), complement(P)
     assert clopen_cover(join(P, Q), L) == cp | cq
-    assert clopen_cover(meet(P, Q), L) == cp & cq
-    assert clopen_cover(complement(P), L) == clopen_cover(top(AB), L) - cp
+    assert clopen_cover(M, L) == cp & cq
+    assert clopen_cover(C, L) == clopen_cover(top(alphabet), L) - cp
     assert leq(P, Q) == (cp <= cq)
+    # meet and complement emit their normal form without reducing it
+    survivors = [max(u, v, key=len) for u in P.words for v in Q.words
+                 if u.startswith(v) or v.startswith(u)]
+    assert M.words == normalize_two_phase(alphabet, survivors)
+    assert C.words == normalize_two_phase(alphabet, C.words)
 
 
-@settings(max_examples=150, deadline=None)
-@given(words_ab, words_ab)
-def test_canonicity(ws1, ws2):
+def check_canonicity(alphabet: str, ws1, ws2) -> None:
     # semantic equality at depth L decides syntactic equality
-    P, Q = clop(ws1), clop(ws2)
+    P, Q = normalize(alphabet, ws1), normalize(alphabet, ws2)
     L = 1 + max((len(w) for w in tuple(ws1) + tuple(ws2)), default=0)
     assert (P == Q) == (clopen_cover(P, L) == clopen_cover(Q, L))
 
 
-@settings(max_examples=100, deadline=None)
-@given(words_ab, words_ab, words_ab)
-def test_boolean_laws(ws1, ws2, ws3):
-    P, Q, R = clop(ws1), clop(ws2), clop(ws3)
+def check_boolean_laws(alphabet: str, ws1, ws2, ws3) -> None:
+    P, Q, R = (normalize(alphabet, ws) for ws in (ws1, ws2, ws3))
     assert complement(complement(P)) == P
     assert complement(meet(P, Q)) == join(complement(P), complement(Q))
     assert complement(join(P, Q)) == meet(complement(P), complement(Q))
@@ -228,6 +245,91 @@ def test_boolean_laws(ws1, ws2, ws3):
     assert meet(P, join(P, Q)) == P
     assert meet(P, complement(P)).is_bottom()
     assert join(P, complement(P)).is_top()
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_ab, words_ab)
+def test_ops_match_cover_semantics(ws1, ws2):
+    check_ops_match_cover_semantics(AB, ws1, ws2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_ab, words_ab)
+def test_canonicity(ws1, ws2):
+    check_canonicity(AB, ws1, ws2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_ab, words_ab, words_ab)
+def test_boolean_laws(ws1, ws2, ws3):
+    check_boolean_laws(AB, ws1, ws2, ws3)
+
+
+@pytest.mark.parametrize("alphabet", MORE_ALPHABETS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ops_match_cover_semantics_over_more_alphabets(alphabet, data):
+    words = words_over(alphabet)
+    check_ops_match_cover_semantics(alphabet, data.draw(words), data.draw(words))
+
+
+@pytest.mark.parametrize("alphabet", MORE_ALPHABETS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonicity_over_more_alphabets(alphabet, data):
+    words = words_over(alphabet)
+    check_canonicity(alphabet, data.draw(words), data.draw(words))
+
+
+@pytest.mark.parametrize("alphabet", MORE_ALPHABETS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_boolean_laws_over_more_alphabets(alphabet, data):
+    words = words_over(alphabet)
+    check_boolean_laws(alphabet, *(data.draw(words) for _ in range(3)))
+
+
+def test_one_reduction_per_result(monkeypatch):
+    # The constructor's check is the one reduction of a meet or complement;
+    # join and normalize reduce raw words once before it.
+    calls = []
+    reduce = cantor._reduce
+    monkeypatch.setattr(cantor, "_reduce", lambda a, ws: calls.append(a) or reduce(a, ws))
+
+    def reductions(op, *args) -> int:
+        calls.clear()
+        op(*args)
+        return len(calls)
+
+    for alphabet, ws1, ws2 in (("ab", ["aa", "b"], ["a"]), ("abc", ["ab", "c"], ["a", "cb"]),
+                               ("ba", [], ["b"]), ("a", ["aa"], [])):
+        P, Q = normalize(alphabet, ws1), normalize(alphabet, ws2)
+        assert reductions(meet, P, Q) == 1
+        assert reductions(complement, P) == 1
+        assert reductions(join, P, Q) == 2
+        assert reductions(normalize, alphabet, ws1) == 2
+        assert reductions(kappa_word, alphabet, alphabet * 2) == 2
+    # two cylinders, their meet, its complement, a third cylinder, the join
+    assert reductions(eval_expr, AB, "!(a & ab) | b") == 2 + 2 + 1 + 1 + 2 + 2
+
+
+# Every whitespace character Python knows, the specials, and two
+# zero-width characters that are not whitespace.
+TOKEN_CHARS = ("ab&|!()^- \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+               "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+               "\u2028\u2029\u202f\u205f\u3000\u200b\ufeff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(TOKEN_CHARS))))
+def test_token_pattern_matches_character_scan(text):
+    assert cantor._TOKEN.findall(text) == tokenize_by_scan(text)
+
+
+def test_pattern_whitespace_is_str_isspace():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+    assert {c for c in TOKEN_CHARS if c.isspace()} == {c for c in everything if c.isspace()}
 
 
 def test_operator_sugar():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slat
 from slat.cli import main
@@ -130,6 +134,28 @@ def test_cantor_recursion_ends_in_one_error_line(expr):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# An alphabet, then text over its symbols, the operators, both bound
+# spellings and whitespace.
+cantor_fuzz_cases = st.sampled_from(("ab", "ba", "abc")).flatmap(lambda a: st.tuples(
+    st.just(a), st.text(st.sampled_from(a + "&|!()^- \t\n"), max_size=30)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cantor_fuzz_cases)
+def test_cantor_fuzz_ends_in_an_exit_code_and_at_most_one_line(case):
+    # "--" keeps an expression such as "-|a" from reading as an option.
+    alphabet, expr = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["cantor", "--alphabet", alphabet, "--", expr])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().count("\n") == 1 and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue().startswith("error: ")
 
 
 def test_catalog_command(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import idx, labels
+from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import (
     Semilattice,
     arrow,
@@ -235,3 +236,10 @@ def test_random_down_sets_give_semilattices(n, data):
     for x in S.elements():
         assert S.meet(x, S.one) == x
         assert S.meet(x, S.zero) == S.zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
+def test_to_text_round_trips_on_random_lattices(n, seed):
+    S, = enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=1, seed=seed))
+    assert parse_semilattice(S.to_text()) == S

@@ -265,6 +265,12 @@ def rooted_graphs(draw) -> RootedGraph:
 
 
 @settings(max_examples=300, deadline=None)
+@given(rooted_graphs())
+def test_to_text_round_trips_on_random_graphs(G):
+    assert parse_rooted_graph(G.to_text()) == G
+
+
+@settings(max_examples=300, deadline=None)
 @given(rooted_graphs(), st.integers(1, 4))
 def test_truncate_matches_prefix_compare_oracle(G, depth):
     assume(validate_rooted(G))

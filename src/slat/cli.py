@@ -10,6 +10,7 @@ inputs and seeds render byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import cantor, classify, pathlat, stone
@@ -158,9 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DASH_THEN_SYMBOL = re.compile(r"-[^\w-]")
+
+
+def _expression_after_dashes(argv: list[str]) -> list[str]:
+    """Pass each cantor argument that starts with '-' and a symbol no option
+    name has, such as the expression '-|a' (bottom join a), after '--',
+    where argparse reads it as a positional instead of an unknown option."""
+    if argv[:1] != ["cantor"] or "--" in argv:
+        return argv
+    dashed = [a for a in argv if _DASH_THEN_SYMBOL.match(a)]
+    if not dashed:
+        return argv
+    return [a for a in argv if a not in dashed] + ["--", *dashed]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_expression_after_dashes(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except TheoremViolationError as exc:

@@ -50,7 +50,7 @@ def is_filter(S: Semilattice, A: Iterable[int]) -> bool:
 
 
 def _require_filter(S: Semilattice, F: Filter) -> None:
-    if F.lattice != S or not is_filter(S, F.carrier):
+    if F.lattice is not S and F.lattice != S or not is_filter(S, F.carrier):
         raise NotAFilterError(f"carrier {tuple(sorted(F.carrier))} fails the filter axioms")
 
 

@@ -213,7 +213,9 @@ def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
     Walks the chain from e down to f one cover at a time and collects, at
     each step, the non-zero covers other than the chosen child.  Every
     collected element is below e and orthogonal to f, and e refines into
-    the collected family plus f.
+    the collected family plus f.  A cover of g other than the child is not
+    below the child, so each step tests the child's cover mask and scans
+    only the part of down(g) outside down(child), which holds no zero.
     """
     if f == S.zero or f == e or not S.leq(f, e):
         raise BadPairError(
@@ -221,9 +223,9 @@ def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
     interval = sorted(_members(S.up[f] & S.down[e]), key=lambda g: S.up[g].bit_count())
     witness: list[int] = []
     for g, child in zip(interval, interval[1:]):
-        covs = covers_hat(S, g)
-        if child not in covs:
+        below = S.down[g] ^ 1 << g
+        if S.up[child] & below != 1 << child:
             raise BadPairError(
                 f"interval [{S.labels[f]!r}, {S.labels[e]!r}] is not a cover chain")
-        witness.extend(s for s in sorted(covs) if s != child and s != S.zero)
+        witness.extend(s for s in _members(below & ~S.down[child]) if S.up[s] & below == 1 << s)
     return witness

@@ -33,7 +33,6 @@ from .filters import (
     enumerate_ultrafilters,
     is_filter,
     is_ultrafilter,
-    principal_filter,
 )
 
 MAX_POINTS = 16
@@ -211,22 +210,23 @@ class Representation:
 
 
 def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
-    return (len(values) == len(S) and all(v in (0, 1) for v in values)
-            and values[S.zero] == 0 and values[S.one] == 1
-            and all(values[S.meet(e, f)] == values[e] * values[f]
-                    for e in S.elements() for f in S.elements()))
+    return (len(values) == len(S) and values[S.zero] == 0 and values[S.one] == 1
+            and all(v in (0, 1) for v in values)
+            and all(values[m] == v * w
+                    for v, row in zip(values, S.meet_table)
+                    for m, w in zip(row, values)))
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
     """Characteristic function of a filter."""
-    if F.lattice != S or not is_filter(S, F.carrier):
+    if F.lattice is not S and F.lattice != S or not is_filter(S, F.carrier):
         raise NotAFilterError("carrier fails the filter axioms")
     return Representation(S, tuple(1 if e in F.carrier else 0 for e in S.elements()))
 
 
 def filter_of_rep(S: Semilattice, rep: Representation) -> Filter:
     """Preimage of 1, which the representation laws force to be a filter."""
-    if rep.lattice != S or not is_representation(S, rep.values):
+    if rep.lattice is not S and rep.lattice != S or not is_representation(S, rep.values):
         raise NotARepresentationError("values fail the representation laws")
     return Filter(S, frozenset(e for e in S.elements() if rep.values[e] == 1))
 
@@ -238,7 +238,8 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     elements must sit below e.  Every filter is up(g) for a non-zero g,
     which holds e iff g <= e and omits x iff g is not below x, so the
     generators are read off the down rows.  Smallest carriers first, as
-    in enumerate_filters.
+    in enumerate_filters: the carriers are sorted as member lists by
+    (size, members), the order of Filter.sort_key.
     """
     es = tuple(es)
     bad = [x for x in es if not S.leq(x, e)]
@@ -246,8 +247,9 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
     omitted = reduce(or_, (S.down[x] for x in es), 1 << S.zero)
-    return sorted((principal_filter(S, g) for g in _members(S.down[e] & ~omitted)),
-                  key=Filter.sort_key)
+    carriers = sorted((_members(S.up[g]) for g in _members(S.down[e] & ~omitted)),
+                      key=lambda c: (len(c), c))
+    return [Filter(S, frozenset(c)) for c in carriers]
 
 
 @dataclass(frozen=True)

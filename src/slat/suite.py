@@ -4,12 +4,22 @@ Each check computes both sides of a claimed equivalence through
 independent routes (order scans on one side, ultrafilter-space data on
 the other) and reports disagreements as counterexamples, serialized in
 the same text format the parser accepts so a failure replays directly.
+
+Inside the heaviest checks, sets of elements and of points are int
+bitmasks (bit i for element or point i), converted once per instance
+from what the library returns; the library routes are still called
+with their members, so only the representation inside each route
+changes and the two routes stay independent.  The frozenset bodies are
+kept as the test oracle tests/suite_oracle.py.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable
 
 from . import classify, stone
 from .catalog import CatalogSpec, enumerate_catalog
@@ -76,8 +86,15 @@ def _strict_base_monotone(S: Semilattice, space: stone.UltrafilterSpace) -> bool
         for e, f in nonzero_pairs_below(S))
 
 
+def _mask(xs: Iterable[int]) -> int:
+    return reduce(or_, (1 << x for x in xs), 0)
+
+
 def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     space = stone.build_space(S)
+    elements = S.elements()
+    base = [_mask(b) for b in space.base]  # point masks
+    orthogonal = [_mask(star(S, y)) for y in elements]
     ultra = enumerate_ultrafilters(S)
     zd = classify.is_zero_disjunctive(S)
     sep = classify.is_separative(S)
@@ -146,27 +163,28 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
             break
     report.record("trapping_witnesses_valid", ok, S, "witness family fails its contract")
 
-    # Refinement matches base-set covering for all small families.
-    results: dict[tuple[int, frozenset], bool] = {}
+    # Refinement matches base-set covering for all small families: a
+    # family's base sets cover K(f) iff no point of K(f) lies outside
+    # their union, and the empty family covers only an empty K(f).
+    families = [(es, _mask(es), reduce(or_, (base[e] for e in es), 0))
+                for es in _subsets(elements, 3)]
+    results: dict[tuple[int, int], bool] = {}  # (f, family mask) -> arrow
     ok = True
     for f in S.nonzero():
-        for es in _subsets(list(S.elements()), 3):
-            got = arrow(S, f, es)
-            want = space.base[f] <= frozenset().union(*(space.base[e] for e in es)) \
-                if es else not space.base[f]
-            results[(f, frozenset(es))] = got
-            if got != want:
+        for es, A, cover in families:
+            got = results[f, A] = arrow(S, f, es)
+            if got != (not base[f] & ~cover):
                 ok = False
     report.record("refinement_matches_base_cover", ok, S, "refinement mismatch")
 
     # Refinement is monotone in the family.  The families form a downward
     # closed set, so every A < B among them is a chain of one-element
-    # steps inside it, and checking the steps checks every pair.
-    elements = frozenset(S.elements())
+    # steps inside it, and checking the steps checks every pair.  A false
+    # result bounds nothing, so only the true ones are stepped from.
     mono = all(
-        results[(f, A)] <= results[(f, A | {x})]
-        for (f, A) in results if len(A) < 3
-        for x in elements - A)
+        results[f, A | 1 << x]
+        for (f, A), got in results.items() if got and A.bit_count() < 3
+        for x in elements if not A >> x & 1)
     report.record("refinement_monotone", mono, S, "monotonicity broke")
 
     # Order embeds in base-set containment via singleton refinement.
@@ -230,36 +248,39 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     # Constraining by a finite set equals constraining by its meet: the
     # set side intersects down-sets and orthogonal sets as defined, the
     # meet side asks the library once per distinct (meet, Y).
-    below = [down(S, {x}) for x in S.elements()]
-    orthogonal = [star(S, y) for y in S.elements()]
-    by_meet: dict[tuple[int, tuple[int, ...]], frozenset] = {}
+    full = (1 << len(S)) - 1
+    below = [_mask(down(S, {x})) for x in elements]
+    small = list(_subsets(elements, 2))
+    orthogonal_Y = [reduce(and_, (orthogonal[y] for y in Y), full) for Y in small]
+    by_meet: dict[int, list[int]] = {}
     ok = True
-    for X in _subsets(list(S.elements()), 2):
-        below_X = elements.intersection(*(below[x] for x in X))
+    for X in small:
+        below_X = reduce(and_, (below[x] for x in X), full)
         m = S.meet_all(X)
-        for Y in _subsets(list(S.elements()), 2):
-            if (m, Y) not in by_meet:
-                by_meet[m, Y] = constrained_set(S, {m}, Y)
-            if below_X.intersection(*(orthogonal[y] for y in Y)) != by_meet[m, Y]:
-                ok = False
+        if m not in by_meet:
+            by_meet[m] = [_mask(constrained_set(S, {m}, Y)) for Y in small]
+        if [below_X & o for o in orthogonal_Y] != by_meet[m]:
+            ok = False
     report.record("constraint_reduces_to_meet", ok, S, "reduction mismatch")
 
     # Filter-space neighbourhoods restrict to unions of base sets on points.
+    point_of = {F.carrier: i for i, F in enumerate(space.points)}
+    carrier = [_mask(F.carrier) for F in space.points]
     ok = True
     for e in S.nonzero():
-        strictly_below = [x for x in S.elements() if S.leq(x, e)]
+        strictly_below = [x for x in elements if S.leq(x, e)]
         for es in _subsets(strictly_below, 2):
-            hood = stone.filterspace_nbhd(S, e, es)
-            hood_points = {space.point_index(F) for F in hood
-                           if F.carrier in ultra_carriers}
-            for F in hood:
-                if F.carrier not in ultra_carriers:
+            hood = [point_of[F.carrier] for F in stone.filterspace_nbhd(S, e, es)
+                    if F.carrier in point_of]
+            hood_points = _mask(hood)
+            for p in hood:
+                # pick the smallest member of the point orthogonal to each x
+                choices = [carrier[p] & orthogonal[x] for x in es]
+                if not all(choices):
+                    ok = False
                     continue
-                picks = []
-                for x in es:
-                    picks.append(min(c for c in F.carrier if S.meet(c, x) == S.zero))
-                i = S.meet_all([e] + picks)
-                if i not in F.carrier or not space.base[i] <= hood_points:
+                i = S.meet_all([e] + [(c & -c).bit_length() - 1 for c in choices])
+                if not carrier[p] >> i & 1 or base[i] & ~hood_points:
                     ok = False
     report.record("nbhd_agrees_on_points", ok, S, "interior witness failed")
 

@@ -1,16 +1,19 @@
-"""Truncation by comparing every pair of path tuples.
+"""Truncation by comparing every pair of path tuples, and sibling
+witnesses by listing every cover.
 
-This is the route the library ran before truncate recorded parent
-links: the paths are grown level by level as tuples of edge ids, and
-each cell of the meet table compares the two tuples' prefixes.  The
-tests hold the parent-link truncation to it.
+truncate is the route the library ran before it recorded parent links:
+the paths are grown level by level as tuples of edge ids, and each cell
+of the meet table compares the two tuples' prefixes.
+sibling_cover_witness is the route the library ran before it skipped
+the covers below the chosen child: it lists all covers of each element
+on the chain.  The tests hold the library's versions to both.
 """
 
 from __future__ import annotations
 
-from slat.core import Semilattice
-from slat.errors import BadDepthError, FormatError, NotRootedError
-from slat.pathlat import RootedGraph, _path_labels, unreachable_vertices, validate_rooted
+from slat.core import Semilattice, _members
+from slat.errors import BadDepthError, BadPairError, FormatError, NotRootedError
+from slat.pathlat import RootedGraph, _path_labels, covers_hat, unreachable_vertices, validate_rooted
 
 
 def truncate(G: RootedGraph, depth: int) -> Semilattice:
@@ -42,3 +45,18 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
             else:
                 table[i][j] = 0
     return Semilattice(tuple(labels), tuple(tuple(r) for r in table), zero=0, one=1)
+
+
+def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
+    if f == S.zero or f == e or not S.leq(f, e):
+        raise BadPairError(
+            f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
+    interval = sorted(_members(S.up[f] & S.down[e]), key=lambda g: S.up[g].bit_count())
+    witness: list[int] = []
+    for g, child in zip(interval, interval[1:]):
+        covs = covers_hat(S, g)
+        if child not in covs:
+            raise BadPairError(
+                f"interval [{S.labels[f]!r}, {S.labels[e]!r}] is not a cover chain")
+        witness.extend(s for s in sorted(covs) if s != child and s != S.zero)
+    return witness

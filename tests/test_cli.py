@@ -126,6 +126,28 @@ def test_cantor_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["--alphabet", "ab", "-|a"], "a\n"),
+    (["-|a", "--alphabet", "ab"], "a\n"),
+    (["--alphabet", "ab", "--", "-|a"], "a\n"),
+    (["--alphabet=ab", "-&b"], "-\n"),
+    (["--alphabet", "ab", "-\t|\tb"], "b\n"),
+    (["--alphabet", "ab", "!-"], "^\n"),
+])
+def test_cantor_expression_may_start_with_a_dash(argv, shown, capsys):
+    assert main(["cantor", *argv]) == 0
+    assert capsys.readouterr() == (shown, "")
+
+
+def test_cantor_still_requires_an_alphabet():
+    proc = run_slat("cantor", "-|a")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "the following arguments are required: --alphabet" in proc.stderr
+    proc = run_slat("cantor", "--alphabet", "ab", "-|a")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a\n", "")
+
+
 @pytest.mark.parametrize("expr", ["!" * 3000 + "a", "!" + "ab" * 1000],
                          ids=["nested-complements", "long-cylinder"])
 def test_cantor_recursion_ends_in_one_error_line(expr):
@@ -145,7 +167,8 @@ cantor_fuzz_cases = st.sampled_from(("ab", "ba", "abc")).flatmap(lambda a: st.tu
 @settings(max_examples=400, deadline=None)
 @given(cantor_fuzz_cases)
 def test_cantor_fuzz_ends_in_an_exit_code_and_at_most_one_line(case):
-    # "--" keeps an expression such as "-|a" from reading as an option.
+    # "--" keeps an expression such as "--" or "-a" from reading as an option;
+    # "-|a" and the like need no "--" (test_cantor_expression_may_start_with_a_dash).
     alphabet, expr = case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

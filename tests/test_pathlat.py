@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import pathlat_oracle
 from slat import pathlat
-from slat.catalog import canonical_key
+from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
 from slat.cli import main
-from slat.core import Semilattice, arrow, down, star
+from slat.core import Semilattice, arrow, down, nonzero_pairs_below, star
 from slat.errors import (
     BadDepthError,
     BadPairError,
@@ -211,6 +212,31 @@ def test_sibling_cover_witness_validates(two_loop):
                 region = (down(S, [e]) & star(S, f)) - {S.zero}
                 assert set(W) <= region
                 assert arrow(S, e, list(W) + [f])
+
+
+@pytest.mark.parametrize("G, depths", [
+    (RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t"), range(1, 8)),
+    (THREE_LOOP, range(1, 5)),
+    (RootedGraph(("t",), (("a", "t", "t"),), "t"), range(1, 41)),
+], ids=["two-loop", "three-loop", "one-loop"])
+def test_sibling_cover_witness_matches_all_covers_oracle(G, depths):
+    for depth in depths:
+        S = truncate(G, depth)
+        for e, f in nonzero_pairs_below(S):
+            assert sibling_cover_witness(S, e, f) == pathlat_oracle.sibling_cover_witness(S, e, f)
+
+
+def test_sibling_cover_witness_matches_oracle_off_chains():
+    # catalog intervals need not be chains: both routes refuse the same pairs
+    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+        for e, f in nonzero_pairs_below(S):
+            try:
+                want = pathlat_oracle.sibling_cover_witness(S, e, f)
+            except BadPairError as exc:
+                with pytest.raises(BadPairError, match=f"^{re.escape(str(exc))}$"):
+                    sibling_cover_witness(S, e, f)
+            else:
+                assert sibling_cover_witness(S, e, f) == want
 
 
 def test_sibling_cover_witness_bad_pairs(two_loop):

@@ -10,6 +10,7 @@ import pytest
 
 import catalog_oracle
 import stone_oracle
+import suite_oracle
 from slat import stone
 from conftest import idx
 from slat.catalog import CatalogSpec, enumerate_catalog
@@ -17,6 +18,7 @@ from slat.cli import main
 from slat.core import Semilattice
 from slat.errors import (
     BadBasisError,
+    NotAFilterError,
     NotAHomomorphismError,
     NotARepresentationError,
     PreconditionFailedError,
@@ -24,7 +26,14 @@ from slat.errors import (
     TheoremViolationError,
     UndecomposableError,
 )
-from slat.filters import Filter, enumerate_filters, enumerate_ultrafilters, principal_filter
+from slat.filters import (
+    Filter,
+    enumerate_filters,
+    enumerate_ultrafilters,
+    is_tight,
+    is_ultrafilter,
+    principal_filter,
+)
 from slat.pathlat import RootedGraph, truncate
 from slat.stone import (
     FiniteBooleanAlgebra,
@@ -208,16 +217,32 @@ def test_representation_round_trip_everywhere():
         n = len(S)
         reps = [
             vals for vals in itertools.product((0, 1), repeat=n)
-            if _is_rep(S, vals)]
+            if suite_oracle.is_representation(S, vals)]
         assert len(reps) == len(filters)
 
 
-def _is_rep(S, vals) -> bool:
-    if vals[S.zero] != 0 or vals[S.one] != 1:
-        return False
-    return all(
-        vals[S.meet(e, f)] == vals[e] * vals[f]
-        for e in S.elements() for f in S.elements())
+def test_is_representation_matches_pairwise_meets():
+    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+        vectors = list(itertools.product((0, 1), repeat=len(S)))
+        vectors += [(2,) * len(S), (0,) * (len(S) - 1), tuple(range(len(S)))]
+        for vals in vectors:
+            assert stone.is_representation(S, vals) == suite_oracle.is_representation(S, vals)
+
+
+def test_equal_but_distinct_lattice_is_accepted(vee, chain4):
+    twin = Semilattice(vee.labels, vee.meet_table, vee.zero, vee.one)
+    assert twin is not vee and twin == vee
+    F = principal_filter(twin, idx(twin, "a"))
+    assert is_ultrafilter(vee, F) and is_tight(vee, F)
+    rep = rep_of_filter(vee, F)
+    assert filter_of_rep(vee, Representation(twin, rep.values)) == F
+    # a lattice that is not equal is still refused
+    with pytest.raises(NotAFilterError):
+        rep_of_filter(chain4, F)
+    with pytest.raises(NotAFilterError):
+        is_ultrafilter(chain4, F)
+    with pytest.raises(NotARepresentationError):
+        filter_of_rep(chain4, Representation(twin, rep.values))
 
 
 def test_bad_representations_rejected(vee):

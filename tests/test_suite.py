@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from slat import core, suite
-from slat.catalog import CatalogSpec
+import pytest
+
+import suite_oracle
+from slat import core, stone, suite
+from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
 from slat.suite import VerificationReport, run_suite
 
@@ -91,15 +94,80 @@ def test_size_seven_kv_report_matches_golden():
     assert run_suite(CatalogSpec(max_size=7)).render(kv=True) == golden
 
 
-def test_refinement_monotone_fires(monkeypatch):
+_filterspace_nbhd = stone.filterspace_nbhd
+
+
+def _drop_last_filter(S, e, es):
+    # the largest carrier, often an ultrafilter, goes missing
+    return _filterspace_nbhd(S, e, es)[:-1]
+
+
+def _rep_of_top_filter(S, F):
+    # a genuine representation, but the one of {1} whatever F is
+    return stone.Representation(S, tuple(int(e == S.one) for e in S.elements()))
+
+
+# Faults in the library routes that the five mask checks call, as
+# (module, name, replacement) for monkeypatch.setattr.
+FAULTS = {
     # true on families of odd size only: a one-element step can lose it
-    monkeypatch.setattr(suite, "arrow", lambda S, f, es: len(es) % 2 == 1)
-    report = run_suite(CatalogSpec(max_size=4))
-    assert report.checks["refinement_monotone"][1] > 0
+    "arrow-odd-families": (suite, "arrow", lambda S, f, es: len(es) % 2 == 1),
+    # every family refines, the empty one and non-covering ones included
+    "arrow-always": (suite, "arrow", lambda S, f, es: True),
+    "constraint-drops-Y": (suite, "constrained_set", lambda S, X, Y: core.constrained_set(S, X, ())),
+    "nbhd-drops-last": (stone, "filterspace_nbhd", _drop_last_filter),
+    # A wrong is_representation cannot serve: a vector it wrongly accepts
+    # or rejects makes the round trip raise before any verdict.
+    "rep-of-top-filter": (stone, "rep_of_filter", _rep_of_top_filter),
+}
+
+
+def _fails_under(fault, check, monkeypatch) -> bool:
+    monkeypatch.setattr(*FAULTS[fault])
+    return run_suite(CatalogSpec(max_size=5)).checks[check][1] > 0
+
+
+def test_refinement_monotone_fires(monkeypatch):
+    assert _fails_under("arrow-odd-families", "refinement_monotone", monkeypatch)
 
 
 def test_constraint_reduces_to_meet_fires(monkeypatch):
-    monkeypatch.setattr(suite, "constrained_set",
-                        lambda S, X, Y: core.constrained_set(S, X, ()))
-    report = run_suite(CatalogSpec(max_size=4))
-    assert report.checks["constraint_reduces_to_meet"][1] > 0
+    assert _fails_under("constraint-drops-Y", "constraint_reduces_to_meet", monkeypatch)
+
+
+def test_refinement_matches_base_cover_fires(monkeypatch):
+    assert _fails_under("arrow-always", "refinement_matches_base_cover", monkeypatch)
+
+
+def test_nbhd_agrees_on_points_fires(monkeypatch):
+    assert _fails_under("nbhd-drops-last", "nbhd_agrees_on_points", monkeypatch)
+
+
+def test_representations_are_filters_fires(monkeypatch):
+    assert _fails_under("rep-of-top-filter", "representations_are_filters", monkeypatch)
+
+
+ORACLE_INSTANCES = [
+    *enumerate_catalog(CatalogSpec(max_size=7)),
+    *(S for n in range(8, 13)
+      for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=2, seed=n))),
+]
+
+
+def _suite_verdicts(S):
+    report = VerificationReport()
+    suite._check_instance(S, report)
+    return {name: report.checks[name] == [1, 0] for name in suite_oracle.CHECKS}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS], ids=lambda f: f or "clean")
+def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
+    if fault:
+        monkeypatch.setattr(*FAULTS[fault])
+    failed = set()
+    for S in ORACLE_INSTANCES:
+        got = _suite_verdicts(S)
+        assert got == suite_oracle.verdicts(S), S.to_text()
+        failed.update(name for name, passed in got.items() if not passed)
+    # each fault shows in at least one of the five checks
+    assert bool(failed) == bool(fault)

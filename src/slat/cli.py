@@ -4,14 +4,24 @@ Commands: check, stone, catalog, cantor, graph.  Exit code 0 means the
 run completed with nothing violated, 1 means a genuine property
 violation (suite counterexamples or an internal cross-check firing), and
 2 means the input could not be used.  Output is deterministic: identical
-inputs and seeds render byte-identical reports.
+inputs and seeds render byte-identical reports.  A command line argparse
+refuses is reported as one `error:` line on stderr with exit code 2;
+`--help` prints argparse's help and exits 0.
+
+The argparse parser is built once per process, on the first main call,
+and reused by every later call.  That is safe because parsing keeps no
+state between calls: each parse_args call fills a fresh Namespace, the
+parser is the same whatever the argv, and argparse looks up sys.stdout,
+sys.stderr and the terminal width when it prints, not when it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
+from typing import NoReturn
 
 from . import cantor, classify, pathlat, stone
 from .catalog import CatalogSpec
@@ -123,8 +133,16 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a refused command line instead of printing usage and exiting,
+    so main can report it as one error line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slat",
         description="finite bounded meet semilattices: filters, ultrafilter "
                     "spaces, clopen algebras, and verification")
@@ -174,15 +192,20 @@ def _expression_after_dashes(argv: list[str]) -> list[str]:
     return [a for a in argv if a not in dashed] + ["--", *dashed]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_expression_after_dashes(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parser().parse_args(
+            _expression_after_dashes(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except TheoremViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (SlatError, OSError, ValueError, RecursionError) as exc:
+    except (argparse.ArgumentError, SlatError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

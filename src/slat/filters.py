@@ -40,13 +40,15 @@ def is_filter(S: Semilattice, A: Iterable[int]) -> bool:
 
     A finite filter holds its meet g and everything above it, so it is
     the up-set of g; conversely every up-set of a non-zero g is a filter.
+    Every member of A lies above g, so A is up(g) iff the two have
+    equally many members.
     """
     A = frozenset(A)
     if not A or S.zero in A:
         return False
-    if any(not (0 <= e < len(S)) for e in A):
+    if min(A) < 0 or max(A) >= len(S):
         return False
-    return frozenset(_members(S.up[S.meet_all(A)])) == A
+    return S.up[S.meet_all(A)].bit_count() == len(A)
 
 
 def _require_filter(S: Semilattice, F: Filter) -> None:

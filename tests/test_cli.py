@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,12 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slat
+from slat import cli
 from slat.cli import main
 
 VEE_TEXT = "elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\n"
 CHAIN3_TEXT = "elements: 0 a 1\norder: 0<a a<1\n"
 TWO_LOOP_TEXT = "vertices: t\nroot: t\nedge a t t\nedge b t t\n"
 SINGLE_EDGE_TEXT = "vertices: r s\nroot: r\nedge a s r\n"
+
+
+def outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process main call; --help
+    exits through SystemExit, as argparse does."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_slat(*args: str) -> subprocess.CompletedProcess:
@@ -179,6 +193,89 @@ def test_cantor_fuzz_ends_in_an_exit_code_and_at_most_one_line(case):
         assert out.getvalue().count("\n") == 1 and not err.getvalue()
     else:
         assert not out.getvalue() and err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(cantor_fuzz_cases)
+def test_cantor_fuzz_without_dashes_ends_in_an_exit_code_and_one_line(case):
+    # Without "--" an expression such as "--" or "-a" reads as an option,
+    # and argparse's refusal is one error line too.
+    alphabet, expr = case
+    code, out, err = outcome(["cantor", "--alphabet", alphabet, expr])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.count("\n") == 1 and not err
+    else:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cantor", "--alphabet", "ab"], "the following arguments are required: expr"),
+    (["cantor", "-|a"], "the following arguments are required: --alphabet"),
+    (["cantor", "--alphabet", "ab", "--"], "the following arguments are required: expr"),
+    (["cantor", "--alphabet", "ab", "-a"], "the following arguments are required: expr"),
+    (["graph", "g.txt", "--depth", "two"], "argument --depth: invalid int value: 'two'"),
+    (["catalog", "--max-size", "3", "extra"], "unrecognized arguments: extra"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_one_line(argv, message):
+    assert outcome(argv) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_command_is_one_line():
+    code, out, err = outcome(["bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument command: invalid choice: 'bogus'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cantor", "-h"]])
+def test_help_exits_zero(argv):
+    code, out, err = outcome(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: slat ") and "options:" in out
+
+
+def _every_command(vee_file, two_loop_file) -> list[list[str]]:
+    return [
+        ["check", vee_file],
+        ["check", vee_file, "--report", "kv"],
+        ["stone", vee_file],
+        ["graph", two_loop_file, "--depth", "2"],
+        ["catalog", "--max-size", "6", "--random", "1"],
+        ["cantor", "--alphabet", "ab", "!(aa)"],
+    ]
+
+
+def test_shared_parser_answers_like_a_fresh_one(vee_file, two_loop_file):
+    calls = _every_command(vee_file, two_loop_file) + [
+        ["cantor", "-|a"], ["cantor", "--alphabet", "ab", "--"], ["bogus"],
+        ["graph", two_loop_file, "--depth", "x"], ["--help"], ["graph", "--help"]]
+    fresh = {}
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh[tuple(argv)] = outcome(argv)
+    order = calls * 2
+    random.Random(0).shuffle(order)
+    cli._parser.cache_clear()
+    for argv in order:
+        assert outcome(argv) == fresh[tuple(argv)], argv
+
+
+def test_parser_is_built_once_per_process(vee_file, two_loop_file, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    calls = _every_command(vee_file, two_loop_file)
+    for i in range(20):
+        assert outcome(calls[i % len(calls)])[0] == 0
+    assert len(built) == 1
 
 
 def test_catalog_command(capsys):

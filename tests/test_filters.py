@@ -128,6 +128,9 @@ def test_is_filter_fixtures(vee):
     assert not is_filter(vee, frozenset())
     assert not is_filter(vee, frozenset({vee.zero, one}))
     assert not is_filter(vee, frozenset({a}))  # not up-closed
+    # indices outside the lattice, which the meet table would wrap or refuse
+    assert not is_filter(vee, frozenset({-1}))
+    assert not is_filter(vee, frozenset({a, one, len(vee)}))
 
 
 def test_principal_filter(vee, chain3):

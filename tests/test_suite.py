@@ -10,6 +10,7 @@ import pytest
 import suite_oracle
 from slat import core, stone, suite
 from slat.catalog import CatalogSpec, enumerate_catalog
+from slat.cli import main
 from slat.core import Semilattice
 from slat.suite import VerificationReport, run_suite
 
@@ -116,8 +117,9 @@ FAULTS = {
     "arrow-always": (suite, "arrow", lambda S, f, es: True),
     "constraint-drops-Y": (suite, "constrained_set", lambda S, X, Y: core.constrained_set(S, X, ())),
     "nbhd-drops-last": (stone, "filterspace_nbhd", _drop_last_filter),
-    # A wrong is_representation cannot serve: a vector it wrongly accepts
-    # or rejects makes the round trip raise before any verdict.
+    # A wrong is_representation is not listed: the oracle scans with its
+    # own, so it would disagree with the suite by design; see
+    # test_wrong_is_representation_is_a_counterexample.
     "rep-of-top-filter": (stone, "rep_of_filter", _rep_of_top_filter),
 }
 
@@ -145,6 +147,38 @@ def test_nbhd_agrees_on_points_fires(monkeypatch):
 
 def test_representations_are_filters_fires(monkeypatch):
     assert _fails_under("rep-of-top-filter", "representations_are_filters", monkeypatch)
+
+
+_is_representation = stone.is_representation
+
+
+def _accepts_all_ones(S, values):
+    # also the vector sending zero to 1, whose preimage is no filter
+    return _is_representation(S, values) or set(values) == {1}
+
+
+def _rejects_top_filter(S, values):
+    # refuses the representation of {1}, the smallest filter
+    return _is_representation(S, values) and sum(values) != 1
+
+
+@pytest.mark.parametrize("wrong", [_accepts_all_ones, _rejects_top_filter],
+                         ids=["accepts-all-ones", "rejects-top-filter"])
+def test_wrong_is_representation_is_a_counterexample(wrong, monkeypatch, capsys):
+    # The round trip through a wrong is_representation raises
+    # NotAFilterError or NotARepresentationError; the suite records it as
+    # a failure of its check instead of letting it escape as an input error.
+    monkeypatch.setattr(stone, "is_representation", wrong)
+    report = run_suite(CatalogSpec(max_size=5))
+    assert report.checks["representations_are_filters"] == [0, 9]
+    assert all(p == 9 for name, (p, f) in report.checks.items()
+               if name != "representations_are_filters")
+    assert [name for name, _, _ in report.counterexamples] == ["representations_are_filters"] * 9
+    assert all(detail.startswith("a round trip raised: ") for _, _, detail in report.counterexamples)
+    assert main(["catalog", "--max-size", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured == (report.render(), "")
+    assert "check representations_are_filters: pass=0 fail=9\n" in captured.out
 
 
 ORACLE_INSTANCES = [

@@ -44,7 +44,6 @@ from .pathlat import (
     covers_hat,
     level,
     parse_rooted_graph,
-    pseudofinite_graph,
     sibling_cover_witness,
     truncate,
     validate_rooted,

@@ -116,10 +116,23 @@ def cmd_graph(args: argparse.Namespace) -> int:
         print("unreachable: " + " ".join(pathlat.unreachable_vertices(G)))
         return 2
     S = pathlat.truncate(G, args.depth)
+    zd_graph = pathlat.zero_disjunctive_graph(G)
     print("rooted=true")
-    print(f"zero_disjunctive_graph={'true' if pathlat.zero_disjunctive_graph(G) else 'false'}")
-    print(f"pseudofinite_graph={'true' if pathlat.pseudofinite_graph(G) else 'false'}")
+    print(f"zero_disjunctive_graph={'true' if zd_graph else 'false'}")
+    # Between f < e in a finite rooted graph's path order only finite chains fit.
+    print("pseudofinite_graph=true")
     report = classify.is_compactable_finite(S)
+    # Once the depth exceeds every vertex's distance to the root, each path
+    # shorter than the depth has one child per in-edge of its end vertex,
+    # and some such path ends at each vertex.  So a vertex of in-degree one
+    # gives a path with a single lower cover, which no non-zero element
+    # below that path avoids; otherwise every path with a child has two
+    # children, which avoid each other, so the two verdicts must agree.
+    if (args.depth > max(pathlat.root_distances(G).values())
+            and report.zero_disjunctive != zd_graph):
+        raise TheoremViolationError(
+            f"zero_disjunctive_graph={zd_graph} but the depth-{args.depth} truncation "
+            f"has zero_disjunctive={report.zero_disjunctive}")
     print(f"depth={args.depth} elements={len(S)}")
     for key, val in report.booleans().items():
         print(f"{key}={'true' if val else 'false'}")
@@ -192,20 +205,37 @@ def _expression_after_dashes(argv: list[str]) -> list[str]:
     return [a for a in argv if a not in dashed] + ["--", *dashed]
 
 
+_DASH_THEN_WORD = re.compile(r"-\w")
+
+
+def _refusal(argv: list[str], exc: argparse.ArgumentError) -> str:
+    """Why argparse refused the command line.  A cantor expression such as
+    '-a' reads as an unknown option, so argparse only reports the
+    expression missing; then the reason names the word and where it goes."""
+    stray = [a for a in argv[1:] if _DASH_THEN_WORD.match(a)]
+    if argv[:1] == ["cantor"] and stray and str(exc).endswith("required: expr"):
+        return (f"argument expr: {stray[0]!r} reads as an option; "
+                "an expression that starts with '-' goes after '--'")
+    return str(exc)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(
-            _expression_after_dashes(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_expression_after_dashes(argv))
         return args.func(args)
     except TheoremViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (argparse.ArgumentError, SlatError, OSError, ValueError, RecursionError) as exc:
+    except argparse.ArgumentError as exc:
+        print(f"error: {_refusal(argv, exc)}", file=sys.stderr)
+        return 2
+    except (SlatError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,12 @@ Construction also derives three int bitmask rows per element: down[e],
 up[e] and star[e] (the elements whose meet with e is zero).  The order
 primitives read them through one kernel, the elements below m orthogonal
 to all of Y, and return frozensets; masks never leave the library.
+Two more values are derived lazily, on first use, and then kept:
+up_sets, the frozenset up(e) for each element, and filter_generators,
+the non-zero elements in the order of their filters up(g) under
+Filter.sort_key.  Every filter of a finite instance is such an up(g), so
+filter listings and neighbourhoods read both instead of rebuilding them.
+Like the rows, neither takes part in equality, hashing or repr.
 Validation is O(n^2): an idempotent, commutative table is associative
 iff down[meet(e, f)] == down[e] & down[f] for all e, f.
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import eq, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -49,8 +55,20 @@ def _row(flags: Iterable[bool]) -> int:
 
 
 def _members(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    return [m.start() for m in _ONE_BIT.finditer(bin(mask)[:1:-1])]
+    """Indices of the set bits, ascending.
+
+    Up to eight set bits are peeled off lowest first, which is cheaper
+    than writing out the binary digits.  Each peel costs big-int work over
+    the whole mask, so a denser mask gets one regex scan of its digits.
+    """
+    if mask.bit_count() > 8:
+        return [m.start() for m in _ONE_BIT.finditer(bin(mask)[:1:-1])]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _check_label(label: str) -> None:
@@ -121,6 +139,18 @@ class Semilattice:
                     raise InvalidSemilatticeError(
                         "meet not associative at "
                         f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})")
+
+    @cached_property
+    def up_sets(self) -> tuple[frozenset, ...]:
+        """up(e) as a frozenset, for each element e."""
+        return tuple(frozenset(_members(u)) for u in self.up)
+
+    @cached_property
+    def filter_generators(self) -> tuple[int, ...]:
+        """The non-zero elements g, ordered as Filter.sort_key orders up(g):
+        by size, then by the ascending member list."""
+        up = self.up
+        return tuple(sorted(self.nonzero(), key=lambda g: (up[g].bit_count(), _members(up[g]))))
 
     def __len__(self) -> int:
         return len(self.labels)

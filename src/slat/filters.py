@@ -3,9 +3,12 @@
 A filter is a non-empty, meet-closed, upward-closed set of elements that
 excludes zero.  In a finite semilattice every filter is the up-set of its
 smallest member, so enumeration reduces to the non-zero principal up-sets;
-the test suite asserts this identity against a raw subset scan.  Being
-principal also lets tightness be decided one element at a time, with no
-scan over excluded sets; the tests keep that scan as an oracle.
+the test suite asserts this identity against a raw subset scan.  The
+semilattice keeps those up-sets and their listing order once built
+(Semilattice.up_sets and filter_generators), so each listing here only
+wraps them in Filters.  Being principal also lets tightness be decided
+one element at a time, with no scan over excluded sets; the tests keep
+that scan as an oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Semilattice, _below_orthogonal, _members, up
+from .core import Semilattice, _below_orthogonal, _members
 from .errors import NotAFilterError, ZeroElementError
 
 
@@ -60,18 +63,18 @@ def principal_filter(S: Semilattice, e: int) -> Filter:
     """The up-set of a non-zero element."""
     if e == S.zero:
         raise ZeroElementError("zero generates no filter")
-    return Filter(S, up(S, {e}))
+    return Filter(S, S.up_sets[e])
 
 
 def enumerate_filters(S: Semilattice) -> list[Filter]:
     """All filters, smallest carriers first.
 
     Finite semilattices only have principal filters and distinct non-zero
-    generators give distinct up-sets, so this is {e^up : e != 0}.
+    generators give distinct up-sets, so this is {e^up : e != 0}, listed
+    in the order S.filter_generators keeps.
     """
-    out = [principal_filter(S, e) for e in S.nonzero()]
-    out.sort(key=Filter.sort_key)
-    return out
+    carriers = S.up_sets
+    return [Filter(S, carriers[g]) for g in S.filter_generators]
 
 
 def is_ultrafilter(S: Semilattice, F: Filter) -> bool:

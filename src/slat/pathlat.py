@@ -54,9 +54,6 @@ class RootedGraph:
             if src not in self.vertices or tgt not in self.vertices:
                 raise FormatError(f"edge {eid!r} references undeclared vertices")
 
-    def edges_into(self, v: str) -> tuple[tuple[str, str, str], ...]:
-        return tuple(e for e in self.edges if e[2] == v)
-
     def to_text(self) -> str:
         lines = ["vertices: " + " ".join(self.vertices), f"root: {self.root}"]
         lines.extend(f"edge {eid} {src} {tgt}" for eid, src, tgt in self.edges)
@@ -95,16 +92,35 @@ def parse_rooted_graph(text: str) -> RootedGraph:
     return RootedGraph(vertices, tuple(edges), root)
 
 
-def unreachable_vertices(G: RootedGraph) -> list[str]:
-    """Vertices with no directed path to the root."""
-    reached = {G.root}
+def _in_edges(G: RootedGraph) -> dict[str, list[tuple[str, str, str]]]:
+    """The edges into each vertex, in declaration order."""
+    into: dict[str, list[tuple[str, str, str]]] = {v: [] for v in G.vertices}
+    for edge in G.edges:
+        into[edge[2]].append(edge)
+    return into
+
+
+def root_distances(G: RootedGraph) -> dict[str, int]:
+    """Length of a shortest directed path from each vertex to the root,
+    for the vertices that have one: a breadth-first search backwards
+    along the in-edges, linear in the size of the graph."""
+    into = _in_edges(G)
+    dist = {G.root: 0}
     frontier = [G.root]
     while frontier:
-        v = frontier.pop()
-        for _, src, tgt in G.edges:
-            if tgt == v and src not in reached:
-                reached.add(src)
-                frontier.append(src)
+        grown = []
+        for v in frontier:
+            for _, src, _ in into[v]:
+                if src not in dist:
+                    dist[src] = dist[v] + 1
+                    grown.append(src)
+        frontier = grown
+    return dist
+
+
+def unreachable_vertices(G: RootedGraph) -> list[str]:
+    """Vertices with no directed path to the root."""
+    reached = root_distances(G)
     return [v for v in G.vertices if v not in reached]
 
 
@@ -117,18 +133,7 @@ def zero_disjunctive_graph(G: RootedGraph) -> bool:
     """Graph-side criterion: every in-degree is zero or at least two."""
     if not validate_rooted(G):
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
-    for v in G.vertices:
-        d = len(G.edges_into(v))
-        if d == 1:
-            return False
-    return True
-
-
-def pseudofinite_graph(G: RootedGraph) -> bool:
-    """Finite graphs always pass: between f < e only finite chains fit."""
-    if not validate_rooted(G):
-        raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
-    return True
+    return all(len(edges) != 1 for edges in _in_edges(G).values())
 
 
 def _path_labels(paths: list[tuple[str, ...]]) -> list[str]:
@@ -159,13 +164,14 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
     if not isinstance(depth, int) or depth < 1:
         raise BadDepthError(f"depth must be a positive integer, got {depth!r}")
+    into = _in_edges(G)
     paths: list[tuple[str, ...]] = [(), ()]  # indexed by element; 0 is the zero
     parent = [0, 0]
     frontier = [(1, G.root)]
     for d in range(1, depth + 1):
         grown = []
         for i, at in frontier:
-            for eid, src, _ in G.edges_into(at):
+            for eid, src, _ in into[at]:
                 grown.append((len(paths), src))
                 paths.append(paths[i] + (eid,))
                 parent.append(i)

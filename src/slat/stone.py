@@ -16,7 +16,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
 
-from .core import Semilattice, _members
+from .core import Semilattice
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -210,11 +210,18 @@ class Representation:
 
 
 def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
-    return (len(values) == len(S) and values[S.zero] == 0 and values[S.one] == 1
-            and all(v in (0, 1) for v in values)
-            and all(values[m] == v * w
-                    for v, row in zip(values, S.meet_table)
-                    for m, w in zip(row, values)))
+    """Do the 0/1 values keep the bounds and every meet, value(meet(e, f))
+    = value(e) * value(f)?  Row e of that law reads the values along the
+    meet table's row e, which must equal the values themselves where
+    value(e) = 1 and all zeros where value(e) = 0."""
+    values = tuple(values)
+    if not (len(values) == len(S) and values[S.zero] == 0 and values[S.one] == 1
+            and all(v in (0, 1) for v in values)):
+        return False
+    zeros = (0,) * len(values)
+    at = values.__getitem__
+    return all(tuple(map(at, row)) == (values if v else zeros)
+               for v, row in zip(values, S.meet_table))
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
@@ -238,18 +245,17 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     elements must sit below e.  Every filter is up(g) for a non-zero g,
     which holds e iff g <= e and omits x iff g is not below x, so the
     generators are read off the down rows.  Smallest carriers first, as
-    in enumerate_filters: the carriers are sorted as member lists by
-    (size, members), the order of Filter.sort_key.
+    in enumerate_filters: one pass over S.filter_generators keeps that
+    order.
     """
     es = tuple(es)
     bad = [x for x in es if not S.leq(x, e)]
     if bad:
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
-    omitted = reduce(or_, (S.down[x] for x in es), 1 << S.zero)
-    carriers = sorted((_members(S.up[g]) for g in _members(S.down[e] & ~omitted)),
-                      key=lambda c: (len(c), c))
-    return [Filter(S, frozenset(c)) for c in carriers]
+    keep = S.down[e] & ~reduce(or_, (S.down[x] for x in es), 1 << S.zero)
+    carriers = S.up_sets
+    return [Filter(S, carriers[g]) for g in S.filter_generators if keep >> g & 1]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Brute-force routes the catalog and the filter space ran before they were sped up.
 
-canonical_key permutes the whole interior, with no invariant cells, and
-filterspace_nbhd scans every filter; the tests hold the library's
-versions to both.
+canonical_key permutes the whole interior, with no invariant cells.
+enumerate_filters builds every principal up-set afresh and sorts the
+filters, where the library reads the up-sets and their order that the
+semilattice keeps, and filterspace_nbhd scans that listing.  The tests
+hold the library's versions to all three.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from slat.core import Semilattice
-from slat.filters import Filter, enumerate_filters
+from slat.core import Semilattice, up
+from slat.filters import Filter
 
 
 def canonical_key(S: Semilattice) -> tuple:
@@ -28,6 +30,13 @@ def canonical_key(S: Semilattice) -> tuple:
         if best is None or enc < best:
             best = enc
     return (n, best)
+
+
+def enumerate_filters(S: Semilattice) -> list[Filter]:
+    """The filter up(e) of every non-zero e, smallest carriers first."""
+    out = [Filter(S, up(S, {e})) for e in S.nonzero()]
+    out.sort(key=Filter.sort_key)
+    return out
 
 
 def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:

@@ -1,12 +1,58 @@
-"""Shared fixtures: the small semilattices and graphs every module exercises."""
+"""Shared fixtures: the small semilattices and graphs every module
+exercises, and the instance sets that fast routes are held to oracles on."""
 
 from __future__ import annotations
+
+import random
+from pathlib import Path
 
 import pytest
 
 from slat import classify, stone
+from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
-from slat.pathlat import RootedGraph
+from slat.pathlat import RootedGraph, parse_rooted_graph, truncate
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+def catalog_instances() -> list[Semilattice]:
+    """Every isomorphism class of at most seven elements."""
+    return list(enumerate_catalog(CatalogSpec(max_size=7)))
+
+
+def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:
+    """S with its element indices shuffled, so that index order need not
+    extend the order of S."""
+    new = list(S.elements())
+    rng.shuffle(new)
+    old = sorted(S.elements(), key=new.__getitem__)
+    return Semilattice(tuple(S.labels[i] for i in old),
+                       tuple(tuple(new[S.meet(i, j)] for j in old) for i in old),
+                       new[S.zero], new[S.one])
+
+
+def random_instances() -> list[Semilattice]:
+    """Seeded random instances, three each of sizes 8 to 12, each also
+    under a seeded relabeling."""
+    rng = random.Random(8)
+    return [T for n in range(8, 13)
+            for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=3, seed=n))
+            for T in (S, relabeled(S, rng))]
+
+
+def bench_truncations() -> list[Semilattice]:
+    """The truncations the path-space benchmark builds: the two-loop graph
+    at depths 1 to 7 and the three-loop graph at depths 1 to 4."""
+    out = []
+    for name, depths in (("two-loop", range(1, 8)), ("three-loop", range(1, 5))):
+        G = parse_rooted_graph((BENCH_INPUTS / f"{name}.txt").read_text(encoding="utf-8"))
+        out += [truncate(G, depth) for depth in depths]
+    return out
+
+
+INSTANCE_SETS = {"catalog-7": catalog_instances, "random-8-12": random_instances,
+                 "bench-truncations": bench_truncations}
 
 
 @pytest.fixture

@@ -6,18 +6,32 @@ the paths are grown level by level as tuples of edge ids, and each cell
 of the meet table compares the two tuples' prefixes.
 sibling_cover_witness is the route the library ran before it skipped
 the covers below the chosen child: it lists all covers of each element
-on the chain.  The tests hold the library's versions to both.
+on the chain.  unreachable_vertices is the search the library ran
+before it indexed the in-edges: it rescans every edge for each vertex
+it reaches.  The tests hold the library's versions to all three.
 """
 
 from __future__ import annotations
 
 from slat.core import Semilattice, _members
 from slat.errors import BadDepthError, BadPairError, FormatError, NotRootedError
-from slat.pathlat import RootedGraph, _path_labels, covers_hat, unreachable_vertices, validate_rooted
+from slat.pathlat import RootedGraph, _path_labels, covers_hat
+
+
+def unreachable_vertices(G: RootedGraph) -> list[str]:
+    reached = {G.root}
+    frontier = [G.root]
+    while frontier:
+        v = frontier.pop()
+        for _, src, tgt in G.edges:
+            if tgt == v and src not in reached:
+                reached.add(src)
+                frontier.append(src)
+    return [v for v in G.vertices if v not in reached]
 
 
 def truncate(G: RootedGraph, depth: int) -> Semilattice:
-    if not validate_rooted(G):
+    if unreachable_vertices(G):
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
     if not isinstance(depth, int) or depth < 1:
         raise BadDepthError(f"depth must be a positive integer, got {depth!r}")
@@ -26,8 +40,7 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     for _ in range(depth):
         grown: list[tuple[tuple[str, ...], str]] = []
         for prefix, at in frontier:
-            for eid, src, _ in G.edges_into(at):
-                grown.append((prefix + (eid,), src))
+            grown.extend((prefix + (eid,), src) for eid, src, tgt in G.edges if tgt == at)
         frontier = grown
         paths.extend(p for p, _ in grown)
 

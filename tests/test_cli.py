@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slat
-from slat import cli
+from slat import cli, pathlat
 from slat.cli import main
 
 VEE_TEXT = "elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\n"
@@ -213,13 +213,29 @@ def test_cantor_fuzz_without_dashes_ends_in_an_exit_code_and_one_line(case):
     (["cantor", "--alphabet", "ab"], "the following arguments are required: expr"),
     (["cantor", "-|a"], "the following arguments are required: --alphabet"),
     (["cantor", "--alphabet", "ab", "--"], "the following arguments are required: expr"),
-    (["cantor", "--alphabet", "ab", "-a"], "the following arguments are required: expr"),
+    (["cantor", "--alphabet", "ab", "-a"],
+     "argument expr: '-a' reads as an option; an expression that starts with '-' goes after '--'"),
     (["graph", "g.txt", "--depth", "two"], "argument --depth: invalid int value: 'two'"),
     (["catalog", "--max-size", "3", "extra"], "unrecognized arguments: extra"),
     ([], "the following arguments are required: command"),
 ])
 def test_usage_errors_are_one_line(argv, message):
     assert outcome(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["--alphabet", "ab", "-a"], "-a"),
+    (["-ab", "--alphabet", "ab"], "-ab"),
+    (["--alphabet=ab", "-a|b", "--"], "-a|b"),
+])
+def test_cantor_names_an_expression_read_as_an_option(argv, word):
+    code, out, err = outcome(["cantor", *argv])
+    assert (code, out) == (2, "")
+    assert err == (f"error: argument expr: {word!r} reads as an option; "
+                   "an expression that starts with '-' goes after '--'\n")
+    # after '--' the word reaches the expression parser
+    code, out, err = outcome(["cantor", "--alphabet", "ab", "--", word])
+    assert (code, out) == (2, "") and err.startswith("error: ") and "option" not in err
 
 
 def test_unknown_command_is_one_line():
@@ -356,6 +372,30 @@ def test_cross_check_violation_exits_one(vee_file, two_loop_file, lose_a_tight_f
         err = capsys.readouterr().err
         assert err.startswith("violation: tight filters differ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_graph_criterion_cross_check_exits_one(two_loop_file, monkeypatch, capsys):
+    # depth 1 exceeds the root's distance 0, so the flipped criterion must
+    # disagree with the truncation's 0-disjunctivity
+    zero_disjunctive_graph = pathlat.zero_disjunctive_graph
+    monkeypatch.setattr(pathlat, "zero_disjunctive_graph", lambda G: not zero_disjunctive_graph(G))
+    assert main(["graph", two_loop_file, "--depth", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("violation: zero_disjunctive_graph=False but the depth-1 truncation "
+                   "has zero_disjunctive=True\n")
+
+
+def test_graph_criterion_is_not_checked_short_of_every_distance(tmp_path, capsys):
+    # s has in-degree one and sits at distance 1, t at distance 2: the
+    # depth-1 truncation never sees s's single in-edge, so the verdicts
+    # differ without a violation; from depth 2 on they agree
+    p = tmp_path / "tail.graph"
+    p.write_text("vertices: r s t\nroot: r\nedge a s r\nedge b s r\nedge c t s\n")
+    for depth, truncation in (("1", "true"), ("2", "false"), ("3", "false")):
+        assert main(["graph", str(p), "--depth", depth]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "zero_disjunctive_graph=false" in out
+        assert f"zero_disjunctive={truncation}" in out
 
 
 @pytest.mark.parametrize("fault, reason", [

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from conftest import idx, labels
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import (
     Semilattice,
+    _members,
     arrow,
     constrained_set,
     down,
@@ -243,3 +246,31 @@ def test_random_down_sets_give_semilattices(n, data):
 def test_to_text_round_trips_on_random_lattices(n, seed):
     S, = enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=1, seed=seed))
     assert parse_semilattice(S.to_text()) == S
+
+
+def test_members_matches_bit_scan():
+    rng = random.Random(11)
+    masks = [0, 1, 1 << 2047, (1 << 2048) - 1]
+    for width in (9, 64, 2048):
+        for k in (1, 7, 8, 9, 40):
+            if k <= width:  # the top bit set, so each mask is width bits long
+                masks += [1 << width - 1 | sum(1 << b for b in rng.sample(range(width - 1), k - 1))
+                          for _ in range(10)]
+    assert {m.bit_count() for m in masks} >= {0, 7, 8, 9, 2048}
+    for m in masks:
+        assert _members(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_derived_values_leave_equality_hash_and_repr_alone(vee):
+    fresh = Semilattice(vee.labels, vee.meet_table, vee.zero, vee.one)
+    twin = Semilattice(vee.labels, vee.meet_table, vee.zero, vee.one)
+    before = hash(twin)
+    assert twin.up_sets and twin.filter_generators
+    assert {"up_sets", "filter_generators"} <= vars(twin).keys()
+    assert not {"up_sets", "filter_generators"} & vars(fresh).keys()
+    assert twin == fresh and fresh == twin
+    assert hash(twin) == hash(fresh) == before
+    assert repr(twin) == repr(fresh)
+    assert {twin: "kept"}[fresh] == "kept"
+    assert "up_sets" not in {f.name for f in dataclasses.fields(Semilattice)}
+    assert "filter_generators" not in {f.name for f in dataclasses.fields(Semilattice)}

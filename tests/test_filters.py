@@ -12,10 +12,13 @@ enough to scan.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from conftest import idx
+import catalog_oracle
+import order_oracle
+from conftest import INSTANCE_SETS, idx, relabeled
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice, _below_orthogonal, _members, constrained_set
 from slat.errors import NotAFilterError, ZeroElementError
@@ -32,6 +35,7 @@ from slat.filters import (
     tight_violations,
 )
 from slat.pathlat import RootedGraph, truncate
+from slat.stone import filterspace_nbhd
 
 
 def subset_scan_filters(S: Semilattice) -> set[frozenset]:
@@ -119,6 +123,30 @@ def _scan_instances():
         ("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
     yield truncate(two_loop, 3)
     yield truncate(three_loop, 2)
+
+
+@pytest.mark.parametrize("instances", INSTANCE_SETS)
+def test_derived_values_and_listing_match_oracles(instances):
+    rng = random.Random(3)
+    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
+        assert S.up_sets == tuple(order_oracle.up(S, {e}) for e in S.elements())
+        listed = catalog_oracle.enumerate_filters(S)
+        assert [S.up_sets[g] for g in S.filter_generators] == [F.carrier for F in listed]
+        assert enumerate_filters(S) == listed
+        assert [principal_filter(S, g) for g in S.filter_generators] == listed
+
+
+def test_returned_lists_are_fresh(vee, chain4):
+    routes = [enumerate_filters, enumerate_ultrafilters, tight_filters,
+              lambda S: filterspace_nbhd(S, S.one, [])]
+    for S in (vee, chain4):
+        for route in routes:
+            first = route(S)
+            expected = list(first)
+            first.reverse()
+            first.append(first[0])
+            first[0] = None
+            assert route(S) == expected
 
 
 def test_is_filter_fixtures(vee):

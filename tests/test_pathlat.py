@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import pathlat_oracle
 from slat import pathlat
 from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
+from slat.classify import is_zero_disjunctive
 from slat.cli import main
 from slat.core import Semilattice, arrow, down, nonzero_pairs_below, star
 from slat.errors import (
@@ -30,7 +31,7 @@ from slat.pathlat import (
     covers_hat,
     level,
     parse_rooted_graph,
-    pseudofinite_graph,
+    root_distances,
     sibling_cover_witness,
     truncate,
     unreachable_vertices,
@@ -105,9 +106,8 @@ def test_rootedness(two_loop, single_edge):
 
 def test_graph_level_predicates(two_loop, single_edge):
     assert zero_disjunctive_graph(two_loop)  # in-degree 2 at the only vertex
-    assert not zero_disjunctive_graph(single_edge)  # s has in-degree 0
-    assert pseudofinite_graph(two_loop)
-    assert pseudofinite_graph(single_edge)
+    assert not zero_disjunctive_graph(single_edge)  # r has in-degree 1
+    assert not hasattr(pathlat, "pseudofinite_graph")  # it held on every finite graph
 
 
 def test_truncate_depth_validation(two_loop):
@@ -294,6 +294,52 @@ def rooted_graphs(draw) -> RootedGraph:
 @given(rooted_graphs())
 def test_to_text_round_trips_on_random_graphs(G):
     assert parse_rooted_graph(G.to_text()) == G
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_graphs())
+def test_root_distances_are_shortest_backward_paths(G):
+    dist = root_distances(G)
+    assert unreachable_vertices(G) == pathlat_oracle.unreachable_vertices(G)
+    assert sorted(dist) == sorted(set(G.vertices) - set(unreachable_vertices(G)))
+    assert dist[G.root] == 0
+    for _, src, tgt in G.edges:
+        if tgt in dist:  # an edge shortens no distance by more than one step
+            assert dist[src] <= dist[tgt] + 1
+    for v, d in dist.items():  # and each distance is met by some edge
+        assert v == G.root or any(d == dist.get(tgt, -2) + 1 for _, src, tgt in G.edges if src == v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_graphs(), st.integers(1, 4))
+def test_graph_criterion_matches_truncation_past_every_distance(G, extra):
+    # Once the depth exceeds every vertex's distance to the root, the
+    # in-degree criterion is the truncation's 0-disjunctivity.
+    assume(validate_rooted(G))
+    depth = max(root_distances(G).values()) + extra
+    assert zero_disjunctive_graph(G) == is_zero_disjunctive(truncate(G, depth))
+
+
+def test_unreachable_vertices_is_linear_in_the_edges():
+    # A chain of 3000 vertices into the root: the old search rescanned all
+    # edges per vertex, about nine million steps.  Count edge reads instead.
+    n = 3000
+    vertices = tuple(f"v{i}" for i in range(n))
+
+    class CountingEdges(tuple):
+        reads = 0
+
+        def __iter__(self):
+            for edge in tuple.__iter__(self):
+                CountingEdges.reads += 1
+                yield edge
+
+    edges = CountingEdges((f"e{i}", vertices[i + 1], vertices[i]) for i in range(n - 1))
+    G = RootedGraph(vertices, edges, "v0")
+    CountingEdges.reads = 0
+    assert unreachable_vertices(G) == []
+    assert root_distances(G)[vertices[-1]] == n - 1
+    assert CountingEdges.reads <= 2 * len(edges)
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ import catalog_oracle
 import stone_oracle
 import suite_oracle
 from slat import stone
-from conftest import idx
+from conftest import bench_truncations, catalog_instances, idx, random_instances
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.cli import main
 from slat.core import Semilattice
@@ -222,7 +222,10 @@ def test_representation_round_trip_everywhere():
 
 
 def test_is_representation_matches_pairwise_meets():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    instances = [*enumerate_catalog(CatalogSpec(max_size=6))]
+    instances += [S for n in (8, 9, 10)
+                  for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=2, seed=n))]
+    for S in instances:
         vectors = list(itertools.product((0, 1), repeat=len(S)))
         vectors += [(2,) * len(S), (0,) * (len(S) - 1), tuple(range(len(S)))]
         for vals in vectors:
@@ -265,14 +268,24 @@ def test_filterspace_nbhd(vee):
 
 
 def test_filterspace_nbhd_matches_filter_scan():
-    instances = [*enumerate_catalog(CatalogSpec(max_size=7)),
-                 *enumerate_catalog(CatalogSpec(max_size=10, mode="random", sample_count=4, seed=5))]
+    """Every family of at most two elements below e, on the catalog up to
+    seven elements and on random instances of sizes 8 to 12.  On the bench
+    truncations, where e can have hundreds of elements below it, the empty
+    family and eight seeded families of one or two, and past 64 elements
+    e is the top and 24 seeded others."""
+    instances = [*catalog_instances(),
+                 *enumerate_catalog(CatalogSpec(max_size=10, mode="random", sample_count=4, seed=5)),
+                 *random_instances(), *bench_truncations()]
     for S in instances:
-        for e in S.nonzero():
+        rng = random.Random(len(S))
+        tops = S.nonzero() if len(S) <= 64 else [S.one, *rng.sample(S.nonzero(), 24)]
+        for e in tops:
             below = [x for x in S.elements() if S.leq(x, e)]
-            for r in range(3):
-                for es in itertools.combinations(below, r):
-                    assert filterspace_nbhd(S, e, es) == catalog_oracle.filterspace_nbhd(S, e, es)
+            families = [es for r in range(3) for es in itertools.combinations(below, r)]
+            if len(families) > 80:
+                families = [(), *(rng.sample(below, 1 + i % 2) for i in range(8))]
+            for es in families:
+                assert filterspace_nbhd(S, e, es) == catalog_oracle.filterspace_nbhd(S, e, es)
 
 
 def test_point_index_rejects_non_points(vee):

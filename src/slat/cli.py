@@ -111,9 +111,10 @@ def cmd_cantor(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     G = pathlat.parse_rooted_graph(_read(args.file))
-    if not pathlat.validate_rooted(G):
+    dist = pathlat.root_distances(G)
+    if len(dist) < len(G.vertices):
         print("rooted=false")
-        print("unreachable: " + " ".join(pathlat.unreachable_vertices(G)))
+        print("unreachable: " + " ".join(v for v in G.vertices if v not in dist))
         return 2
     S = pathlat.truncate(G, args.depth)
     zd_graph = pathlat.zero_disjunctive_graph(G)
@@ -128,8 +129,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     # gives a path with a single lower cover, which no non-zero element
     # below that path avoids; otherwise every path with a child has two
     # children, which avoid each other, so the two verdicts must agree.
-    if (args.depth > max(pathlat.root_distances(G).values())
-            and report.zero_disjunctive != zd_graph):
+    if args.depth > max(dist.values()) and report.zero_disjunctive != zd_graph:
         raise TheoremViolationError(
             f"zero_disjunctive_graph={zd_graph} but the depth-{args.depth} truncation "
             f"has zero_disjunctive={report.zero_disjunctive}")
@@ -211,12 +211,18 @@ _DASH_THEN_WORD = re.compile(r"-\w")
 def _refusal(argv: list[str], exc: argparse.ArgumentError) -> str:
     """Why argparse refused the command line.  A cantor expression such as
     '-a' reads as an unknown option, so argparse only reports the
-    expression missing; then the reason names the word and where it goes."""
+    expression missing.  When the command line parses once its one
+    '-<word>' argument stands after '--', the reason names that word and
+    where it goes."""
     stray = [a for a in argv[1:] if _DASH_THEN_WORD.match(a)]
-    if argv[:1] == ["cantor"] and stray and str(exc).endswith("required: expr"):
-        return (f"argument expr: {stray[0]!r} reads as an option; "
-                "an expression that starts with '-' goes after '--'")
-    return str(exc)
+    if argv[:1] != ["cantor"] or len(stray) != 1:
+        return str(exc)
+    try:
+        _parser().parse_args([a for a in argv if a not in stray and a != "--"] + ["--", *stray])
+    except argparse.ArgumentError:
+        return str(exc)
+    return (f"argument expr: {stray[0]!r} reads as an option; "
+            "an expression that starts with '-' goes after '--'")
 
 
 @functools.cache

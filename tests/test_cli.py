@@ -218,6 +218,10 @@ def test_cantor_fuzz_without_dashes_ends_in_an_exit_code_and_one_line(case):
     (["graph", "g.txt", "--depth", "two"], "argument --depth: invalid int value: 'two'"),
     (["catalog", "--max-size", "3", "extra"], "unrecognized arguments: extra"),
     ([], "the following arguments are required: command"),
+    # a '-<word>' is named only when the line parses with it after '--'
+    (["cantor", "-a"], "the following arguments are required: --alphabet, expr"),
+    (["cantor", "--alphabet", "ab", "-a", "-b"], "the following arguments are required: expr"),
+    (["cantor", "--alphabet", "ab", "x", "-a"], "unrecognized arguments: -a"),
 ])
 def test_usage_errors_are_one_line(argv, message):
     assert outcome(argv) == (2, "", f"error: {message}\n")
@@ -339,6 +343,14 @@ def test_graph_single_edge(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "zero_disjunctive_graph=false" in out
     assert "zero_disjunctive=false" in out
+
+
+def test_graph_names_unreachable_vertices_in_declaration_order(tmp_path, capsys):
+    # w and u reach each other but not the root r
+    p = tmp_path / "unrooted.graph"
+    p.write_text("vertices: w r u s\nroot: r\nedge a s r\nedge b w u\nedge c u w\n")
+    assert main(["graph", str(p), "--depth", "2"]) == 2
+    assert capsys.readouterr() == ("rooted=false\nunreachable: w u\n", "")
 
 
 def test_graph_refuses_truncations_over_the_bound(two_loop_file, capsys):

@@ -1,22 +1,49 @@
 """Clopen subsets of the infinite-word space over a finite alphabet.
 
 A clopen set is a finite union of cylinders, one cylinder per finite
-word.  The canonical form is the reduced prefix antichain: no word is a
-proper prefix of another, no node keeps its complete family of children,
-and words are sorted shortlex in alphabet order.  The empty set of words
-is the bottom and the singleton {empty word} is the top.
+word.  Its canonical word form is the reduced prefix antichain: no word
+is a proper prefix of another, no node keeps its complete family of
+children, and words are sorted shortlex in alphabet order.  The empty
+set of words is the bottom and the singleton {empty word} is the top.
 
-One pass in symbol order computes that form (_reduce); the constructor
-accepts exactly its fixed points.  Every result is reduced once, by the
-constructor's check: meet and complement build the form themselves (the
-proofs are in their docstrings) and only sort their output, while join
-and normalize reduce raw words before the constructor re-checks them.
-complement descends the symbol tree with one Python frame per symbol, so
-a cylinder longer than the recursion limit raises RecursionError.
+A clopen is held as one node of a hash-consed trie, as in reduced
+ordered BDDs (Bryant, Graph-based algorithms for Boolean function
+manipulation, 1986).  The leaves OUT = 0 and IN = 1 cover nothing and
+everything; any other node is an int naming a tuple with one child per
+symbol, in alphabet order, that covers what the clopen covers inside the
+child's cylinder.  _mk is the only node constructor: it folds a node
+whose children are all the same leaf into that leaf and interns every
+other tuple.  That makes nodes canonical, by induction on height: an
+internal node covers neither everything nor nothing (its children would
+all be IN, or all OUT, by induction, and _mk folds those), and two
+internal nodes cover the same set iff their children do pairwise, iff
+their tuples are equal, iff they are the same int.  So equal clopens
+share a root, and equality, hashing and containment compare roots.  The
+words are the paths to IN leaves, read by one pre-order walk in symbol
+order and stably sorted by length: leaves form an antichain, and a
+complete family of IN siblings is a node _mk folded.
+
+The node table is process-wide and only grows: a node, once made, stays
+for the life of the process.  It holds one node per distinct sub-clopen
+ever built, so it grows with the variety of clopens a process meets, not
+with the number of operations on them.  meet, join and complement
+memoize the nodes they combine for one call only.
+
+Building a trie from words, meet and join walk with explicit stacks, so
+they have no depth limit.  complement alone recurses, one Python frame
+per level, so a clopen deeper than the recursion limit raises
+RecursionError (reported by the command line as one error line).  That
+limit is kept on purpose for now: the complement of a cylinder of n
+symbols has n words of up to n symbols, about 8 MB of output at 4000
+symbols over two letters, and the cantor-exprs benchmark declares
+RecursionError for its two cylinders past the limit because its
+word-by-word check of such outputs would double the process's peak
+memory.
 
 Alphabets are strings of distinct symbols.  A one-symbol alphabet is
-permitted but degenerate: the word space is a single point and the
-algebra collapses to {bottom, top}.
+permitted but degenerate: a node has one child, a leaf by induction,
+so _mk folds every trie to a leaf and the algebra collapses to {bottom,
+top}.
 """
 
 from __future__ import annotations
@@ -24,10 +51,27 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import methodcaller
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, ForeignSymbolError, ParseError
+
+OUT, IN = 0, 1
+# Children of each node by its int; the two leaves have none.
+_KIDS: list[tuple[int, ...] | None] = [None, None]
+_NODES: dict[tuple[int, ...], int] = {}
+
+
+def _mk(kids: tuple[int, ...]) -> int:
+    """The node with these children: a leaf if they are all that leaf,
+    else the one interned node with exactly these children."""
+    leaf = kids[0]
+    if leaf <= IN and kids.count(leaf) == len(kids):
+        return leaf
+    node = _NODES.get(kids)
+    if node is None:
+        node = _NODES[kids] = len(_KIDS)
+        _KIDS.append(kids)
+    return node
 
 
 def _check_alphabet(alphabet: str) -> None:
@@ -55,64 +99,119 @@ def _check_words(alphabet: str, words: Sequence[str]) -> None:
 
 
 @lru_cache(maxsize=16)
-def _ranks(alphabet: str) -> dict[int, int]:
-    """Translation of each symbol to the character of its rank, so that
-    string order on translated words is symbol order: a word sorts right
-    after its prefixes.  Within one length symbol order is shortlex order,
-    so a stable sort by length then gives shortlex order."""
-    return str.maketrans(alphabet, "".join(map(chr, range(len(alphabet)))))
+def _ranks(alphabet: str) -> dict[str, int]:
+    return {s: i for i, s in enumerate(alphabet)}
 
 
-def _reduce(alphabet: str, words: Iterable[str]) -> tuple[str, ...]:
-    """The reduced prefix antichain covering the same points, shortlex sorted.
+def _build(alphabet: str, words: Sequence[str]) -> int:
+    """The root of the trie covering the cylinders of `words`.
 
-    One pass over the distinct words in symbol order, the only sort.  A
-    word extending the last kept word is absorbed by it; any other word is
-    kept, and when it is the last member of a complete sibling family the
-    family folds into its parent, repeatedly while that completes a family
-    in turn.  The parent sorts right before its children and after every
-    earlier kept word, so kept stays in symbol order and one stable sort by
-    length makes it shortlex.
+    A single word is a chain of nodes, made from its last symbol up.  More
+    words go into a mutable trie of lists, in any order and with repeats:
+    a word stops at a leaf IN on its path, which already covers it, and
+    otherwise ends in a leaf IN that absorbs whatever lay below it.  The
+    lists are then folded into nodes bottom-up.  Both passes are
+    iterative.
     """
-    last, k = alphabet[-1], len(alphabet)
-    kept: list[str] = []
-    for w in sorted(set(words), key=methodcaller("translate", _ranks(alphabet))):
-        if kept and w.startswith(kept[-1]):
-            continue
-        kept.append(w)
-        # w ends its parent's family, and a complete family is the last k
-        # kept words: whatever is kept between two siblings extends one.
-        while w and w[-1] == last and kept[-k:] == [w[:-1] + s for s in alphabet]:
-            w = w[:-1]
-            kept[-k:] = [w]
-    kept.sort(key=len)
-    return tuple(kept)
+    k, rank = len(alphabet), _ranks(alphabet)
+    if len(words) == 1:
+        node = IN
+        for s in reversed(words[0]):
+            kids = [OUT] * k
+            kids[rank[s]] = node
+            node = _mk(tuple(kids))
+        return node
+    holder: list = [OUT]  # the slot of the root
+    for word in words:
+        parent, i = holder, 0
+        for s in word:
+            node = parent[i]
+            if node == IN:
+                break
+            if node == OUT:
+                node = parent[i] = [OUT] * k
+            parent, i = node, rank[s]
+        else:
+            parent[i] = IN
+    stack = [(holder, 0, False)] if holder[0].__class__ is list else []
+    while stack:
+        parent, i, folded_below = stack.pop()
+        node = parent[i]
+        if folded_below:
+            parent[i] = _mk(tuple(node))
+        else:
+            stack.append((parent, i, True))
+            stack.extend((node, j, False) for j, kid in enumerate(node) if kid.__class__ is list)
+    return holder[0]
 
 
-@dataclass(frozen=True)
+def _words_of(alphabet: str, root: int) -> tuple[str, ...]:
+    """The words of a trie, shortlex sorted: the paths to its IN leaves in
+    pre-order, which is symbol order, then a stable sort by length."""
+    out = []
+    stack = [(root, "")]
+    last = len(alphabet) - 1
+    while stack:
+        node, prefix = stack.pop()
+        if node == IN:
+            out.append(prefix)
+        elif node != OUT:
+            kids = _KIDS[node]
+            stack.extend((kids[i], prefix + alphabet[i]) for i in range(last, -1, -1) if kids[i] != OUT)
+    out.sort(key=len)
+    return tuple(out)
+
+
 class PrefixClopen:
-    """A clopen set in reduced prefix antichain form.
+    """A clopen set: the root of its trie over an alphabet.
 
-    Construct through normalize, top, bottom or the operations.  Direct
-    construction accepts exactly the fixed points of normalization: words
-    that _reduce returns unchanged.
+    Equality and hashing use (alphabet, root); `words`, the reduced prefix
+    antichain, is derived on first use.  Construct through normalize, top,
+    bottom or the operations.  Direct construction from words accepts
+    exactly the normal form: the words of the trie they build.
     """
 
-    alphabet: str
-    words: tuple[str, ...]
+    __slots__ = ("alphabet", "root", "_words")
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        _check_words(self.alphabet, self.words)
-        if _reduce(self.alphabet, self.words) != tuple(self.words):
+    def __init__(self, alphabet: str, words: Sequence[str]) -> None:
+        _check_alphabet(alphabet)
+        words = tuple(words)
+        _check_words(alphabet, words)
+        root = _build(alphabet, words)
+        if _words_of(alphabet, root) != words:
             raise ValueError(
                 "words are not a shortlex-sorted prefix antichain without complete sibling families")
+        self.alphabet, self.root, self._words = alphabet, root, words
+
+    @classmethod
+    def _of(cls, alphabet: str, root: int) -> "PrefixClopen":
+        """The clopen of a trie root, unchecked: roots are canonical."""
+        P = object.__new__(cls)
+        P.alphabet, P.root, P._words = alphabet, root, None
+        return P
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        if self._words is None:
+            self._words = _words_of(self.alphabet, self.root)
+        return self._words
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixClopen):
+            return NotImplemented
+        return self.root == other.root and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.root))
+
+    def __repr__(self) -> str:
+        return f"PrefixClopen(alphabet={self.alphabet!r}, words={self.words!r})"
 
     def is_bottom(self) -> bool:
-        return not self.words
+        return self.root == OUT
 
     def is_top(self) -> bool:
-        return self.words == ("",)
+        return self.root == IN
 
     def __and__(self, other: "PrefixClopen") -> "PrefixClopen":
         return meet(self, other)
@@ -134,25 +233,25 @@ class PrefixClopen:
 
 def bottom(alphabet: str) -> PrefixClopen:
     _check_alphabet(alphabet)
-    return PrefixClopen(alphabet, ())
+    return PrefixClopen._of(alphabet, OUT)
 
 
 def top(alphabet: str) -> PrefixClopen:
     _check_alphabet(alphabet)
-    return PrefixClopen(alphabet, ("",))
+    return PrefixClopen._of(alphabet, IN)
 
 
 def normalize(alphabet: str, words: Iterable[str]) -> PrefixClopen:
-    """Canonical reduced prefix antichain for a set of cylinder words.
+    """The clopen covered by the cylinders of a set of words.
 
-    Words with a proper prefix present are absorbed, complete sibling
-    families fold into their parent, and the result is sorted shortlex,
-    all in one pass (_reduce).  This preserves the covered point set.
+    Any order and repeats are allowed; a word with a proper prefix present
+    is absorbed and complete sibling families fold into their parent, so
+    the result's words are the canonical reduced prefix antichain.
     """
     _check_alphabet(alphabet)
     words = list(words)
     _check_words(alphabet, words)
-    return PrefixClopen(alphabet, _reduce(alphabet, words))
+    return PrefixClopen._of(alphabet, _build(alphabet, words))
 
 
 def _same_alphabet(P: PrefixClopen, Q: PrefixClopen) -> None:
@@ -160,81 +259,83 @@ def _same_alphabet(P: PrefixClopen, Q: PrefixClopen) -> None:
         raise AlphabetMismatchError(f"{P.alphabet!r} vs {Q.alphabet!r}")
 
 
-def join(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
-    """Union of the covered point sets.
+def _walk(x: int, y: int, zero: int, one: int) -> int:
+    """The meet (zero=OUT, one=IN) or join (zero=IN, one=OUT) of two nodes.
 
-    The words of P and Q are already checked, so they go straight to
-    _reduce; the constructor checks the result.
+    zero absorbs, one is the unit, and equal nodes give themselves;
+    otherwise the children combine pairwise.  Pairs wait on an explicit
+    stack until their children's pairs are done, and each pair is
+    combined once per call.
     """
+    if x == zero or y == zero:
+        return zero
+    if x == one or x == y:
+        return y
+    if y == one:
+        return x
+    done: dict[tuple[int, int], int] = {}
+    stack = [(x, y)]
+    while stack:
+        pair = stack[-1]
+        if pair in done:
+            stack.pop()
+            continue
+        kids = []
+        waiting = False
+        for c, d in zip(_KIDS[pair[0]], _KIDS[pair[1]]):
+            if c == zero or d == zero:
+                kids.append(zero)
+            elif c == one or c == d:
+                kids.append(d)
+            elif d == one:
+                kids.append(c)
+            else:
+                node = done.get((c, d))
+                if node is None:
+                    stack.append((c, d))
+                    waiting = True
+                kids.append(node)
+        if not waiting:
+            done[pair] = _mk(tuple(kids))
+            stack.pop()
+    return done[(x, y)]
+
+
+def join(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
+    """Union of the covered point sets."""
     _same_alphabet(P, Q)
-    return PrefixClopen(P.alphabet, _reduce(P.alphabet, P.words + Q.words))
+    return PrefixClopen._of(P.alphabet, _walk(P.root, Q.root, IN, OUT))
 
 
 def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
-    """Intersection: of each comparable word pair the longer one survives.
-
-    P and Q are reduced, so the survivors already are and only need
-    sorting.  A survivor w has exactly one prefix in P and one in Q, and
-    comes from that pair alone, so no word repeats.  If w1 were a proper
-    prefix of w2, w1's pair would also be w2's, so w1 = w2.  If every
-    child p+s of p survived: when the prefix in P of some p+s is no longer
-    than p, it is the prefix in P of every p+t, so every p+t is a word of
-    Q; likewise with P and Q swapped; otherwise every p+t is a word of
-    both.  Either way P or Q keeps a complete sibling family, which a
-    reduced form does not.
-    """
+    """Intersection of the covered point sets."""
     _same_alphabet(P, Q)
-    out = []
-    for u in P.words:
-        for v in Q.words:
-            if u.startswith(v):
-                out.append(u)
-            elif v.startswith(u):
-                out.append(v)
-    out.sort(key=methodcaller("translate", _ranks(P.alphabet)))
-    out.sort(key=len)
-    return PrefixClopen(P.alphabet, tuple(out))
+    return PrefixClopen._of(P.alphabet, _walk(P.root, Q.root, OUT, IN))
 
 
 def complement(P: PrefixClopen) -> PrefixClopen:
-    """Set complement inside the whole word space.
+    """Set complement inside the whole word space: the trie with its leaves
+    swapped, by a recursive descent of one frame per level."""
+    flipped: dict[int, int] = {}
 
-    Recursive descent over the symbol tree, one frame per symbol: the
-    words of P through a node at depth d are split by their symbol at d.
-    A node that is itself a word of P emits nothing, a child no word
-    passes through emits itself, and every other child is descended.
+    def flip(node: int) -> int:
+        if node <= IN:
+            return IN - node
+        out = flipped.get(node)
+        if out is None:
+            kids = []
+            for kid in _KIDS[node]:
+                kids.append(flip(kid))
+            out = flipped[node] = _mk(tuple(kids))
+        return out
 
-    The output is already reduced and in symbol order, so it is only
-    sorted by length.  Emitted nodes are leaves of the tree of descended
-    nodes, so none repeats and none is a prefix of another.  A descended
-    node has a word of P through one of its children, and that child is
-    descended, not emitted, so no complete sibling family is emitted.
-    Children are visited in alphabet order, and whatever is emitted below
-    one child precedes its later siblings in symbol order.
-    """
-    out = [] if P.words else [""]
-
-    def walk(words: Sequence[str], d: int) -> None:
-        if len(words[0]) == d:  # an antichain holds no other word through it
-            return
-        below: dict[str, list[str]] = {s: [] for s in P.alphabet}
-        for w in words:
-            below[w[d]].append(w)
-        for s, through in below.items():
-            if through:
-                walk(through, d + 1)
-            else:
-                out.append(words[0][:d] + s)
-
-    if P.words:
-        walk(P.words, 0)
-    out.sort(key=len)
-    return PrefixClopen(P.alphabet, tuple(out))
+    return PrefixClopen._of(P.alphabet, flip(P.root))
 
 
 def leq(P: PrefixClopen, Q: PrefixClopen) -> bool:
-    """Containment of covered point sets."""
-    return meet(P, Q) == P
+    """Containment of covered point sets: P is its own meet with Q."""
+    _same_alphabet(P, Q)
+    return _walk(P.root, Q.root, OUT, IN) == P.root
 
 
 def kappa_word(alphabet: str, word: str) -> PrefixClopen:

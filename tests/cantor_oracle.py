@@ -4,18 +4,21 @@ A clopen is modelled by the set of length-L words it covers, for L at
 least the longest word involved.  Everything here is computed from raw
 string operations so it shares no code with the library.
 
-The normal form is also kept here the way the library first computed it:
-two-phase normalization (prefix absorption, then repeated sibling
-collapse), the four-rule validator (duplicates, prefixes, sibling
-families, shortlex order) and the complement that rescans every prefix
-at every node.  The tests hold the one-pass routines to them, and the
-expression tokenizer's pattern to the character scan it replaced.
+The word-list routes the library has used are also kept here: two-phase
+normalization (prefix absorption, then repeated sibling collapse), the
+four-rule validator (duplicates, prefixes, sibling families, shortlex
+order) and the complement that rescans every prefix at every node, which
+the library first used; then the one-pass reduction, the pair-scan meet
+and the word-descent complement, which the trie replaced.  The tests
+hold the trie's words to all of them, and the expression tokenizer's
+pattern to the character scan it replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import methodcaller
 
 from slat.cantor import PrefixClopen, eval_expr
 
@@ -77,6 +80,86 @@ def complement_by_prefix_scan(P: PrefixClopen) -> tuple[str, ...]:
         return out
 
     return normalize_two_phase(P.alphabet, walk(""))
+
+
+def _symbol_order(alphabet: str) -> methodcaller:
+    """A sort key under which string order is symbol order: each symbol is
+    translated to the character of its rank, so a word sorts right after
+    its prefixes and, within one length, in shortlex order."""
+    return methodcaller("translate", str.maketrans(alphabet, "".join(map(chr, range(len(alphabet))))))
+
+
+def reduce_one_pass(alphabet: str, words) -> tuple[str, ...]:
+    """The reduced prefix antichain covering the same points, shortlex sorted.
+
+    One pass over the distinct words in symbol order.  A word extending
+    the last kept word is absorbed by it; any other word is kept, and when
+    it is the last member of a complete sibling family the family folds
+    into its parent, repeatedly while that completes a family in turn.
+    The parent sorts right before its children and after every earlier
+    kept word, so kept stays in symbol order and one stable sort by length
+    makes it shortlex.
+    """
+    last, k = alphabet[-1], len(alphabet)
+    kept: list[str] = []
+    for w in sorted(set(words), key=_symbol_order(alphabet)):
+        if kept and w.startswith(kept[-1]):
+            continue
+        kept.append(w)
+        # w ends its parent's family, and a complete family is the last k
+        # kept words: whatever is kept between two siblings extends one.
+        while w and w[-1] == last and kept[-k:] == [w[:-1] + s for s in alphabet]:
+            w = w[:-1]
+            kept[-k:] = [w]
+    kept.sort(key=len)
+    return tuple(kept)
+
+
+def meet_by_pair_scan(alphabet: str, p_words, q_words) -> tuple[str, ...]:
+    """Of each comparable pair of a word of P and a word of Q the longer
+    one, sorted shortlex.  For reduced P and Q that is the reduced meet: a
+    survivor comes from its one prefix in P and its one prefix in Q, so
+    none repeats or extends another, and a complete family of survivors
+    would leave a complete family in P or in Q."""
+    out = []
+    for u in p_words:
+        for v in q_words:
+            if u.startswith(v):
+                out.append(u)
+            elif v.startswith(u):
+                out.append(v)
+    out.sort(key=_symbol_order(alphabet))
+    out.sort(key=len)
+    return tuple(out)
+
+
+def complement_by_word_descent(alphabet: str, words) -> tuple[str, ...]:
+    """The reduced complement of reduced words, shortlex sorted.
+
+    Descends the symbol tree, splitting the words through a node at depth
+    d by their symbol at d: a node that is itself a word emits nothing, a
+    child no word passes through emits itself, and every other child is
+    descended.  Children are visited in alphabet order, so the output is
+    in symbol order and only needs a stable sort by length.
+    """
+    out = [] if words else [""]
+
+    def walk(through_node, d: int) -> None:
+        if len(through_node[0]) == d:  # an antichain holds no other word through it
+            return
+        below: dict[str, list[str]] = {s: [] for s in alphabet}
+        for w in through_node:
+            below[w[d]].append(w)
+        for s, through in below.items():
+            if through:
+                walk(through, d + 1)
+            else:
+                out.append(through_node[0][:d] + s)
+
+    if words:
+        walk(list(words), 0)
+    out.sort(key=len)
+    return tuple(out)
 
 
 def tokenize_by_scan(text: str) -> list[str]:

@@ -289,28 +289,49 @@ def test_boolean_laws_over_more_alphabets(alphabet, data):
     check_boolean_laws(alphabet, *(data.draw(words) for _ in range(3)))
 
 
-def test_one_reduction_per_result(monkeypatch):
-    # The constructor's check is the one reduction of a meet or complement;
-    # join and normalize reduce raw words once before it.
-    calls = []
-    reduce = cantor._reduce
-    monkeypatch.setattr(cantor, "_reduce", lambda a, ws: calls.append(a) or reduce(a, ws))
+def test_equal_clopens_share_a_root():
+    rng = random.Random(12)
+    for _ in range(200):
+        alphabet = rng.choice(("ab", "abc", "ba"))
+        P = eval_expr(alphabet, random_expr(rng, alphabet, 4).text())
+        Q = eval_expr(alphabet, random_expr(rng, alphabet, 4).text())
+        assert (~~P).root == P.root
+        assert (P | Q).root == (Q | P).root
+        assert (P & Q).root == (Q & P).root
+        assert (~(P & Q)).root == (~P | ~Q).root
+        assert normalize(alphabet, P.words).root == P.root
+    assert normalize(AB, ["a", "b"]).root == top(AB).root
+    assert normalize(AB, []).root == bottom(AB).root
 
-    def reductions(op, *args) -> int:
-        calls.clear()
-        op(*args)
-        return len(calls)
 
-    for alphabet, ws1, ws2 in (("ab", ["aa", "b"], ["a"]), ("abc", ["ab", "c"], ["a", "cb"]),
-                               ("ba", [], ["b"]), ("a", ["aa"], [])):
-        P, Q = normalize(alphabet, ws1), normalize(alphabet, ws2)
-        assert reductions(meet, P, Q) == 1
-        assert reductions(complement, P) == 1
-        assert reductions(join, P, Q) == 2
-        assert reductions(normalize, alphabet, ws1) == 2
-        assert reductions(kappa_word, alphabet, alphabet * 2) == 2
-    # two cylinders, their meet, its complement, a third cylinder, the join
-    assert reductions(eval_expr, AB, "!(a & ab) | b") == 2 + 2 + 1 + 1 + 2 + 2
+def test_interned_nodes_are_reduced_and_unique():
+    rng = random.Random(13)
+    for _ in range(300):
+        alphabet = rng.choice(("ab", "abc", "abcd"))
+        eval_expr(alphabet, random_expr(rng, alphabet, 5).text())
+    nodes = cantor._KIDS[2:]
+    assert all(set(kids) not in ({cantor.OUT}, {cantor.IN}) for kids in nodes)
+    assert len(set(nodes)) == len(nodes)
+    assert all(cantor._KIDS[node] == kids for kids, node in cantor._NODES.items())
+
+
+def test_second_evaluation_adds_no_nodes():
+    rng = random.Random(14)
+    exprs = [(a, random_expr(rng, a, 6).text()) for a in ("ab", "abc", "abcd") * 100]
+    first = [eval_expr(a, text) for a, text in exprs]
+    size = len(cantor._KIDS)
+    assert [eval_expr(a, text) for a, text in exprs] == first
+    assert len(cantor._KIDS) == size
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_over("a"), words_over("a"))
+def test_one_symbol_alphabets_collapse_to_the_bounds(ws1, ws2):
+    P, Q = normalize("a", ws1), normalize("a", ws2)
+    assert P == (top("a") if ws1 else bottom("a"))
+    for R in (P & Q, P | Q, ~P):
+        assert R.root in (cantor.OUT, cantor.IN)
+        assert R.words in ((), ("",))
 
 
 # Every whitespace character Python knows, the specials, and two

@@ -1,6 +1,7 @@
-"""The one-pass normal form and the index-descent complement against the
-routines they replaced (kept in cantor_oracle): two-phase normalization,
-the four-rule validator and the prefix-rescanning complement."""
+"""The words of the trie against the word-list routes it replaced (kept
+in cantor_oracle): two-phase normalization and the one-pass reduction,
+the four-rule validator, the pair-scan meet, and the prefix-rescanning
+and word-descent complements."""
 
 from __future__ import annotations
 
@@ -10,8 +11,15 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_oracle import complement_by_prefix_scan, four_rule_violation, normalize_two_phase
-from slat.cantor import PrefixClopen, complement, kappa_word, normalize
+from cantor_oracle import (
+    complement_by_prefix_scan,
+    complement_by_word_descent,
+    four_rule_violation,
+    meet_by_pair_scan,
+    normalize_two_phase,
+    reduce_one_pass,
+)
+from slat.cantor import PrefixClopen, complement, join, kappa_word, meet, normalize
 
 # Alphabets of 1-4 symbols in any order, so that symbol order is not
 # always code point order.
@@ -38,6 +46,37 @@ def candidates(alphabet: str, words: list[str]) -> list[tuple[str, ...]]:
     return [tuple(words), nf, nf[::-1], nf + nf[:1], nf[1:] + nf[:1]]
 
 
+def check_operations_match_word_oracles(alphabet: str, ws1: list[str], ws2: list[str]) -> None:
+    P, Q = normalize(alphabet, ws1), normalize(alphabet, ws2)
+    assert P.words == reduce_one_pass(alphabet, ws1)
+    assert meet(P, Q).words == meet_by_pair_scan(alphabet, P.words, Q.words)
+    assert join(P, Q).words == reduce_one_pass(alphabet, P.words + Q.words)
+    assert complement(P).words == complement_by_word_descent(alphabet, P.words)
+
+
+def seeded_sweep():
+    """2000 seeded word lists, over alphabets of 1-4 symbols in any order."""
+    rng = random.Random(6)
+    for _ in range(2000):
+        alphabet = "".join(rng.sample("abcd", rng.randint(1, 4)))
+        yield alphabet, ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+                         for _ in range(rng.randint(0, 8))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(alphabets.flatmap(lambda a: st.tuples(st.just(a), word_lists(a), word_lists(a))))
+def test_operations_match_word_oracles(case):
+    check_operations_match_word_oracles(*case)
+
+
+def test_seeded_sweep_operations_match_word_oracles():
+    sweep = list(seeded_sweep())
+    for (alphabet, ws1), (_, ws2) in zip(sweep, sweep[1:]):
+        # the next list, its symbols mapped onto this alphabet
+        onto = str.maketrans("abcd", (alphabet * 4)[:4])
+        check_operations_match_word_oracles(alphabet, ws1, [w.translate(onto) for w in ws2])
+
+
 @settings(max_examples=400, deadline=None)
 @given(alphabets.flatmap(lambda a: st.tuples(st.just(a), word_lists(a))))
 def test_normal_form_matches_two_phase(case):
@@ -62,12 +101,8 @@ def test_complement_matches_prefix_scan(case):
 
 
 def test_seeded_sweep_gives_both_verdicts():
-    rng = random.Random(6)
     verdicts = {True: 0, False: 0}
-    for _ in range(2000):
-        alphabet = "".join(rng.sample("abcd", rng.randint(1, 4)))
-        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
-                 for _ in range(rng.randint(0, 8))]
+    for alphabet, words in seeded_sweep():
         assert normalize(alphabet, words).words == normalize_two_phase(alphabet, words)
         for c in candidates(alphabet, words):
             ok = accepts(alphabet, c)

@@ -172,6 +172,14 @@ def test_cantor_recursion_ends_in_one_error_line(expr):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_cantor_deep_join_answers():
+    # join and the trie builder keep explicit stacks, so words twice the
+    # recursion limit deep join to their common prefix
+    prefix = ("ab" * 1000)[:1999]
+    proc = run_slat("cantor", "--alphabet", "ab", f"{prefix}a | {prefix}b")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, prefix + "\n", "")
+
+
 # An alphabet, then text over its symbols, the operators, both bound
 # spellings and whitespace.
 cantor_fuzz_cases = st.sampled_from(("ab", "ba", "abc")).flatmap(lambda a: st.tuples(

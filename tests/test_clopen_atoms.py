@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stone_oracle as oracle
+from conftest import relabeled
 from slat import stone
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.cli import main
@@ -101,11 +102,12 @@ def test_atom_criterion_sees_both_verdicts():
 
 @pytest.mark.parametrize("S", list(_instances()), ids=lambda S: f"n{len(S)}")
 def test_clopen_algebra_and_density_match_the_scans(S):
-    space = stone.build_space(S)
-    algebra = stone.clopen_algebra(space)
-    assert algebra.elements == oracle.clopen_elements(space)
-    assert list(algebra.atoms) == oracle.minimal_members(algebra.elements)
-    assert stone.dense_check(space) == oracle.dense_check(space)
+    for T in (S, relabeled(S, random.Random(len(S)))):
+        space = stone.build_space(T)
+        algebra = stone.clopen_algebra(space)
+        assert algebra.elements == oracle.clopen_elements(space)
+        assert list(algebra.atoms) == oracle.minimal_members(algebra.elements)
+        assert stone.dense_check(space) == oracle.dense_check(space)
 
 
 def test_density_fails_at_an_atom_without_a_base_set(vee):

@@ -115,14 +115,17 @@ def _avoiding_cover(S: Semilattice, carrier: frozenset, target: frozenset) -> bo
 
 
 def _scan_instances():
-    yield from enumerate_catalog(CatalogSpec(max_size=7))
-    yield from enumerate_catalog(
-        CatalogSpec(max_size=9, mode="random", sample_count=30, seed=2))
+    """Catalog up to 7, 30 random instances up to 9 and two truncations,
+    each also under a seeded relabeling."""
     two_loop = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
     three_loop = RootedGraph(
         ("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
-    yield truncate(two_loop, 3)
-    yield truncate(three_loop, 2)
+    rng = random.Random(2)
+    for S in (*enumerate_catalog(CatalogSpec(max_size=7)),
+              *enumerate_catalog(CatalogSpec(max_size=9, mode="random", sample_count=30, seed=2)),
+              truncate(two_loop, 3), truncate(three_loop, 2)):
+        yield S
+        yield relabeled(S, rng)
 
 
 @pytest.mark.parametrize("instances", INSTANCE_SETS)
@@ -134,6 +137,15 @@ def test_derived_values_and_listing_match_oracles(instances):
         assert [S.up_sets[g] for g in S.filter_generators] == [F.carrier for F in listed]
         assert enumerate_filters(S) == listed
         assert [principal_filter(S, g) for g in S.filter_generators] == listed
+
+
+@pytest.mark.parametrize("instances", INSTANCE_SETS)
+def test_ultrafilter_and_tight_listings_match_oracles(instances):
+    rng = random.Random(4)
+    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
+        listed = catalog_oracle.enumerate_filters(S)
+        assert enumerate_ultrafilters(S) == [F for F in listed if order_oracle.is_ultrafilter(S, F.carrier)]
+        assert tight_filters(S) == [F for F in listed if not pivot_violations(S, F)]
 
 
 def test_returned_lists_are_fresh(vee, chain4):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import order_oracle as oracle
+from conftest import relabeled
 from slat import classify, core, filters, pathlat, stone
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
@@ -159,12 +160,13 @@ def test_filter_and_classification_checks_match_scans(S):
 
 @pytest.mark.parametrize("S", INSTANCES[:len(SMALL_CATALOG) + 10], ids=lambda S: f"n{len(S)}")
 def test_opens_match_all_unions_of_base_sets(S):
-    space = stone.build_space(S)
-    distinct = sorted(set(space.base), key=lambda ps: (len(ps), tuple(sorted(ps))))
-    unions = {frozenset().union(*combo)
-              for r in range(len(distinct) + 1)
-              for combo in itertools.combinations(distinct, r)}
-    assert stone.opens(space) == sorted(unions, key=lambda ps: (len(ps), tuple(sorted(ps))))
+    for T in (S, relabeled(S, random.Random(len(S)))):
+        space = stone.build_space(T)
+        distinct = sorted(set(space.base), key=lambda ps: (len(ps), tuple(sorted(ps))))
+        unions = {frozenset().union(*combo)
+                  for r in range(len(distinct) + 1)
+                  for combo in itertools.combinations(distinct, r)}
+        assert stone.opens(space) == sorted(unions, key=lambda ps: (len(ps), tuple(sorted(ps))))
 
 
 def test_depth_nine_truncation_validates():

@@ -9,10 +9,11 @@ import re
 import pytest
 
 import catalog_oracle
+import order_oracle
 import stone_oracle
 import suite_oracle
 from slat import stone
-from conftest import bench_truncations, catalog_instances, idx, random_instances
+from conftest import INSTANCE_SETS, bench_truncations, catalog_instances, idx, random_instances, relabeled
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.cli import main
 from slat.core import Semilattice
@@ -90,6 +91,17 @@ def test_base_respects_meet_everywhere():
     # build_space holds the base-set laws by construction; the oracle re-checks them
     for S in _base_law_instances():
         assert stone_oracle.base_law_violation(build_space(S)) is None, S.to_text()
+
+
+@pytest.mark.parametrize("instances", INSTANCE_SETS)
+def test_build_space_points_match_ultrafilter_oracle(instances):
+    rng = random.Random(5)
+    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
+        space = build_space(S)
+        ultras = [F for F in catalog_oracle.enumerate_filters(S) if order_oracle.is_ultrafilter(S, F.carrier)]
+        assert list(space.points) == ultras
+        assert space.base == tuple(frozenset(i for i, U in enumerate(ultras) if e in U.carrier)
+                                   for e in S.elements())
 
 
 def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):

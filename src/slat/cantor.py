@@ -29,8 +29,9 @@ ever built, so it grows with the variety of clopens a process meets, not
 with the number of operations on them.  meet, join and complement
 memoize the nodes they combine for one call only.
 
-Building a trie from words, meet and join walk with explicit stacks, so
-they have no depth limit.  complement alone recurses, one Python frame
+meet and join walk with an explicit stack, and a trie is built from
+words as one chain per word joined by that walk, so none of them has a
+depth limit.  complement alone recurses, one Python frame
 per level, so a clopen deeper than the recursion limit raises
 RecursionError (reported by the command line as one error line).  That
 limit is kept on purpose for now: the complement of a cylinder of n
@@ -104,45 +105,21 @@ def _ranks(alphabet: str) -> dict[str, int]:
 
 
 def _build(alphabet: str, words: Sequence[str]) -> int:
-    """The root of the trie covering the cylinders of `words`.
-
-    A single word is a chain of nodes, made from its last symbol up.  More
-    words go into a mutable trie of lists, in any order and with repeats:
-    a word stops at a leaf IN on its path, which already covers it, and
-    otherwise ends in a leaf IN that absorbs whatever lay below it.  The
-    lists are then folded into nodes bottom-up.  Both passes are
-    iterative.
-    """
+    """The root of the trie covering the cylinders of `words`, in any order
+    and with repeats: each word is a chain of nodes made from its last
+    symbol up, and the chains are joined one by one.  A join with a chain
+    descends only along the chain's path, so the whole build is linear in
+    the total length of the words and, like _walk, iterative."""
     k, rank = len(alphabet), _ranks(alphabet)
-    if len(words) == 1:
+    root = OUT
+    for word in words:
         node = IN
-        for s in reversed(words[0]):
+        for s in reversed(word):
             kids = [OUT] * k
             kids[rank[s]] = node
             node = _mk(tuple(kids))
-        return node
-    holder: list = [OUT]  # the slot of the root
-    for word in words:
-        parent, i = holder, 0
-        for s in word:
-            node = parent[i]
-            if node == IN:
-                break
-            if node == OUT:
-                node = parent[i] = [OUT] * k
-            parent, i = node, rank[s]
-        else:
-            parent[i] = IN
-    stack = [(holder, 0, False)] if holder[0].__class__ is list else []
-    while stack:
-        parent, i, folded_below = stack.pop()
-        node = parent[i]
-        if folded_below:
-            parent[i] = _mk(tuple(node))
-        else:
-            stack.append((parent, i, True))
-            stack.extend((node, j, False) for j, kid in enumerate(node) if kid.__class__ is list)
-    return holder[0]
+        root = _walk(root, node, IN, OUT)
+    return root
 
 
 def _words_of(alphabet: str, root: int) -> tuple[str, ...]:
@@ -162,13 +139,17 @@ def _words_of(alphabet: str, root: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+_set = object.__setattr__
+
+
 class PrefixClopen:
     """A clopen set: the root of its trie over an alphabet.
 
     Equality and hashing use (alphabet, root); `words`, the reduced prefix
     antichain, is derived on first use.  Construct through normalize, top,
     bottom or the operations.  Direct construction from words accepts
-    exactly the normal form: the words of the trie they build.
+    exactly the normal form: the words of the trie they build.  Instances
+    are immutable; only the lazy `words` fills in its own slot.
     """
 
     __slots__ = ("alphabet", "root", "_words")
@@ -181,19 +162,34 @@ class PrefixClopen:
         if _words_of(alphabet, root) != words:
             raise ValueError(
                 "words are not a shortlex-sorted prefix antichain without complete sibling families")
-        self.alphabet, self.root, self._words = alphabet, root, words
+        _set(self, "alphabet", alphabet)
+        _set(self, "root", root)
+        _set(self, "_words", words)
 
     @classmethod
     def _of(cls, alphabet: str, root: int) -> "PrefixClopen":
         """The clopen of a trie root, unchecked: roots are canonical."""
         P = object.__new__(cls)
-        P.alphabet, P.root, P._words = alphabet, root, None
+        _set(P, "alphabet", alphabet)
+        _set(P, "root", root)
+        _set(P, "_words", None)
         return P
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PrefixClopen is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PrefixClopen is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Roots name nodes of this process's table, so copies rebuild from words.
+        return PrefixClopen, (self.alphabet, self.words)
 
     @property
     def words(self) -> tuple[str, ...]:
+        """The reduced prefix antichain, read off the trie on first use."""
         if self._words is None:
-            self._words = _words_of(self.alphabet, self.root)
+            _set(self, "_words", _words_of(self.alphabet, self.root))
         return self._words
 
     def __eq__(self, other: object) -> bool:

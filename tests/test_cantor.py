@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -313,6 +315,25 @@ def test_interned_nodes_are_reduced_and_unique():
     assert all(set(kids) not in ({cantor.OUT}, {cantor.IN}) for kids in nodes)
     assert len(set(nodes)) == len(nodes)
     assert all(cantor._KIDS[node] == kids for kids, node in cantor._NODES.items())
+
+
+def test_clopens_are_immutable_and_copy_by_words():
+    P = normalize(AB, ["ab", "b"])
+    for name in ("root", "alphabet", "words", "_words"):
+        with pytest.raises(AttributeError):
+            setattr(P, name, getattr(P, name))
+    with pytest.raises(AttributeError):
+        del P.root
+    assert copy.deepcopy(P) == P and pickle.loads(pickle.dumps(P)) == P
+
+
+def test_word_lists_deeper_than_the_recursion_limit_build():
+    deep = ("ab" * sys.getrecursionlimit())[:3 * sys.getrecursionlimit()]
+    assert normalize(AB, [deep + "b", deep + "a", deep + "a"]) == kappa_word(AB, deep)
+    words = (deep + "a", deep + "ba")
+    assert PrefixClopen(AB, words).words == words
+    with pytest.raises(ValueError):
+        PrefixClopen(AB, (deep + "a", deep + "b"))
 
 
 def test_second_evaluation_adds_no_nodes():

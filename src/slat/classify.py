@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from . import stone
 from .core import (
-    Semilattice, _below_orthogonal, _members, arrow, constrained_set, nonzero_pairs_below)
-from .errors import BadPairError, TheoremViolationError
+    Semilattice, _below_orthogonal, _check_pair_below, _members, arrow, constrained_set,
+    nonzero_pairs_below)
+from .errors import TheoremViolationError
 from .filters import tight_filters
 
 
@@ -46,9 +47,7 @@ def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
     works either, and when the candidate is empty there is nothing to
     witness with, so the pair is untrapped.
     """
-    if f == S.zero or f == e or not S.leq(f, e):
-        raise BadPairError(
-            f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
+    _check_pair_below(S, e, f)
     W = _members(_below_orthogonal(S, e, (f,)) & ~(1 << S.zero))
     if W and arrow(S, e, W + [f]):
         return W

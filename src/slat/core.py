@@ -8,6 +8,9 @@ Construction also derives three int bitmask rows per element: down[e],
 up[e] and star[e] (the elements whose meet with e is zero).  The order
 primitives read them through one kernel, the elements below m orthogonal
 to all of Y, and return frozensets; masks never leave the library.
+The lower-cover relation has one kernel too, _lower_covers, which peels
+maximal elements off a down-set: covers_hat, to_text and the sibling
+witnesses of path semilattices all read it.
 Two more values are derived lazily, on first use, and then kept:
 up_sets, the frozenset up(e) for each element, and filter_generators,
 the non-zero elements in the order of their filters up(g) under
@@ -33,6 +36,7 @@ from operator import eq, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    BadPairError,
     CycleError,
     FormatError,
     InvalidSemilatticeError,
@@ -204,14 +208,11 @@ class Semilattice:
     def to_text(self) -> str:
         """Serialize in the text format parse_semilattice accepts.
 
-        Emits the covering pairs of the order; the meet table is recovered
-        exactly because meets are greatest lower bounds of the order.
+        Emits the covering pairs of the order, x-major; the meet table is
+        recovered exactly because meets are greatest lower bounds of the order.
         """
-        covers = [
-            f"{self.labels[x]}<{self.labels[y]}"
-            for x, ux in enumerate(self.up)
-            for y in _members(ux ^ 1 << x)
-            if ux & self.down[y] == 1 << x | 1 << y]
+        covers = [f"{self.labels[x]}<{self.labels[y]}" for x, y in sorted(
+            (x, y) for y in self.elements() for x in _members(_lower_covers(self, y)))]
         lines = ["elements: " + " ".join(self.labels)]
         if covers:
             lines.append("order: " + " ".join(covers))
@@ -350,6 +351,39 @@ def _below_orthogonal(S: Semilattice, m: int, Y: Iterable[int]) -> int:
     for y in Y:
         mask &= S.star[y]
     return mask
+
+
+def _lower_covers(S: Semilattice, g: int) -> int:
+    """Mask of the lower covers of g: the elements below g with nothing
+    strictly between.  The one cover kernel of the library.
+
+    Maximal elements are peeled off what is left of down(g) - {g}: climb
+    from the least index left, through ever greater elements, to one with
+    nothing left above it, keep it, clear its down-set, and repeat.
+
+    Every climb ends at a cover.  An element leaves only when it lies
+    below a kept one, and an element left over lies below no kept one.
+    So if x is left and x < y < g, then y is left too, as a kept element
+    above y would be above x; a climb that stops at x, with nothing left
+    above it, stops at a cover.  A cover lies below no other element
+    below g, so it leaves only when it is kept: every cover is kept.
+    """
+    up, down = S.up, S.down
+    left = down[g] ^ 1 << g
+    covers = 0
+    while left:
+        x = (left & -left).bit_length() - 1
+        while above := up[x] & left ^ 1 << x:
+            x = (above & -above).bit_length() - 1
+        covers |= 1 << x
+        left &= ~down[x]
+    return covers
+
+
+def _check_pair_below(S: Semilattice, e: int, f: int) -> None:
+    """Refuse (e, f) with BadPairError unless 0 != f < e."""
+    if f == S.zero or f == e or not S.leq(f, e):
+        raise BadPairError(f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
 
 
 def star(S: Semilattice, e: int) -> frozenset:

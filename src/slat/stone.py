@@ -196,7 +196,15 @@ def dense_check(space: UltrafilterSpace) -> bool:
 def _dense_atoms(space: UltrafilterSpace, algebra: ClopenAlgebra) -> bool:
     """Does every non-empty clopen hold a non-empty base set of a non-zero
     element?  Each one holds an atom of the algebra, and atoms are clopens,
-    so only the atoms are tested."""
+    so only the atoms are tested.
+
+    On a space from build_space the test cannot fail: an atom is a
+    non-empty open, so a union of base sets, and K(0) is empty, so one of
+    those base sets is the non-empty base set of a non-zero element.  The
+    test stays for spaces built by hand, where K(0) may be non-empty:
+    test_density_fails_at_an_atom_without_a_base_set in
+    tests/test_clopen_atoms.py gives the zero of the vee a point of its
+    own, and the atom {0} holds no base set of a non-zero element."""
     nonzero_bases = [space.base[e] for e in space.lattice.nonzero() if space.base[e]]
     return all(any(b <= A for b in nonzero_bases) for A in algebra.atoms)
 

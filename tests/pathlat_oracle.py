@@ -4,18 +4,23 @@ witnesses by listing every cover.
 truncate is the route the library ran before it recorded parent links:
 the paths are grown level by level as tuples of edge ids, and each cell
 of the meet table compares the two tuples' prefixes.
-sibling_cover_witness is the route the library ran before it skipped
-the covers below the chosen child: it lists all covers of each element
-on the chain.  unreachable_vertices is the search the library ran
+sibling_cover_witness is the route the library ran before it walked
+down from e along the covers: it lists the interval [f, e], sorts it
+into a chain and takes all covers of each element on the chain from
+order_oracle's table scan, so it shares no code with the library's
+cover kernel.  unreachable_vertices is the search the library ran
 before it indexed the in-edges: it rescans every edge for each vertex
 it reaches.  The tests hold the library's versions to all three.
 """
 
 from __future__ import annotations
 
-from slat.core import Semilattice, _members
+from functools import cmp_to_key
+
+import order_oracle
+from slat.core import Semilattice
 from slat.errors import BadDepthError, BadPairError, FormatError, NotRootedError
-from slat.pathlat import RootedGraph, _path_labels, covers_hat
+from slat.pathlat import RootedGraph, _path_labels
 
 
 def unreachable_vertices(G: RootedGraph) -> list[str]:
@@ -60,16 +65,24 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     return Semilattice(tuple(labels), tuple(tuple(r) for r in table), zero=0, one=1)
 
 
-def sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
+def cover_table(S: Semilattice) -> dict[int, frozenset]:
+    """order_oracle.covers_hat of every non-zero element."""
+    return {g: order_oracle.covers_hat(S, g) for g in S.nonzero()}
+
+
+def sibling_cover_witness(S: Semilattice, e: int, f: int, covers: dict[int, frozenset]) -> list[int]:
+    """The witness read off the chain [f, e] and the cover table of S."""
     if f == S.zero or f == e or not S.leq(f, e):
         raise BadPairError(
             f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
-    interval = sorted(_members(S.up[f] & S.down[e]), key=lambda g: S.up[g].bit_count())
+    # Greatest first: on a chain this is its order, and on any other interval
+    # some neighbours in the sorted list are not a cover pair.
+    interval = sorted((g for g in S.elements() if S.leq(f, g) and S.leq(g, e)),
+                      key=cmp_to_key(lambda g, h: -1 if S.leq(h, g) else 1))
     witness: list[int] = []
     for g, child in zip(interval, interval[1:]):
-        covs = covers_hat(S, g)
-        if child not in covs:
+        if child not in covers[g]:
             raise BadPairError(
                 f"interval [{S.labels[f]!r}, {S.labels[e]!r}] is not a cover chain")
-        witness.extend(s for s in sorted(covs) if s != child and s != S.zero)
+        witness.extend(s for s in sorted(covers[g]) if s != child and s != S.zero)
     return witness

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import catalog_oracle
+from conftest import relabeled
 from slat.catalog import CatalogSpec, _instances_of_size, canonical_key, enumerate_catalog
 from slat.core import Semilattice
 from slat.errors import TooLargeError
@@ -42,29 +43,15 @@ def test_small_sizes_are_the_known_shapes(vee, chain3, chain4, bool1):
 
 
 def test_canonical_key_is_iso_invariant(vee):
-    relabeled = Semilattice.from_order(
+    swapped = Semilattice.from_order(
         ("bot", "y", "x", "top"),
         (("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")),
     )
-    assert canonical_key(relabeled) == canonical_key(vee)
+    assert canonical_key(swapped) == canonical_key(vee)
 
 
 def test_canonical_key_separates_shapes(vee, chain4):
     assert canonical_key(vee) != canonical_key(chain4)
-
-
-def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:
-    """An isomorphic copy under a random permutation of all indices, bounds included."""
-    n = len(S)
-    new = list(range(n))
-    rng.shuffle(new)
-    labels = [""] * n
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        labels[new[i]] = S.labels[i]
-        for j in range(n):
-            table[new[i]][new[j]] = new[S.meet(i, j)]
-    return Semilattice(tuple(labels), tuple(map(tuple, table)), new[S.zero], new[S.one])
 
 
 def partition(keys: list) -> set[frozenset[int]]:

@@ -20,29 +20,10 @@ from slat.core import arrow, down, nonzero_pairs_below, star
 from slat.errors import BadPairError, TheoremViolationError
 
 
-def oracle_zero_disjunctive(S) -> bool:
-    # straight from the definition, no shared helpers
-    for f in S.nonzero():
-        for e in S.nonzero():
-            if e == f or S.meet(e, f) != e:
-                continue  # need 0 != e < f
-            if not any(
-                S.meet(x, f) == x and x != S.zero and S.meet(x, e) == S.zero
-                for x in S.elements()
-            ):
-                return False
-    return True
-
-
 def test_zero_disjunctive_fixtures(vee, chain3, bool1):
     assert is_zero_disjunctive(vee)
     assert not is_zero_disjunctive(chain3)
     assert is_zero_disjunctive(bool1)  # no pairs 0 != e < f: vacuous
-
-
-def test_zero_disjunctive_matches_oracle():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
-        assert is_zero_disjunctive(S) == oracle_zero_disjunctive(S)
 
 
 def test_separative_fixtures(vee, chain3, bool1):

@@ -449,6 +449,72 @@ def test_bad_semilattice_file(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
+# Files built from each format's own tokens, half of them then spoilt by
+# up to three stray tokens or lines: '<', '=', ':', comments, repeated keys, and
+# non-ASCII text, no-break and line-separator spaces among it.
+_NOISE = ("<", "=", ":", "#", "# note", "a<", "<b", "a<b<1", "x:y", "é", "λ", "a\u00a0b", "\u2028",
+          "elements: a", "order:", "meet: a b = 0", "vertices: t", "root:", "edge a t t")
+
+
+def _spoil(draw, lines: list[str]) -> str:
+    strays = st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(_NOISE)), min_size=1, max_size=3)
+    for at, token in draw(strays) if draw(st.booleans()) else ():
+        if at == len(lines):
+            lines.append(token)
+        else:
+            lines[at] += " " + token
+    return "\n".join(lines)
+
+
+@st.composite
+def _semilattice_files(draw) -> str:
+    """An elements line, a<b tokens that follow its order, and perhaps a meet line."""
+    labels = draw(st.lists(st.sampled_from(("0", "a", "b", "c", "1", "é")), min_size=2, max_size=5,
+                           unique=True))
+    pairs = [f"{a}<{b}" for i, a in enumerate(labels) for b in labels[i + 1:]]
+    lines = ["elements: " + " ".join(labels), "order: " + " ".join(draw(st.lists(st.sampled_from(pairs))))]
+    if draw(st.booleans()):
+        a, b, c = (draw(st.sampled_from(labels)) for _ in range(3))
+        lines.append(f"meet: {a} {b} = {c}")
+    return _spoil(draw, lines)
+
+
+@st.composite
+def _graph_files(draw) -> str:
+    """A vertices line, a root line and up to four edge lines, reserved ids included."""
+    vertices = draw(st.lists(st.sampled_from(("t", "u", "v", "é")), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.sampled_from(("a", "b", "e1", "xy", "é", "^", "a.b")), max_size=4, unique=True))
+    ends = st.sampled_from(vertices)
+    lines = ["vertices: " + " ".join(vertices), "root: " + vertices[0]]
+    lines += [f"edge {eid} {draw(ends)} {draw(ends)}" for eid in ids]
+    return _spoil(draw, lines)
+
+
+file_fuzz_cases = st.one_of(
+    st.tuples(st.sampled_from(("check", "stone")), _semilattice_files(), st.just(None)),
+    st.tuples(st.just("graph"), _graph_files(), st.integers(1, 3)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=file_fuzz_cases)
+def test_file_fuzz_ends_in_an_exit_code_and_at_most_one_line(fuzz_file, case):
+    command, text, depth = case
+    fuzz_file.write_text(text, encoding="utf-8")
+    code, out, err = outcome([command, str(fuzz_file)] + (["--depth", str(depth)] if depth else []))
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if command == "graph" and out.startswith("rooted=false\n"):
+        assert (code, err) == (2, "")  # unreachable vertices are listed on stdout
+    elif code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("error: ", "violation: ")) and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_installed_entry_point(vee_file):
     # one true end-to-end run through the console script
     proc = run_slat("check", vee_file)

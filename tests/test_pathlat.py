@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pathlat_oracle
+from conftest import relabeled
 from slat import pathlat
 from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
 from slat.classify import is_zero_disjunctive
@@ -214,29 +216,46 @@ def test_sibling_cover_witness_validates(two_loop):
                 assert arrow(S, e, list(W) + [f])
 
 
+def assert_cover_routes_match_scans(S: Semilattice) -> None:
+    """covers_hat, the order line of to_text and sibling_cover_witness on
+    every strict non-zero pair, each against the table scans."""
+    covers = pathlat_oracle.cover_table(S)
+    assert {g: covers_hat(S, g) for g in S.nonzero()} == covers
+    pairs = sorted((x, y) for y, xs in covers.items() for x in xs)
+    assert S.to_text().splitlines()[1] == "order: " + " ".join(
+        f"{S.labels[x]}<{S.labels[y]}" for x, y in pairs)
+    for e, f in nonzero_pairs_below(S):
+        try:
+            want = pathlat_oracle.sibling_cover_witness(S, e, f, covers)
+        except BadPairError as exc:
+            with pytest.raises(BadPairError, match=f"^{re.escape(str(exc))}$"):
+                sibling_cover_witness(S, e, f)
+        else:
+            assert sibling_cover_witness(S, e, f) == want
+
+
+# Truncations number parents first, so the cover kernel's climb is at most
+# one step on them; each instance is also checked under shuffled indices.
+
 @pytest.mark.parametrize("G, depths", [
     (RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t"), range(1, 8)),
     (THREE_LOOP, range(1, 5)),
     (RootedGraph(("t",), (("a", "t", "t"),), "t"), range(1, 41)),
 ], ids=["two-loop", "three-loop", "one-loop"])
 def test_sibling_cover_witness_matches_all_covers_oracle(G, depths):
+    rng = random.Random(13)
     for depth in depths:
         S = truncate(G, depth)
-        for e, f in nonzero_pairs_below(S):
-            assert sibling_cover_witness(S, e, f) == pathlat_oracle.sibling_cover_witness(S, e, f)
+        assert_cover_routes_match_scans(S)
+        assert_cover_routes_match_scans(relabeled(S, rng))
 
 
 def test_sibling_cover_witness_matches_oracle_off_chains():
     # catalog intervals need not be chains: both routes refuse the same pairs
+    rng = random.Random(6)
     for S in enumerate_catalog(CatalogSpec(max_size=6)):
-        for e, f in nonzero_pairs_below(S):
-            try:
-                want = pathlat_oracle.sibling_cover_witness(S, e, f)
-            except BadPairError as exc:
-                with pytest.raises(BadPairError, match=f"^{re.escape(str(exc))}$"):
-                    sibling_cover_witness(S, e, f)
-            else:
-                assert sibling_cover_witness(S, e, f) == want
+        assert_cover_routes_match_scans(S)
+        assert_cover_routes_match_scans(relabeled(S, rng))
 
 
 def test_sibling_cover_witness_bad_pairs(two_loop):

@@ -12,15 +12,21 @@ from dataclasses import dataclass
 
 from . import stone
 from .core import (
-    Semilattice, _below_orthogonal, _check_pair_below, _members, arrow, constrained_set,
-    nonzero_pairs_below)
+    Semilattice, _below_orthogonal, _check_pair_below, _members, _nonzero_cover_pairs, arrow,
+    constrained_set)
 from .errors import TheoremViolationError
 from .filters import tight_filters
 
 
 def is_zero_disjunctive(S: Semilattice) -> bool:
-    """Whenever 0 != e < f, some non-zero element below f avoids e."""
-    return all(len(constrained_set(S, (f,), (e,))) > 1 for f, e in nonzero_pairs_below(S))
+    """Whenever 0 != f < e, some non-zero element below e avoids f.
+
+    Only pairs (e, c) with c a lower cover of e are tested.  Given
+    0 != f < e, take a lower cover c of e with f <= c.  Anything that
+    avoids c also avoids f, since x meet f <= x meet c, so the non-zero
+    element below e that avoids c avoids f too.
+    """
+    return all(len(constrained_set(S, (e,), (c,))) > 1 for e, c in _nonzero_cover_pairs(S))
 
 
 def is_separative(S: Semilattice) -> bool:
@@ -55,32 +61,34 @@ def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
 
 
 def satisfies_trapping(S: Semilattice) -> bool:
-    return all(trapping_witness(S, e, f) is not None for e, f in nonzero_pairs_below(S))
+    """Every pair 0 != f < e has a trapping witness.
+
+    Only pairs (e, c) with c a lower cover of e are tested.  Given
+    0 != f < e, take a lower cover c of e with f <= c, and write M(e, y)
+    for the candidate of (e, y).  M(e, c) lies inside M(e, f), because
+    star(c) is inside star(f).  Now let x != 0 be below e.  As e refines
+    into M(e, c) + {c}, either x meets a member of M(e, c), or x meet c
+    != 0.  In the second case, either x meets f, or x meet c is a
+    non-zero member of M(e, f) that x meets.  So e refines into
+    M(e, f) + {f}.
+    """
+    return all(trapping_witness(S, e, c) is not None for e, c in _nonzero_cover_pairs(S))
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Classification verdicts plus the per-pair trapping witnesses.
-
-    witnesses holds one entry per strict non-zero pair (e, f), carrying
-    the witness family or None when the pair is untrapped.
-    """
+    """The classification verdicts of a finite instance."""
 
     zero_disjunctive: bool
     separative: bool
     meet_separation: bool
     trapping: bool
     tight_equals_ultrafilters: bool
-    witnesses: tuple[tuple[tuple[int, int], tuple[int, ...] | None], ...]
 
     def booleans(self) -> dict[str, bool]:
-        return {
-            "zero_disjunctive": self.zero_disjunctive,
-            "separative": self.separative,
-            "meet_separation": self.meet_separation,
-            "trapping": self.trapping,
-            "tight_equals_ultrafilters": self.tight_equals_ultrafilters,
-        }
+        # The fields in declaration order.  dataclasses.asdict gives the
+        # same dict but deep-copies each value, some 30 times slower.
+        return dict(vars(self))
 
 
 def is_compactable_finite(S: Semilattice) -> ClassificationReport:
@@ -96,10 +104,7 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
     space = stone.build_space(S)
     sep = stone.kappa_injective(space)
     ms = meet_separation(S)
-    witnesses = tuple(
-        ((e, f), tuple(w) if (w := trapping_witness(S, e, f)) is not None else None)
-        for e, f in nonzero_pairs_below(S))
-    trap = all(w is not None for _, w in witnesses)
+    trap = satisfies_trapping(S)
     ultra = {U.carrier for U in space.points}
     tight = {F.carrier for F in tight_filters(S)}
     teu = ultra == tight
@@ -113,4 +118,4 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
         odd = sorted(tuple(sorted(c)) for c in ultra ^ tight)
         raise TheoremViolationError(
             f"tight filters differ from ultrafilters at carriers {odd}")
-    return ClassificationReport(zd, sep, ms, trap, teu, witnesses)
+    return ClassificationReport(zd, sep, ms, trap, teu)

@@ -56,8 +56,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         ultra = str(is_ultrafilter(S, F)).lower()
         print(f"  {_fmt_set(S, F.carrier)} ultrafilter={ultra} tight={ultra}")
     print("trapping witnesses:")
-    for (e, f), W in report.witnesses:
-        shown = " ".join(S.labels_for(W)) if W else ("-" if W is not None else "none")
+    for e, f in nonzero_pairs_below(S):
+        W = classify.trapping_witness(S, e, f)
+        shown = " ".join(S.labels_for(W)) if W is not None else "none"
         print(f"  ({S.labels[e]},{S.labels[f]}) -> {shown}")
     return 0
 

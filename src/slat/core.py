@@ -9,8 +9,9 @@ up[e] and star[e] (the elements whose meet with e is zero).  The order
 primitives read them through one kernel, the elements below m orthogonal
 to all of Y, and return frozensets; masks never leave the library.
 The lower-cover relation has one kernel too, _lower_covers, which peels
-maximal elements off a down-set: covers_hat, to_text and the sibling
-witnesses of path semilattices all read it.
+maximal elements off a down-set: covers_hat, to_text, the sibling
+witnesses of path semilattices and the cover pairs that classification
+decides on all read it.
 Two more values are derived lazily, on first use, and then kept:
 up_sets, the frozenset up(e) for each element, and filter_generators,
 the non-zero elements in the order of their filters up(g) under
@@ -443,3 +444,12 @@ def nonzero_pairs_below(S: Semilattice) -> Iterator[tuple[int, int]]:
     for e in S.nonzero():
         for f in _members(S.down[e] & ~(1 << e | 1 << S.zero)):
             yield (e, f)
+
+
+def _nonzero_cover_pairs(S: Semilattice) -> Iterator[tuple[int, int]]:
+    """All pairs (e, c) with c a non-zero lower cover of e, in
+    deterministic index order: the strict non-zero pairs that have
+    nothing strictly between."""
+    for e in S.nonzero():
+        for c in _members(_lower_covers(S, e) & ~(1 << S.zero)):
+            yield (e, c)

@@ -25,12 +25,9 @@ from .errors import (
 )
 
 # slat graph on the 2048-element two-loop truncation at depth 10 peaks
-# near 340 MB.  The n x n meet table is not the floor: under tracemalloc
-# the truncation keeps 34 MiB, while classify.is_compactable_finite keeps
-# 259 MiB, in trapping witnesses that hold 8.1 M element ints in 18 434
-# tuples, one per strict pair, which slat graph never prints.  Each
-# further level of two loops quadruples the table and more than
-# quadruples the witnesses.
+# near 85 MB.  Classification keeps no per-pair data; under tracemalloc
+# the truncation itself, its n x n meet table and its down/up/star rows,
+# keeps 34 MiB, and each further level of two loops quadruples that.
 MAX_ELEMENTS = 2048
 
 _RESERVED_IDS = {"0", "^"}

@@ -97,7 +97,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     orthogonal = [_mask(star(S, y)) for y in elements]
     ultra = enumerate_ultrafilters(S)
     zd = classify.is_zero_disjunctive(S)
-    sep = classify.is_separative(S)
+    sep = stone.kappa_injective(space)
 
     # Filters are exactly the non-zero principal up-sets.
     if len(S) <= 6:

@@ -126,6 +126,16 @@ def is_zero_disjunctive(S: Semilattice) -> bool:
     return True
 
 
+def satisfies_trapping(S: Semilattice) -> bool:
+    """Every strict non-zero pair is trapped by the non-zero elements
+    below its top that avoid its bottom."""
+    for e, f in nonzero_pairs_below(S):
+        M = [x for x in S.nonzero() if S.leq(x, e) and S.meet(x, f) == S.zero]
+        if not M or not arrow(S, e, M + [f]):
+            return False
+    return True
+
+
 def level(S: Semilattice, e: int) -> int | float:
     if e == S.zero:
         return math.inf

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
-from conftest import idx
+import order_oracle
+from conftest import BENCH_INPUTS, INSTANCE_SETS, idx, relabeled
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.classify import (
     is_compactable_finite,
@@ -18,6 +21,7 @@ from slat.classify import (
 )
 from slat.core import arrow, down, nonzero_pairs_below, star
 from slat.errors import BadPairError, TheoremViolationError
+from slat.pathlat import parse_rooted_graph, truncate
 
 
 def test_zero_disjunctive_fixtures(vee, chain3, bool1):
@@ -105,15 +109,42 @@ def test_compactability_report(vee, chain3):
         "trapping": True,
         "tight_equals_ultrafilters": True,
     }
-    pair_to_witness = dict(rep.witnesses)
-    a = idx(vee, "a")
-    assert pair_to_witness[(vee.one, a)] == (idx(vee, "b"),)
+    assert trapping_witness(vee, vee.one, idx(vee, "a")) == [idx(vee, "b")]
 
     rep3 = is_compactable_finite(chain3)
     bools = rep3.booleans()
     assert not bools["separative"]
     assert bools["tight_equals_ultrafilters"]
-    assert dict(rep3.witnesses)[(chain3.one, idx(chain3, "a"))] is None
+    assert trapping_witness(chain3, chain3.one, idx(chain3, "a")) is None
+
+
+@pytest.mark.parametrize("instances", INSTANCE_SETS)
+def test_cover_pair_verdicts_match_all_pair_oracles(instances):
+    # Catalog instances and truncations number elements along the order,
+    # so the relabeled copies are the ones on which lower covers are found
+    # by climbing.
+    rng = random.Random(14)
+    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
+        zd = order_oracle.is_zero_disjunctive(S)
+        trap = order_oracle.satisfies_trapping(S)
+        assert zd == trap
+        assert is_zero_disjunctive(S) == zd
+        assert satisfies_trapping(S) == trap
+
+
+def test_classification_builds_no_per_pair_table():
+    # Two-loop depth 8 has 512 elements and 3586 strict non-zero pairs;
+    # a witness list kept per pair took 11 MiB here.
+    G = parse_rooted_graph((BENCH_INPUTS / "two-loop.txt").read_text(encoding="utf-8"))
+    S = truncate(G, 8)
+    S.up_sets, S.filter_generators  # cached on first use, so warmed outside the count
+    tracemalloc.start()
+    try:
+        is_compactable_finite(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_report_on_all_catalog_instances():

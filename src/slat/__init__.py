@@ -45,6 +45,7 @@ from .pathlat import (
     level,
     parse_rooted_graph,
     sibling_cover_witness,
+    sibling_cover_witnesses,
     truncate,
     validate_rooted,
     zero_disjunctive_graph,

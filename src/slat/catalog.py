@@ -1,15 +1,23 @@
 """Catalog of small bounded meet semilattices, one per isomorphism class.
 
-A finite bounded meet semilattice is determined by the partial order on
-its interior elements (everything except the bounds): the bounds relate
-to all, and the meet table is the table of greatest lower bounds.  So
-enumeration walks all transitive relations on the interior along a fixed
-linear extension, keeps those where every pair has a greatest lower
-bound, and rejects isomorphs through a canonical key that minimizes the
-meet-table encoding over the interior relabelings that keep each element
-in its invariant cell, (|down|, |up|).  Cells make the key cheap on most
-shapes; an interior antichain of k elements is one cell and still costs
-k! permutations.
+A finite bounded meet semilattice with a top is a lattice, and deleting
+an atom from a finite lattice of n >= 3 elements leaves a lattice: a
+meet that was the atom becomes zero.  So every lattice of size n is one
+of size n-1 plus an atom a, and the strict up-set U of a meets two
+conditions (Heitzig and Reinhold, Counting finite lattices, Algebra
+Universalis 2002): U is non-empty, up-closed and leaves out zero, and
+for x, y in U either x^y is in U or x^y is zero.  Conversely each such U
+gives a lattice with a new atom below exactly U, whose meets are the old
+ones except that x^y = 0 with x, y in U becomes a.
+
+Enumeration therefore grows each size from the classes of the size
+before, one admissible U at a time, and rejects isomorphs through a
+canonical key that minimizes the meet-table encoding over the interior
+relabelings that keep each element in its invariant cell, (|down|,
+|up|).  Each class comes back relabeled to the table its key encodes.
+Cells make the key cheap on most shapes; an interior antichain of k
+elements is one cell and still costs k! permutations.  Nothing is kept
+between enumerate_catalog calls.
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
-from .core import Semilattice, _meet_table
+from .core import Semilattice, _meet_table, _members
 from .errors import NoMeetError, TooLargeError
 
-EXHAUSTIVE_LIMIT = 7
+EXHAUSTIVE_LIMIT = 8
 
 _INTERIOR_NAMES = "abcdefghij"
 
@@ -65,11 +74,6 @@ def _interior_labels(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(_INTERIOR_NAMES[: n - 2]) + ("1",)
 
 
-def _is_transitive(rel: set[tuple[int, int]], mids: range) -> bool:
-    return all((a, c) in rel
-               for a, b in rel for c in mids if (b, c) in rel)
-
-
 def _meet_table_of(labels: tuple[str, ...],
                    rel: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...] | None:
     """Meet table of the interior relation plus the bounds, None if a pair has no meet."""
@@ -90,9 +94,11 @@ def canonical_key(S: Semilattice) -> tuple:
     sharing an invariant onto itself.  The key relabels zero to 0 and one
     to n-1, lays the cells out in invariant order, tries every
     permutation within each cell, and keeps the least flattened table.
-    Isomorphic inputs reach the same encodings, and equal encodings are
-    equal relabeled tables, so equal keys mean isomorphic instances.  The
-    worst case, an interior antichain of k elements, is one cell and k!
+    Row i of an encoding is the old row old_of_new[i], its entries picked
+    in the new column order and renamed through new_of_old.  Isomorphic
+    inputs reach the same encodings, and equal encodings are equal
+    relabeled tables, so equal keys mean isomorphic instances.  The worst
+    case, an interior antichain of k elements, is one cell and k!
     permutations.
     """
     n = len(S)
@@ -101,34 +107,94 @@ def canonical_key(S: Semilattice) -> tuple:
     cells: dict[tuple[int, int], list[int]] = {}
     for i in sorted(invariant, key=invariant.__getitem__):
         cells.setdefault(invariant[i], []).append(i)
+    table = S.meet_table
+    new_of_old = [0] * n
     best: tuple | None = None
     for perms in itertools.product(*map(itertools.permutations, cells.values())):
         old_of_new = [S.zero, *itertools.chain.from_iterable(perms), S.one]
-        new_of_old = {old: new for new, old in enumerate(old_of_new)}
-        enc = tuple(
-            new_of_old[S.meet(old_of_new[i], old_of_new[j])]
-            for i in range(n) for j in range(n))
+        for new, old in enumerate(old_of_new):
+            new_of_old[old] = new
+        pick, rename = itemgetter(*old_of_new), new_of_old.__getitem__
+        enc = tuple(itertools.chain.from_iterable(
+            map(rename, pick(table[old])) for old in old_of_new))
         if best is None or enc < best:
             best = enc
     assert best is not None
     return (n, tuple(sorted(invariant.values())), best)
 
 
+def _canonical_instance(key: tuple) -> Semilattice:
+    """The instance whose meet table is the encoding in key."""
+    n, _, enc = key
+    table = tuple(enc[i * n:(i + 1) * n] for i in range(n))
+    return Semilattice(_interior_labels(n), table, zero=0, one=n - 1)
+
+
+def _admissible_up_sets(P: Semilattice) -> Iterator[int]:
+    """Masks of the sets U below which an atom can be added to P.
+
+    P has its zero at 0 and its one at n-1.  U is non-empty, up-closed
+    and leaves out zero, so it holds the one; and for x, y in U, x^y is
+    in U or is zero.  Candidates are the interior subsets plus the one.
+    """
+    n = len(P)
+    up, table = P.up, P.meet_table
+    for interior in range(1 << (n - 2)):
+        U = interior << 1 | 1 << (n - 1)
+        members = _members(U)
+        if any(up[x] & ~U for x in members):
+            continue
+        allowed = U | 1 << P.zero
+        if all(allowed >> table[x][y] & 1
+               for i, x in enumerate(members) for y in members[i + 1:]):
+            yield U
+
+
+def _with_atom(P: Semilattice, U: int) -> Semilattice:
+    """P plus an atom a below exactly the members of U.
+
+    The atom takes index n-1 and the one moves to n.  A meet x^y = 0 with
+    x, y in U becomes a, and a^y is a for y in U and zero otherwise.
+    """
+    n = len(P)
+    a = n - 1
+    in_U = [U >> y & 1 for y in range(n)]
+    rows = []
+    for x, old in enumerate(P.meet_table):
+        row = [v if v < a else n for v in old]
+        if in_U[x]:
+            row = [a if v == 0 and in_U[y] else v for y, v in enumerate(row)]
+        row.insert(a, a if in_U[x] else 0)
+        rows.append(tuple(row))
+    atom = [a if b else 0 for b in in_U]
+    atom.insert(a, a)
+    rows.insert(a, tuple(atom))
+    return Semilattice(_interior_labels(n + 1), tuple(rows), zero=0, one=n)
+
+
+def _one_atom_extensions(classes: list[Semilattice]) -> list[Semilattice]:
+    """The classes one size up from every class of one size, each
+    relabeled to its canonical encoding, in key order."""
+    keys = {canonical_key(_with_atom(P, U))
+            for P in classes for U in _admissible_up_sets(P)}
+    return [_canonical_instance(k) for k in sorted(keys)]
+
+
+def _sizes(max_size: int) -> Iterator[list[Semilattice]]:
+    """The classes of each size from 2 to max_size, each size grown from
+    the one before."""
+    classes = [Semilattice(_interior_labels(2), ((0, 0), (0, 1)), zero=0, one=1)]
+    yield classes
+    for _ in range(3, max_size + 1):
+        classes = _one_atom_extensions(classes)
+        yield classes
+
+
 def _instances_of_size(n: int) -> list[Semilattice]:
-    mids = range(1, n - 1)
-    pairs = [(a, b) for a in mids for b in mids if a < b]
-    labels = _interior_labels(n)
-    found: dict[tuple, Semilattice] = {}
-    for mask in range(1 << len(pairs)):
-        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-        if not _is_transitive(rel, mids):
-            continue
-        table = _meet_table_of(labels, rel)
-        if table is None:
-            continue
-        S = Semilattice(labels, table, zero=0, one=n - 1)
-        found.setdefault(canonical_key(S), S)
-    return [found[k] for k in sorted(found)]
+    """Every class of size n, canonically relabeled, in key order."""
+    for classes in _sizes(n):
+        pass
+    return classes
 
 
 def _random_instance(n: int, rng: random.Random) -> Semilattice:
@@ -149,8 +215,8 @@ def enumerate_catalog(spec: CatalogSpec) -> Iterator[Semilattice]:
     Random: the seeded sample, in generation order.
     """
     if spec.mode == "exhaustive":
-        for n in range(2, spec.max_size + 1):
-            yield from _instances_of_size(n)
+        for classes in _sizes(spec.max_size):
+            yield from classes
     else:
         rng = random.Random(spec.seed)
         for _ in range(spec.sample_count):

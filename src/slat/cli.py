@@ -138,12 +138,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
     for key, val in report.booleans().items():
         print(f"{key}={'true' if val else 'false'}")
     print("witnesses:")
-    for e, f in nonzero_pairs_below(S):
-        if pathlat.level(S, f) > args.depth:
-            continue  # frontier pairs are excluded from the table
-        W = pathlat.sibling_cover_witness(S, e, f)
-        shown = " ".join(S.labels_for(W)) if W else "-"
-        print(f"  ({S.labels[e]},{S.labels[f]}) -> {shown}")
+    for e in S.nonzero():
+        witnesses = pathlat.sibling_cover_witnesses(S, e)
+        for f in sorted(witnesses):
+            if pathlat.level(S, f) > args.depth:
+                continue  # frontier pairs are excluded from the table
+            W = witnesses[f]
+            shown = " ".join(S.labels_for(W)) if W else "-"
+            print(f"  ({S.labels[e]},{S.labels[f]}) -> {shown}")
     return 0
 
 
@@ -172,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stone)
 
     p = sub.add_parser("catalog", help="run the verification suite over small instances")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=int, required=True,
+                   help="largest size: every class of 2..max-size elements, up to 8, "
+                        "or with --random the sample size, up to 12")
     p.add_argument("--random", type=int, default=None, metavar="M",
                    help="sample M random instances of exactly max-size elements")
     p.add_argument("--seed", type=int, default=0)

@@ -12,12 +12,13 @@ The lower-cover relation has one kernel too, _lower_covers, which peels
 maximal elements off a down-set: covers_hat, to_text, the sibling
 witnesses of path semilattices and the cover pairs that classification
 decides on all read it.
-Two more values are derived lazily, on first use, and then kept:
-up_sets, the frozenset up(e) for each element, and filter_generators,
-the non-zero elements in the order of their filters up(g) under
-Filter.sort_key.  Every filter of a finite instance is such an up(g), so
-filter listings and neighbourhoods read both instead of rebuilding them.
-Like the rows, neither takes part in equality, hashing or repr.
+Three more values are derived lazily, on first use, and then kept:
+the tuple that nonzero() returns, up_sets, the frozenset up(e) for each
+element, and filter_generators, the non-zero elements in the order of
+their filters up(g) under Filter.sort_key.  Every filter of a finite
+instance is such an up(g), so filter listings and neighbourhoods read
+the last two instead of rebuilding them.  Like the rows, none of the
+three takes part in equality, hashing or repr.
 Validation is O(n^2): an idempotent, commutative table is associative
 iff down[meet(e, f)] == down[e] & down[f] for all e, f.
 
@@ -173,8 +174,12 @@ class Semilattice:
     def elements(self) -> range:
         return range(len(self.labels))
 
-    def nonzero(self) -> tuple[int, ...]:
+    @cached_property
+    def _nonzero(self) -> tuple[int, ...]:
         return tuple(e for e in self.elements() if e != self.zero)
+
+    def nonzero(self) -> tuple[int, ...]:
+        return self._nonzero
 
     def index(self, label: str) -> int:
         try:

@@ -221,15 +221,17 @@ def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
     """Do the 0/1 values keep the bounds and every meet, value(meet(e, f))
     = value(e) * value(f)?  Row e of that law reads the values along the
     meet table's row e, which must equal the values themselves where
-    value(e) = 1 and all zeros where value(e) = 0."""
+    value(e) = 1 and all zeros where value(e) = 0.  The entries of row e
+    are exactly down(e), so a zero row only asks that no element of
+    down(e) takes the value 1."""
     values = tuple(values)
     if not (len(values) == len(S) and values[S.zero] == 0 and values[S.one] == 1
             and all(v in (0, 1) for v in values)):
         return False
-    zeros = (0,) * len(values)
+    ones = sum(1 << e for e, v in enumerate(values) if v)
     at = values.__getitem__
-    return all(tuple(map(at, row)) == (values if v else zeros)
-               for v, row in zip(values, S.meet_table))
+    return all(tuple(map(at, row)) == values if v else not down & ones
+               for v, row, down in zip(values, S.meet_table, S.down))
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from . import classify, stone
 from .catalog import CatalogSpec, enumerate_catalog
-from .core import Semilattice, arrow, constrained_set, down, nonzero_pairs_below, star
+from .core import Semilattice, _members, arrow, constrained_set, down, nonzero_pairs_below, star
 from .errors import SlatError
 from .filters import (
     Filter,
@@ -168,23 +168,28 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     # their union, and the empty family covers only an empty K(f).
     families = [(es, _mask(es), reduce(or_, (base[e] for e in es), 0))
                 for es in _subsets(elements, 3)]
-    results: dict[tuple[int, int], bool] = {}  # (f, family mask) -> arrow
-    ok = True
-    for f in S.nonzero():
-        for es, A, cover in families:
-            got = results[f, A] = arrow(S, f, es)
-            if got != (not base[f] & ~cover):
-                ok = False
-    report.record("refinement_matches_base_cover", ok, S, "refinement mismatch")
-
     # Refinement is monotone in the family.  The families form a downward
     # closed set, so every A < B among them is a chain of one-element
     # steps inside it, and checking the steps checks every pair.  A false
-    # result bounds nothing, so only the true ones are stepped from.
-    mono = all(
-        results[f, A | 1 << x]
-        for (f, A), got in results.items() if got and A.bit_count() < 3
-        for x in elements if not A >> x & 1)
+    # result bounds nothing, so only the true ones are stepped from:
+    # step[k] marks the families one element above family k, and the
+    # families that the true ones step to must all be true.
+    index = {A: k for k, (_, A, _) in enumerate(families)}
+    step = [reduce(or_, (1 << index[A | 1 << x] for x in elements if not A >> x & 1), 0)
+            if len(es) < 3 else 0
+            for es, A, _ in families]
+    ok = mono = True
+    for f in S.nonzero():
+        true = 0
+        for k, (es, _, cover) in enumerate(families):
+            got = arrow(S, f, es)
+            if got:
+                true |= 1 << k
+            if got != (not base[f] & ~cover):
+                ok = False
+        stepped = reduce(or_, map(step.__getitem__, _members(true)), 0)
+        mono = mono and not stepped & ~true
+    report.record("refinement_matches_base_cover", ok, S, "refinement mismatch")
     report.record("refinement_monotone", mono, S, "monotonicity broke")
 
     # Order embeds in base-set containment via singleton refinement.

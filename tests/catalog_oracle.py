@@ -1,5 +1,9 @@
 """Brute-force routes the catalog and the filter space ran before they were sped up.
 
+instances_of_size walks every relation on the interior along a fixed
+linear extension, keeps the transitive ones whose every pair has a
+greatest lower bound, and returns one instance per class, relabeled by
+the library's canonical key as the catalog returns them.
 canonical_key permutes the whole interior, with no invariant cells.
 enumerate_filters builds every principal up-set afresh and sorts the
 filters, where the library reads the up-sets and their order that the
@@ -12,8 +16,32 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from slat.catalog import _canonical_instance, _interior_labels, _meet_table_of
+from slat.catalog import canonical_key as library_key
 from slat.core import Semilattice, up
 from slat.filters import Filter
+
+
+def _is_transitive(rel: set[tuple[int, int]], mids: range) -> bool:
+    return all((a, c) in rel
+               for a, b in rel for c in mids if (b, c) in rel)
+
+
+def instances_of_size(n: int) -> list[Semilattice]:
+    """Every class of size n, from a scan of the 2^pairs interior relations."""
+    mids = range(1, n - 1)
+    pairs = [(a, b) for a in mids for b in mids if a < b]
+    labels = _interior_labels(n)
+    keys = set()
+    for mask in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+        if not _is_transitive(rel, mids):
+            continue
+        table = _meet_table_of(labels, rel)
+        if table is None:
+            continue
+        keys.add(library_key(Semilattice(labels, table, zero=0, one=n - 1)))
+    return [_canonical_instance(k) for k in sorted(keys)]
 
 
 def canonical_key(S: Semilattice) -> tuple:

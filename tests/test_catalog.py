@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from slat.errors import TooLargeError
 
 # hand-verified for sizes 2..4; 5 and 6 frozen from the first trusted run
 EXPECTED_COUNTS = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+# OEIS A006966, lattices on n unlabeled elements
+A006966 = {7: 53, 8: 222, 9: 1078}
 
 
 def counts(spec: CatalogSpec) -> dict[int, int]:
@@ -75,7 +78,30 @@ def test_canonical_key_partitions_like_the_permutation_oracle():
 
 
 def test_size_eight_class_count():
-    assert len(_instances_of_size(8)) == 222  # OEIS A006966
+    assert len(_instances_of_size(8)) == A006966[8]
+    assert counts(CatalogSpec(max_size=8))[8] == A006966[8]
+
+
+def test_size_nine_class_count():
+    assert len(_instances_of_size(9)) == A006966[9]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_extension_matches_the_relation_scan(n):
+    grown, scanned = _instances_of_size(n), catalog_oracle.instances_of_size(n)
+    assert grown == scanned
+    assert ({catalog_oracle.canonical_key(S) for S in grown}
+            == {catalog_oracle.canonical_key(S) for S in scanned})
+    assert len(grown) == (EXPECTED_COUNTS | A006966)[n]
+
+
+def test_classes_come_back_canonically_relabeled():
+    rng = random.Random(8)
+    for S in _instances_of_size(7):
+        n, _, enc = canonical_key(S)
+        assert tuple(x for row in S.meet_table for x in row) == enc
+        assert canonical_key(relabeled(S, rng)) == canonical_key(S)
+        assert S.labels == ("0", *"abcde", "1") and (S.zero, S.one) == (0, n - 1)
 
 
 def test_instances_are_lawful_and_deterministic():
@@ -85,9 +111,19 @@ def test_instances_are_lawful_and_deterministic():
     assert len(first) == len(set(first))  # no duplicates
 
 
+def test_catalog_listing_is_frozen():
+    # Each class is listed as the least encoding over its cell
+    # permutations, so a key that chose any other encoding, or listed the
+    # classes in another order, changes these bytes.
+    text = "".join(S.to_text() for S in enumerate_catalog(CatalogSpec(max_size=7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1f17f813df8ccc3a21f975eaf88f8715b44475993a61fd651a9f1b2454c3c9b9")
+
+
 def test_exhaustive_size_cap():
-    with pytest.raises(TooLargeError):
-        CatalogSpec(max_size=8)
+    assert CatalogSpec(max_size=8).max_size == 8
+    with pytest.raises(TooLargeError, match="up to 8"):
+        CatalogSpec(max_size=9)
 
 
 def test_random_size_cap():

@@ -35,6 +35,7 @@ from slat.pathlat import (
     parse_rooted_graph,
     root_distances,
     sibling_cover_witness,
+    sibling_cover_witnesses,
     truncate,
     unreachable_vertices,
     validate_rooted,
@@ -218,12 +219,16 @@ def test_sibling_cover_witness_validates(two_loop):
 
 def assert_cover_routes_match_scans(S: Semilattice) -> None:
     """covers_hat, the order line of to_text and sibling_cover_witness on
-    every strict non-zero pair, each against the table scans."""
+    every strict non-zero pair, each against the table scans; and
+    sibling_cover_witnesses of each e against sibling_cover_witness,
+    which it answers for exactly the pairs that the latter does not refuse."""
     covers = pathlat_oracle.cover_table(S)
     assert {g: covers_hat(S, g) for g in S.nonzero()} == covers
     pairs = sorted((x, y) for y, xs in covers.items() for x in xs)
     assert S.to_text().splitlines()[1] == "order: " + " ".join(
         f"{S.labels[x]}<{S.labels[y]}" for x, y in pairs)
+    descents = {e: sibling_cover_witnesses(S, e) for e in S.nonzero()}
+    answered = set()
     for e, f in nonzero_pairs_below(S):
         try:
             want = pathlat_oracle.sibling_cover_witness(S, e, f, covers)
@@ -232,6 +237,9 @@ def assert_cover_routes_match_scans(S: Semilattice) -> None:
                 sibling_cover_witness(S, e, f)
         else:
             assert sibling_cover_witness(S, e, f) == want
+            assert descents[e][f] == want
+            answered.add((e, f))
+    assert {(e, f) for e, witnesses in descents.items() for f in witnesses} == answered
 
 
 # Truncations number parents first, so the cover kernel's climb is at most
@@ -260,6 +268,8 @@ def test_sibling_cover_witness_matches_oracle_off_chains():
 
 def test_sibling_cover_witness_bad_pairs(two_loop):
     S = truncate(two_loop, 2)
+    with pytest.raises(ZeroElementError):
+        sibling_cover_witnesses(S, S.zero)
     a = by_label(S, "a")
     with pytest.raises(BadPairError):
         sibling_cover_witness(S, a, a)

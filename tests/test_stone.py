@@ -240,6 +240,8 @@ def test_is_representation_matches_pairwise_meets():
     for S in instances:
         vectors = list(itertools.product((0, 1), repeat=len(S)))
         vectors += [(2,) * len(S), (0,) * (len(S) - 1), tuple(range(len(S)))]
+        # values equal to 0 and 1 that are not ints
+        vectors += [tuple(map(float, v)) for v in vectors[:64]] + [tuple(map(bool, v)) for v in vectors[:64]]
         for vals in vectors:
             assert stone.is_representation(S, vals) == suite_oracle.is_representation(S, vals)
 

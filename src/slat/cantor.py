@@ -26,20 +26,25 @@ complete family of IN siblings is a node _mk folded.
 The node table is process-wide and only grows: a node, once made, stays
 for the life of the process.  It holds one node per distinct sub-clopen
 ever built, so it grows with the variety of clopens a process meets, not
-with the number of operations on them.  meet, join and complement
-memoize the nodes they combine for one call only.
+with the number of operations on them.
 
-meet and join walk with an explicit stack, and a trie is built from
-words as one chain per word joined by that walk, so none of them has a
-depth limit.  complement alone recurses, one Python frame
-per level, so a clopen deeper than the recursion limit raises
-RecursionError (reported by the command line as one error line).  That
-limit is kept on purpose for now: the complement of a cylinder of n
-symbols has n words of up to n symbols, about 8 MB of output at 4000
-symbols over two letters, and the cantor-exprs benchmark declares
-RecursionError for its two cylinders past the limit because its
-word-by-word check of such outputs would double the process's peak
-memory.
+Two kernels work on roots: _walk meets or joins two of them and _flip
+complements one.  _build makes one chain of nodes per word and joins
+the chains with _walk.  normalize, meet, join and complement check
+their arguments and wrap one kernel result as a PrefixClopen;
+kappa_word and eval_expr are built on them.  Each _walk and _flip call
+memoizes the nodes it combines for that call only.
+
+_walk keeps an explicit stack, and _build is chains joined by _walk,
+so neither has a depth limit.  _flip is the one recursive route, one
+Python frame per trie level, so complementing a clopen deeper than the
+recursion limit raises RecursionError (reported by the command line as
+one error line).  That limit is kept on purpose for now: the
+complement of a cylinder of n symbols has n words of up to n symbols,
+about 8 MB of output at 4000 symbols over two letters, and the
+cantor-exprs benchmark declares RecursionError for its two cylinders
+past the limit because its word-by-word check of such outputs would
+double the process's peak memory.
 
 Alphabets are strings of distinct symbols.  A one-symbol alphabet is
 permitted but degenerate: a node has one child, a leaf by induction,
@@ -52,6 +57,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, cycle
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, ForeignSymbolError, ParseError
@@ -90,7 +96,7 @@ def is_degenerate_alphabet(alphabet: str) -> bool:
 def _check_words(alphabet: str, words: Sequence[str]) -> None:
     """Raise ForeignSymbolError naming the first word with a symbol outside
     the alphabet; one set test when there is none."""
-    if set().union(*words) <= set(alphabet):
+    if set(alphabet).issuperset("".join(words)):
         return
     for word in words:
         foreign = set(word) - set(alphabet)
@@ -309,23 +315,27 @@ def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
     return PrefixClopen._of(P.alphabet, _walk(P.root, Q.root, OUT, IN))
 
 
+def _flip(node: int, flipped: dict[int, int]) -> int:
+    """The complement of a node: the trie with its leaves swapped.
+
+    A recursive descent of exactly one Python frame per trie level: the
+    children are flipped in a plain loop, since a comprehension or a
+    generator would add a frame of its own per level.  `flipped` memoizes
+    the nodes of one call, shared subtries included."""
+    if node <= IN:
+        return IN - node
+    out = flipped.get(node)
+    if out is None:
+        kids = []
+        for kid in _KIDS[node]:
+            kids.append(IN - kid if kid <= IN else _flip(kid, flipped))
+        out = flipped[node] = _mk(tuple(kids))
+    return out
+
+
 def complement(P: PrefixClopen) -> PrefixClopen:
-    """Set complement inside the whole word space: the trie with its leaves
-    swapped, by a recursive descent of one frame per level."""
-    flipped: dict[int, int] = {}
-
-    def flip(node: int) -> int:
-        if node <= IN:
-            return IN - node
-        out = flipped.get(node)
-        if out is None:
-            kids = []
-            for kid in _KIDS[node]:
-                kids.append(flip(kid))
-            out = flipped[node] = _mk(tuple(kids))
-        return out
-
-    return PrefixClopen._of(P.alphabet, flip(P.root))
+    """Set complement inside the whole word space."""
+    return PrefixClopen._of(P.alphabet, _flip(P.root, {}))
 
 
 def leq(P: PrefixClopen, Q: PrefixClopen) -> bool:
@@ -342,10 +352,21 @@ def kappa_word(alphabet: str, word: str) -> PrefixClopen:
 def is_single_cylinder_complemented(alphabet: str, word: str) -> bool:
     """Is the complement of this cylinder itself a cylinder or a bound?
 
-    True iff the complement normalizes to zero words (bottom or, for the
-    degenerate one-symbol alphabet, anything) or exactly one word.
+    True iff the complement has at most one word, decided from their
+    count.  Over k >= 2 symbols the complement of the cylinder of w has
+    the |w|*(k-1) words w[:i]+s with i < |w| and s != w[i]:
+    - they cover the complement: an infinite word outside the cylinder
+      first leaves w at some i < |w|, with a symbol s != w[i], and no
+      word of the form w[:i]+s meets the cylinder;
+    - they are the normal form, which is unique: two of them at depths
+      i < j are incomparable, since w[:j]+t passes w[:i]+w[i], and each
+      family w[:i]+_ lacks its sibling w[:i]+w[i], so none is complete.
+    So the answer is |w|*(k-1) <= 1: w empty (the complement is bottom),
+    or w one symbol over two.  Over k = 1 every clopen is a bound.
     """
-    return len(complement(kappa_word(alphabet, word)).words) <= 1
+    _check_alphabet(alphabet)
+    _check_words(alphabet, (word,))
+    return len(alphabet) == 1 or len(word) * (len(alphabet) - 1) <= 1
 
 
 @dataclass(frozen=True)
@@ -369,12 +390,16 @@ class UPWord:
 def membership(P: PrefixClopen, w: UPWord) -> bool:
     """Does the infinite word land in the covered point set?
 
-    Exact: expand far enough to compare against the longest word of P.
+    Exact: walk the trie from the root along the word's symbols until a
+    leaf, which a finite trie reaches within its height.
     """
     _check_words(P.alphabet, (w.preperiod, w.period))
-    horizon = max((len(x) for x in P.words), default=0)
-    prefix = w.expand(horizon)
-    return any(prefix.startswith(x) for x in P.words)
+    rank = _ranks(P.alphabet)
+    symbols = chain(w.preperiod, cycle(w.period))
+    node = P.root
+    while node > IN:
+        node = _KIDS[node][rank[next(symbols)]]
+    return node == IN
 
 
 def filter_prefixes(w: UPWord, k: int) -> list[str]:
@@ -401,45 +426,46 @@ _TOKEN = re.compile(r"[&|!()]|[^\s&|!()]+")
 def eval_expr(alphabet: str, text: str) -> PrefixClopen:
     """Evaluate a clopen expression to canonical form.
 
-    '!' binds tightest, then '&', then '|'; parentheses group.
+    '!' binds tightest, then '&', then '|'; parentheses group.  Each atom
+    is a kappa_word, top or bottom, and each operator the public meet,
+    join or complement.
     """
     _check_alphabet(alphabet)
-    tokens = _TOKEN.findall(text)
+    tokens: list[str | None] = _TOKEN.findall(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    tokens.append(None)  # past the end
     pos = 0
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of expression")
-        pos += 1
-        return tokens[pos - 1]
-
     def parse_expr() -> PrefixClopen:
+        nonlocal pos
         acc = parse_term()
-        while peek() == "|":
-            take()
+        while tokens[pos] == "|":
+            pos += 1
             acc = join(acc, parse_term())
         return acc
 
     def parse_term() -> PrefixClopen:
+        nonlocal pos
         acc = parse_factor()
-        while peek() == "&":
-            take()
+        while tokens[pos] == "&":
+            pos += 1
             acc = meet(acc, parse_factor())
         return acc
 
     def parse_factor() -> PrefixClopen:
-        tok = take()
+        nonlocal pos
+        tok = tokens[pos]
+        if tok is None:
+            raise ParseError("unexpected end of expression")
+        pos += 1
         if tok == "!":
             return complement(parse_factor())
         if tok == "(":
             inner = parse_expr()
-            if peek() != ")":
+            if tokens[pos] != ")":
                 raise ParseError("missing closing parenthesis")
-            take()
+            pos += 1
             return inner
         if tok in (")", "&", "|"):
             raise ParseError(f"unexpected {tok!r}")
@@ -449,9 +475,7 @@ def eval_expr(alphabet: str, text: str) -> PrefixClopen:
             return bottom(alphabet)
         return kappa_word(alphabet, tok)
 
-    if not tokens:
-        raise ParseError("empty expression")
     result = parse_expr()
-    if pos != len(tokens):
+    if tokens[pos] is not None:
         raise ParseError(f"trailing input from {tokens[pos]!r}")
     return result

@@ -11,7 +11,10 @@ order) and the complement that rescans every prefix at every node, which
 the library first used; then the one-pass reduction, the pair-scan meet
 and the word-descent complement, which the trie replaced.  The tests
 hold the trie's words to all of them, and the expression tokenizer's
-pattern to the character scan it replaced.
+pattern to the character scan it replaced.  So too the evaluator that
+reads its tokens through peek and take closures, the cylinder test that
+lists the complement's words and the membership test that scans every
+word.
 """
 
 from __future__ import annotations
@@ -20,7 +23,21 @@ import itertools
 import random
 from operator import methodcaller
 
-from slat.cantor import PrefixClopen, eval_expr
+from slat.cantor import (
+    _TOKEN,
+    PrefixClopen,
+    UPWord,
+    _check_alphabet,
+    _check_words,
+    bottom,
+    complement,
+    eval_expr,
+    join,
+    kappa_word,
+    meet,
+    top,
+)
+from slat.errors import ParseError
 
 
 def shortlex(alphabet: str, words) -> tuple[str, ...]:
@@ -160,6 +177,78 @@ def complement_by_word_descent(alphabet: str, words) -> tuple[str, ...]:
         walk(list(words), 0)
     out.sort(key=len)
     return tuple(out)
+
+
+def eval_by_operations(alphabet: str, text: str) -> PrefixClopen:
+    """The expression evaluator before its tokens were indexed directly:
+    the same grammar, errors and operations as eval_expr, with peek and
+    take closures over the token list and a length test for its end."""
+    _check_alphabet(alphabet)
+    tokens = _TOKEN.findall(text)
+    pos = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of expression")
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse_expr() -> PrefixClopen:
+        acc = parse_term()
+        while peek() == "|":
+            take()
+            acc = join(acc, parse_term())
+        return acc
+
+    def parse_term() -> PrefixClopen:
+        acc = parse_factor()
+        while peek() == "&":
+            take()
+            acc = meet(acc, parse_factor())
+        return acc
+
+    def parse_factor() -> PrefixClopen:
+        tok = take()
+        if tok == "!":
+            return complement(parse_factor())
+        if tok == "(":
+            inner = parse_expr()
+            if peek() != ")":
+                raise ParseError("missing closing parenthesis")
+            take()
+            return inner
+        if tok in (")", "&", "|"):
+            raise ParseError(f"unexpected {tok!r}")
+        if tok in ("TOP", "^"):
+            return top(alphabet)
+        if tok in ("BOT", "-"):
+            return bottom(alphabet)
+        return kappa_word(alphabet, tok)
+
+    if not tokens:
+        raise ParseError("empty expression")
+    result = parse_expr()
+    if pos != len(tokens):
+        raise ParseError(f"trailing input from {tokens[pos]!r}")
+    return result
+
+
+def is_single_cylinder_complemented_by_words(alphabet: str, word: str) -> bool:
+    """Whether the complement of the cylinder, listed, has at most one word."""
+    return len(complement(kappa_word(alphabet, word)).words) <= 1
+
+
+def membership_by_scan(P: PrefixClopen, w: UPWord) -> bool:
+    """Expand the infinite word to the longest word of P and test every
+    word of P as its prefix."""
+    _check_words(P.alphabet, (w.preperiod, w.period))
+    horizon = max((len(x) for x in P.words), default=0)
+    prefix = w.expand(horizon)
+    return any(prefix.startswith(x) for x in P.words)
 
 
 def tokenize_by_scan(text: str) -> list[str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 from cantor_oracle import (
     check_expr_against_oracle,
     clopen_cover,
+    eval_by_operations,
+    is_single_cylinder_complemented_by_words,
+    membership_by_scan,
     normalize_two_phase,
     random_expr,
     tokenize_by_scan,
@@ -134,6 +138,24 @@ def test_single_cylinder_complemented():
     assert is_single_cylinder_complemented(AB, "a")
 
 
+def test_single_cylinder_complemented_matches_listing_the_complement():
+    for alphabet in ("a", "ab", "abc"):
+        for n in range(6):
+            for word in map("".join, itertools.product(alphabet, repeat=n)):
+                assert is_single_cylinder_complemented(alphabet, word) == \
+                    is_single_cylinder_complemented_by_words(alphabet, word), (alphabet, word)
+
+
+def test_single_cylinder_complemented_past_the_recursion_limit():
+    # The listing route would recurse 2000 frames deep.
+    assert not is_single_cylinder_complemented(AB, "a" * 2000)
+    assert is_single_cylinder_complemented("a", "a" * 2000)
+    with pytest.raises(ForeignSymbolError):
+        is_single_cylinder_complemented(AB, "abc")
+    with pytest.raises(ValueError):
+        is_single_cylinder_complemented("aa", "a")
+
+
 def test_membership():
     w = UPWord("", "ab")
     assert membership(clop(["a"]), w)
@@ -154,6 +176,20 @@ def test_membership_respects_operations():
         assert membership(join(P, Q), w) == (membership(P, w) or membership(Q, w))
         assert membership(meet(P, Q), w) == (membership(P, w) and membership(Q, w))
         assert membership(complement(P), w) == (not membership(P, w))
+
+
+def test_membership_walk_matches_word_scan():
+    rng = random.Random(15)
+    for i in range(400):
+        alphabet = ("ab", "abc", "ba")[i % 3]
+        P = eval_expr(alphabet, random_expr(rng, alphabet, 4).text())
+        for Q in (P, bottom(alphabet), top(alphabet)):
+            pre = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+            per = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+            w = UPWord(pre, per)
+            assert membership(Q, w) == membership_by_scan(Q, w), (Q, w)
+    with pytest.raises(ForeignSymbolError):
+        membership(top(AB), UPWord("", "c"))
 
 
 def test_upword_expand():
@@ -194,6 +230,36 @@ def test_eval_errors():
             eval_expr(AB, bad)
     with pytest.raises(ForeignSymbolError):
         eval_expr(AB, "c")
+
+
+# Text over the alphabet, a foreign symbol, the operators, both bound
+# spellings and whitespace.
+expr_texts = st.lists(st.sampled_from(
+    ("a", "b", "x", "&", "|", "!", "(", ")", "^", "-", "TOP", "BOT", " ", "\t")), max_size=12).map("".join)
+
+
+def outcome_of(evaluate, text: str):
+    try:
+        return evaluate(AB, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Which error wins when an expression has a parse error and a foreign symbol.
+@pytest.mark.parametrize("text, error", [
+    ("x )", ForeignSymbolError), ("(a", ParseError), ("a !b", ParseError), ("&", ParseError),
+    ("", ParseError), ("x (", ForeignSymbolError), ("(x", ForeignSymbolError),
+    ("a & x )", ForeignSymbolError), ("a ) x", ParseError), ("!!", ParseError),
+])
+def test_eval_raises_what_the_closure_parser_raises(text, error):
+    got = outcome_of(eval_expr, text)
+    assert got[0] is error and got == outcome_of(eval_by_operations, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr_texts)
+def test_eval_matches_the_closure_parser(text):
+    assert outcome_of(eval_expr, text) == outcome_of(eval_by_operations, text)
 
 
 def test_degenerate_alphabet():

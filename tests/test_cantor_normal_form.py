@@ -19,7 +19,7 @@ from cantor_oracle import (
     normalize_two_phase,
     reduce_one_pass,
 )
-from slat.cantor import PrefixClopen, complement, join, kappa_word, meet, normalize
+from slat.cantor import PrefixClopen, complement, eval_expr, join, kappa_word, meet, normalize
 
 # Alphabets of 1-4 symbols in any order, so that symbol order is not
 # always code point order.
@@ -122,5 +122,13 @@ def test_complement_takes_one_frame_per_symbol():
     # A cylinder 100 symbols short of the recursion limit still complements.
     word = ("ab" * sys.getrecursionlimit())[:sys.getrecursionlimit() - 100]
     got = complement(kappa_word("ab", word)).words
+    siblings = {word[:i] + ("b" if c == "a" else "a") for i, c in enumerate(word)}
+    assert len(got) == len(word) and set(got) == siblings
+
+
+def test_evaluated_complement_takes_one_frame_per_symbol():
+    # The evaluator flips the cylinder it parsed on the same frame budget.
+    word = ("ab" * sys.getrecursionlimit())[:sys.getrecursionlimit() - 100]
+    got = eval_expr("ab", "!" + word).words
     siblings = {word[:i] + ("b" if c == "a" else "a") for i, c in enumerate(word)}
     assert len(got) == len(word) and set(got) == siblings

@@ -145,9 +145,6 @@ def _words_of(alphabet: str, root: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-_set = object.__setattr__
-
-
 class PrefixClopen:
     """A clopen set: the root of its trie over an alphabet.
 
@@ -168,17 +165,17 @@ class PrefixClopen:
         if _words_of(alphabet, root) != words:
             raise ValueError(
                 "words are not a shortlex-sorted prefix antichain without complete sibling families")
-        _set(self, "alphabet", alphabet)
-        _set(self, "root", root)
-        _set(self, "_words", words)
+        _set_alphabet(self, alphabet)
+        _set_root(self, root)
+        _set_words(self, words)
 
     @classmethod
     def _of(cls, alphabet: str, root: int) -> "PrefixClopen":
         """The clopen of a trie root, unchecked: roots are canonical."""
         P = object.__new__(cls)
-        _set(P, "alphabet", alphabet)
-        _set(P, "root", root)
-        _set(P, "_words", None)
+        _set_alphabet(P, alphabet)
+        _set_root(P, root)
+        _set_words(P, None)
         return P
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -195,7 +192,7 @@ class PrefixClopen:
     def words(self) -> tuple[str, ...]:
         """The reduced prefix antichain, read off the trie on first use."""
         if self._words is None:
-            _set(self, "_words", _words_of(self.alphabet, self.root))
+            _set_words(self, _words_of(self.alphabet, self.root))
         return self._words
 
     def __eq__(self, other: object) -> bool:
@@ -231,6 +228,13 @@ class PrefixClopen:
         if self.is_top():
             return "^"
         return " ".join(self.words)
+
+
+# The slots are set through their member descriptors, bound once, which
+# gets past the immutability guard at less cost than object.__setattr__.
+_set_alphabet = PrefixClopen.alphabet.__set__
+_set_root = PrefixClopen.root.__set__
+_set_words = PrefixClopen._words.__set__
 
 
 def bottom(alphabet: str) -> PrefixClopen:

@@ -5,7 +5,8 @@ The meet table is the canonical internal form: the partial order and the
 bounds are derived from it via  e <= f  iff  meet(e, f) == e.
 
 Construction also derives three int bitmask rows per element: down[e],
-up[e] and star[e] (the elements whose meet with e is zero).  The order
+up[e] and star[e] (the elements whose meet with e is zero).  down is
+read off the table, and _set_rows derives up and star from it.  The order
 primitives read them through one kernel, the elements below m orthogonal
 to all of Y, and return frozensets; masks never leave the library.
 The lower-cover relation has one kernel too, _lower_covers, which peels
@@ -20,7 +21,11 @@ instance is such an up(g), so filter listings and neighbourhoods read
 the last two instead of rebuilding them.  Like the rows, none of the
 three takes part in equality, hashing or repr.
 Validation is O(n^2): an idempotent, commutative table is associative
-iff down[meet(e, f)] == down[e] & down[f] for all e, f.
+iff down[meet(e, f)] == down[e] & down[f] for all e, f.  Every public
+or parsed construction validates.  The two library routes that build
+instances lawful by construction, path truncations and one-atom catalog
+extensions, go through Semilattice._from_rows instead: it checks the
+labels and bounds in O(n) and takes down rows that the caller proves.
 
 All operations are exact and nothing here caps the size.  The limits
 live where the cost explodes, and refuse with TooLargeError before the
@@ -33,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import repeat
 from operator import eq, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -94,7 +98,9 @@ class Semilattice:
     commutative, associative, and the designated zero and one must be
     absorbing and neutral.  Invalid tables raise InvalidSemilatticeError.
     The down, up and star rows (see the module docstring) are derived
-    here and take no part in equality, hashing or repr.
+    here and take no part in equality, hashing or repr.  The one
+    construction that skips the table checks is the private _from_rows,
+    for callers that prove their rows.
     """
 
     labels: tuple[str, ...]
@@ -107,14 +113,7 @@ class Semilattice:
 
     def __post_init__(self) -> None:
         n = len(self.labels)
-        if n < 2:
-            raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
-        if len(set(self.labels)) != n:
-            raise InvalidSemilatticeError("labels must be distinct")
-        for lab in self.labels:
-            _check_label(lab)
-        if not (0 <= self.zero < n and 0 <= self.one < n) or self.zero == self.one:
-            raise InvalidSemilatticeError("zero and one must be distinct valid indices")
+        _check_labels_and_bounds(self.labels, self.zero, self.one)
         t = self.meet_table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidSemilatticeError("meet table must be n x n")
@@ -135,10 +134,6 @@ class Semilattice:
                         f"meet not commutative at ({self.labels[i]!r}, {self.labels[j]!r})")
         rng = range(n)
         down = tuple(_row(map(eq, row, rng)) for row in t)  # meet(e, f) == f
-        object.__setattr__(self, "down", down)
-        up = tuple(_row(map(eq, row, repeat(e))) for e, row in enumerate(t))  # meet(e, f) == e
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "star", tuple(_row(map(eq, row, repeat(self.zero))) for row in t))
         # The row law: with idempotence and commutativity it makes the rows
         # the down-sets of a partial order whose glb is the table.
         for e in rng:
@@ -149,6 +144,26 @@ class Semilattice:
                     raise InvalidSemilatticeError(
                         "meet not associative at "
                         f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})")
+        _set_rows(self, down)
+
+    @classmethod
+    def _from_rows(cls, labels: tuple[str, ...], meet_table: tuple[tuple[int, ...], ...],
+                   zero: int, one: int, down: tuple[int, ...]) -> "Semilattice":
+        """The instance of a meet table whose down rows the caller has proven.
+
+        Only the labels and bounds are checked, in O(n); the table is
+        trusted, not scanned.  The caller proves that down[e] is the set
+        of elements f with meet(e, f) == f, for the lawful table it passes:
+        each caller's docstring gives its proof, and the tests hold both
+        callers' rows to the validated rebuild.
+        """
+        _check_labels_and_bounds(labels, zero, one)
+        S = object.__new__(cls)
+        for name, value in (("labels", labels), ("meet_table", meet_table),
+                            ("zero", zero), ("one", one)):
+            object.__setattr__(S, name, value)
+        _set_rows(S, down)
+        return S
 
     @cached_property
     def up_sets(self) -> tuple[frozenset, ...]:
@@ -223,6 +238,50 @@ class Semilattice:
         if covers:
             lines.append("order: " + " ".join(covers))
         return "\n".join(lines) + "\n"
+
+
+def _check_labels_and_bounds(labels: tuple[str, ...], zero: int, one: int) -> None:
+    """The O(n) checks of a construction: two or more distinct, well-formed
+    labels, and distinct zero and one among their indices."""
+    n = len(labels)
+    if n < 2:
+        raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
+    if len(set(labels)) != n:
+        raise InvalidSemilatticeError("labels must be distinct")
+    for lab in labels:
+        _check_label(lab)
+    if not (0 <= zero < n and 0 <= one < n) or zero == one:
+        raise InvalidSemilatticeError("zero and one must be distinct valid indices")
+
+
+def _set_rows(S: Semilattice, down: tuple[int, ...]) -> None:
+    """Store the down rows of a lawful S with the up and star rows they give.
+
+    up is the transpose of down.  meet(e, f) is zero iff no non-zero x
+    lies below both e and f, so star[e] is the complement of the union of
+    up[x] over the non-zero x in down[e].
+    """
+    n = len(down)
+    up = [0] * n
+    for e, row in enumerate(down):
+        bit = 1 << e
+        while row:
+            low = row & -row
+            up[low.bit_length() - 1] |= bit
+            row ^= low
+    full, nonzero = (1 << n) - 1, ~(1 << S.zero)
+    star = []
+    for row in down:
+        row &= nonzero
+        meets = 0
+        while row:
+            low = row & -row
+            meets |= up[low.bit_length() - 1]
+            row ^= low
+        star.append(full ^ meets)
+    object.__setattr__(S, "down", down)
+    object.__setattr__(S, "up", tuple(up))
+    object.__setattr__(S, "star", tuple(star))
 
 
 def _associativity_witness(t, down, e: int, f: int) -> tuple[int, int, int]:

@@ -25,9 +25,11 @@ from .errors import (
 )
 
 # slat graph on the 2048-element two-loop truncation at depth 10 peaks
-# near 85 MB.  Classification keeps no per-pair data; under tracemalloc
-# the truncation itself, its n x n meet table and its down/up/star rows,
-# keeps 34 MiB, and each further level of two loops quadruples that.
+# near 86 MB of resident memory (Python 3.11, Linux x86-64).  Classification
+# keeps no per-pair data; under tracemalloc the truncation itself, its
+# n x n meet table and its down/up/star rows, keeps 34.0 MiB, nearly all
+# of it the table, and building it peaks at 66 MiB.  Each further level of
+# two loops quadruples both.
 MAX_ELEMENTS = 2048
 
 _RESERVED_IDS = {"0", "^"}
@@ -160,6 +162,16 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     0 everywhere else.  That is O(n * depth) writes.  Growth stops once
     no path can be extended, and TooLargeError refuses a truncation of
     more than MAX_ELEMENTS elements before its n x n table is allocated.
+
+    The table is lawful by construction, so it is not re-validated: the
+    down rows go to Semilattice._from_rows.  Below a path i lie the zero
+    and the paths that extend i, which are i and the paths whose
+    ancestor chain passes through i: its subtree in the parent list.
+    Each row starts as {0, i}, and each path from the last to the first
+    ORs its row into its parent's.  A path has a greater index than its
+    parent, because a level is appended after the level before it, so a
+    row is complete, holding the zero and the whole subtree, before it
+    is OR-ed up.  The root's parent is the zero, whose row is reset to {0}.
     """
     if not validate_rooted(G):
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
@@ -188,12 +200,15 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
         raise FormatError("edge ids produce colliding path labels")
     n = len(labels)
     table = [[0] * n for _ in range(n)]
-    for i in range(1, n):
+    down = [1 | 1 << i for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        down[parent[i]] |= down[i]
         a = i
         while a:
             table[i][a] = table[a][i] = i  # i extends a, the longer path is lower
             a = parent[a]
-    return Semilattice(tuple(labels), tuple(map(tuple, table)), zero=0, one=1)
+    down[0] = 1  # the root's row went into parent[1], the zero
+    return Semilattice._from_rows(tuple(labels), tuple(map(tuple, table)), 0, 1, tuple(down))
 
 
 def level(S: Semilattice, e: int) -> int | float:

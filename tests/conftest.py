@@ -32,6 +32,14 @@ def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:
                        new[S.zero], new[S.one])
 
 
+def assert_rows_match_validated_rebuild(S: Semilattice) -> None:
+    """S equals the validated construction from its own table, and so do
+    its down, up and star rows, which equality ignores."""
+    T = Semilattice(S.labels, S.meet_table, S.zero, S.one)
+    assert S == T
+    assert (S.down, S.up, S.star) == (T.down, T.up, T.star)
+
+
 def random_instances() -> list[Semilattice]:
     """Seeded random instances, three each of sizes 8 to 12, each also
     under a seeded relabeling."""

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pathlat_oracle
-from conftest import relabeled
+from conftest import assert_rows_match_validated_rebuild, relabeled
 from slat import pathlat
 from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
 from slat.classify import is_zero_disjunctive
@@ -375,7 +375,9 @@ def test_unreachable_vertices_is_linear_in_the_edges():
 @given(rooted_graphs(), st.integers(1, 4))
 def test_truncate_matches_prefix_compare_oracle(G, depth):
     assume(validate_rooted(G))
-    assert truncate(G, depth) == pathlat_oracle.truncate(G, depth)
+    S = truncate(G, depth)
+    assert S == pathlat_oracle.truncate(G, depth)
+    assert_rows_match_validated_rebuild(S)
 
 
 @pytest.mark.parametrize("G, depths", [
@@ -384,7 +386,9 @@ def test_truncate_matches_prefix_compare_oracle(G, depth):
 ], ids=["two-loop", "three-loop"])
 def test_loop_truncations_match_prefix_compare_oracle(G, depths):
     for depth in depths:
-        assert truncate(G, depth) == pathlat_oracle.truncate(G, depth)
+        S = truncate(G, depth)
+        assert S == pathlat_oracle.truncate(G, depth)
+        assert_rows_match_validated_rebuild(S)
 
 
 @pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)

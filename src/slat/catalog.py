@@ -157,33 +157,25 @@ def _with_atom(P: Semilattice, U: int) -> Semilattice:
     x, y in U becomes a, and a^y is a for y in U and zero otherwise.
 
     P is lawful and U admissible, so the result is a lattice (see the
-    module docstring) and is not re-validated: its down rows go to
-    Semilattice._from_rows.  Among the old elements the order is P's,
-    as only meets x^y = 0 of two non-zero elements change, and neither
-    was below the other.  The atom lies below exactly the members of U,
-    and only the zero and the atom lie below it.  So each old row is P's
-    with bit a set on the members of U, down[a] = {0, a}, and the one's
-    row is P's full row, whose bit n-1 now names a (the one is in U),
-    plus bit n for the one itself.  No other old row has bit n-1, since
-    only the one lies above the one.
+    module docstring) and is not validated: its labels, bounds and down
+    rows go to Semilattice._from_rows, which checks nothing.  The labels
+    are the fixed _interior_labels(n + 1): n + 1 distinct, well-formed
+    labels, since enumeration stops at EXHAUSTIVE_LIMIT < MAX_SIZE.  The
+    zero is 0 and the one is n.  Among the old elements the order is
+    P's, as only meets x^y = 0 of two non-zero elements change, and
+    neither was below the other.  The atom lies below exactly the
+    members of U, and only the zero and the atom lie below it.  So each
+    old row is P's with bit a set on the members of U, down[a] = {0, a},
+    and the one's row is P's full row, whose bit n-1 now names a (the
+    one is in U), plus bit n for the one itself.  No other old row has
+    bit n-1, since only the one lies above the one.
     """
     n = len(P)
     a = n - 1
-    in_U = [U >> y & 1 for y in range(n)]
-    rows = []
-    for x, old in enumerate(P.meet_table):
-        row = [v if v < a else n for v in old]
-        if in_U[x]:
-            row = [a if v == 0 and in_U[y] else v for y, v in enumerate(row)]
-        row.insert(a, a if in_U[x] else 0)
-        rows.append(tuple(row))
-    atom = [a if b else 0 for b in in_U]
-    atom.insert(a, a)
-    rows.insert(a, tuple(atom))
-    down = [row | in_U[x] << a for x, row in enumerate(P.down)]
+    down = [row | (U >> x & 1) << a for x, row in enumerate(P.down)]
     down.insert(a, 1 | 1 << a)
     down[n] |= 1 << n
-    return Semilattice._from_rows(_interior_labels(n + 1), tuple(rows), 0, n, tuple(down))
+    return Semilattice._from_rows(_interior_labels(n + 1), 0, n, tuple(down))
 
 
 def _one_atom_extensions(classes: list[Semilattice]) -> list[Semilattice]:

@@ -1,14 +1,16 @@
 """Finite bounded meet semilattices and their order-theoretic primitives.
 
 Elements are dense integer indices 0..n-1; labels are presentation only.
-The meet table is the canonical internal form: the partial order and the
-bounds are derived from it via  e <= f  iff  meet(e, f) == e.
-
-Construction also derives three int bitmask rows per element: down[e],
-up[e] and star[e] (the elements whose meet with e is zero).  down is
-read off the table, and _set_rows derives up and star from it.  The order
-primitives read them through one kernel, the elements below m orthogonal
-to all of Y, and return frozensets; masks never leave the library.
+An instance stores its order once, as int bitmask rows: down[e] holds
+the elements below e.  Construction derives two more rows per element,
+up[e] and star[e] (the elements whose meet with e is zero), in _set_rows.
+The order primitives read them through one kernel, the elements below m
+orthogonal to all of Y, and return frozensets; masks never leave the
+library.  The meet of a family is the element whose down row is the AND
+of the family's rows.  The n x n meet table is a view: the public
+constructor keeps the table it validated, and an instance built from
+rows derives it on first read (_derived_table).  Classification,
+tightness and build_space read only the rows.
 The lower-cover relation has one kernel too, _lower_covers, which peels
 maximal elements off a down-set: covers_hat, to_text, the sibling
 witnesses of path semilattices and the cover pairs that classification
@@ -18,19 +20,19 @@ the tuple that nonzero() returns, up_sets, the frozenset up(e) for each
 element, and filter_generators, the non-zero elements in the order of
 their filters up(g) under Filter.sort_key.  Every filter of a finite
 instance is such an up(g), so filter listings and neighbourhoods read
-the last two instead of rebuilding them.  Like the rows, none of the
-three takes part in equality, hashing or repr.
+the last two instead of rebuilding them.  Like up, star and the meet
+table, none of the three takes part in equality, hashing or repr.
 Validation is O(n^2): an idempotent, commutative table is associative
 iff down[meet(e, f)] == down[e] & down[f] for all e, f.  Every public
 or parsed construction validates.  The two library routes that build
 instances lawful by construction, path truncations and one-atom catalog
-extensions, go through Semilattice._from_rows instead: it checks the
-labels and bounds in O(n) and takes down rows that the caller proves.
+extensions, go through Semilattice._from_rows instead: it takes down
+rows, labels and bounds that the caller proves, and checks nothing.
 
 All operations are exact and nothing here caps the size.  The limits
 live where the cost explodes, and refuse with TooLargeError before the
 work starts: stone.opens (2^points opens), the catalog (exhaustive
-sizes) and pathlat.truncate (the n x n meet table).
+sizes) and pathlat.truncate (three rows of n bits per element).
 """
 
 from __future__ import annotations
@@ -90,30 +92,43 @@ def _check_label(label: str) -> None:
         raise FormatError(f"bad label {label!r}: labels are non-empty and free of whitespace, '<', '#', '='")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Semilattice:
-    """A bounded meet semilattice given by its full meet table.
+    """A bounded meet semilattice, stored as its down rows.
 
-    Construction validates everything: the table must be idempotent,
-    commutative, associative, and the designated zero and one must be
-    absorbing and neutral.  Invalid tables raise InvalidSemilatticeError.
-    The down, up and star rows (see the module docstring) are derived
-    here and take no part in equality, hashing or repr.  The one
-    construction that skips the table checks is the private _from_rows,
-    for callers that prove their rows.
+    The public constructor takes the full meet table and validates
+    everything: the table must be idempotent, commutative, associative,
+    and the designated zero and one must be absorbing and neutral.
+    Invalid tables raise InvalidSemilatticeError.  It keeps the validated
+    table as the meet_table view and derives the down, up and star rows
+    (see the module docstring).  Equality and hashing read the labels,
+    the bounds and the down rows.  The one construction that skips the
+    checks is the private _from_rows, for callers that prove their rows.
     """
 
     labels: tuple[str, ...]
-    meet_table: tuple[tuple[int, ...], ...]
     zero: int
     one: int
-    down: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    up: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    star: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    down: tuple[int, ...] = field(repr=False)
+    up: tuple[int, ...] = field(compare=False, repr=False)
+    star: tuple[int, ...] = field(compare=False, repr=False)
+
+    def __init__(self, labels: tuple[str, ...], meet_table: tuple[tuple[int, ...], ...],
+                 zero: int, one: int) -> None:
+        # The table seeds the meet_table view; __post_init__ validates it.
+        self.__dict__.update(labels=labels, meet_table=meet_table, zero=zero, one=one)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)
-        _check_labels_and_bounds(self.labels, self.zero, self.one)
+        if n < 2:
+            raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
+        if len(set(self.labels)) != n:
+            raise InvalidSemilatticeError("labels must be distinct")
+        for lab in self.labels:
+            _check_label(lab)
+        if not (0 <= self.zero < n and 0 <= self.one < n) or self.zero == self.one:
+            raise InvalidSemilatticeError("zero and one must be distinct valid indices")
         t = self.meet_table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidSemilatticeError("meet table must be n x n")
@@ -147,23 +162,31 @@ class Semilattice:
         _set_rows(self, down)
 
     @classmethod
-    def _from_rows(cls, labels: tuple[str, ...], meet_table: tuple[tuple[int, ...], ...],
-                   zero: int, one: int, down: tuple[int, ...]) -> "Semilattice":
-        """The instance of a meet table whose down rows the caller has proven.
+    def _from_rows(cls, labels: tuple[str, ...], zero: int, one: int,
+                   down: tuple[int, ...]) -> "Semilattice":
+        """The instance whose down rows the caller has proven.
 
-        Only the labels and bounds are checked, in O(n); the table is
-        trusted, not scanned.  The caller proves that down[e] is the set
-        of elements f with meet(e, f) == f, for the lawful table it passes:
-        each caller's docstring gives its proof, and the tests hold both
-        callers' rows to the validated rebuild.
+        Nothing is checked.  The caller proves that its labels are two or
+        more distinct, well-formed labels, that zero and one are distinct
+        indices among them, and that down[e] is the down-set of e in a
+        bounded semilattice with that zero and one: each caller's
+        docstring gives its proof, and the tests hold both callers' rows
+        and derived tables to the validated rebuild and to oracles.
         """
-        _check_labels_and_bounds(labels, zero, one)
         S = object.__new__(cls)
-        for name, value in (("labels", labels), ("meet_table", meet_table),
-                            ("zero", zero), ("one", one)):
-            object.__setattr__(S, name, value)
+        S.__dict__.update(labels=labels, zero=zero, one=one)
         _set_rows(S, down)
         return S
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n meet table, derived from the rows on first read."""
+        return _derived_table(self)
+
+    @cached_property
+    def _element_of_row(self) -> dict[int, int]:
+        """Each element keyed by its down row."""
+        return {row: e for e, row in enumerate(self.down)}
 
     @cached_property
     def up_sets(self) -> tuple[frozenset, ...]:
@@ -184,7 +207,7 @@ class Semilattice:
         return self.meet_table[e][f]
 
     def leq(self, e: int, f: int) -> bool:
-        return self.meet_table[e][f] == e
+        return self.down[f] >> e & 1 == 1
 
     def elements(self) -> range:
         return range(len(self.labels))
@@ -206,11 +229,15 @@ class Semilattice:
         return tuple(self.labels[i] for i in sorted(xs))
 
     def meet_all(self, xs: Iterable[int]) -> int:
-        """Meet of a finite family; the empty family meets to one."""
-        acc = self.one
+        """Meet of a finite family; the empty family meets to one.
+
+        The down row of a meet is the AND of the meetands' rows.
+        """
+        down = self.down
+        row = down[self.one]
         for x in xs:
-            acc = self.meet_table[acc][x]
-        return acc
+            row &= down[x]
+        return self._element_of_row[row]
 
     @classmethod
     def from_order(cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Semilattice":
@@ -240,20 +267,6 @@ class Semilattice:
         return "\n".join(lines) + "\n"
 
 
-def _check_labels_and_bounds(labels: tuple[str, ...], zero: int, one: int) -> None:
-    """The O(n) checks of a construction: two or more distinct, well-formed
-    labels, and distinct zero and one among their indices."""
-    n = len(labels)
-    if n < 2:
-        raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
-    if len(set(labels)) != n:
-        raise InvalidSemilatticeError("labels must be distinct")
-    for lab in labels:
-        _check_label(lab)
-    if not (0 <= zero < n and 0 <= one < n) or zero == one:
-        raise InvalidSemilatticeError("zero and one must be distinct valid indices")
-
-
 def _set_rows(S: Semilattice, down: tuple[int, ...]) -> None:
     """Store the down rows of a lawful S with the up and star rows they give.
 
@@ -279,9 +292,29 @@ def _set_rows(S: Semilattice, down: tuple[int, ...]) -> None:
             meets |= up[low.bit_length() - 1]
             row ^= low
         star.append(full ^ meets)
-    object.__setattr__(S, "down", down)
-    object.__setattr__(S, "up", tuple(up))
-    object.__setattr__(S, "star", tuple(star))
+    S.__dict__.update(down=down, up=tuple(up), star=tuple(star))
+
+
+def _derived_table(S: Semilattice) -> tuple[tuple[int, ...], ...]:
+    """The meet table of S, read off its rows in one pass.
+
+    meet(e, a) is e for every a above e, so each non-zero e writes e at
+    (e, a) and at (a, e) for a in up[e]: that fills every comparable pair
+    of non-zero elements.  An incomparable f outside star[e] meets e at
+    the element whose down row is down[e] & down[f].  Every other entry
+    pairs zero with something, or two orthogonal elements, and is zero.
+    On a chain or a tree that is O(n * depth) writes.
+    """
+    n, down, up, star = len(S), S.down, S.up, S.star
+    table = [[S.zero] * n for _ in range(n)]
+    full = (1 << n) - 1
+    for e in S.nonzero():
+        row, de = table[e], down[e]
+        for a in _members(up[e]):
+            row[a] = table[a][e] = e
+        for f in _members(full & ~(up[e] | de | star[e])):
+            row[f] = S._element_of_row[de & down[f]]
+    return tuple(map(tuple, table))
 
 
 def _associativity_witness(t, down, e: int, f: int) -> tuple[int, int, int]:

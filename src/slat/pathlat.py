@@ -25,11 +25,12 @@ from .errors import (
 )
 
 # slat graph on the 2048-element two-loop truncation at depth 10 peaks
-# near 86 MB of resident memory (Python 3.11, Linux x86-64).  Classification
-# keeps no per-pair data; under tracemalloc the truncation itself, its
-# n x n meet table and its down/up/star rows, keeps 34.0 MiB, nearly all
-# of it the table, and building it peaks at 66 MiB.  Each further level of
-# two loops quadruples both.
+# near 21 MB of resident memory (Python 3.11, Linux x86-64).  A truncation
+# stores its down/up/star rows only and classification reads nothing else:
+# under tracemalloc the truncation keeps 1.7 MiB and building it peaks at
+# 1.8 MiB.  Each further level of two loops doubles the elements and
+# quadruples the bits of the rows; reading the meet table derives n x n
+# entries.
 MAX_ELEMENTS = 2048
 
 _RESERVED_IDS = {"0", "^"}
@@ -156,22 +157,26 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     and at zero otherwise.  Path labels concatenate edge ids (dotted when
     ids are not single symbols); '0' and '^' name the bounds.
 
-    Paths are grown level by level, each recording its parent's index,
-    so the paths a path extends are its ancestor chain: row i of the
-    meet table holds i at each ancestor a (and row a holds i at i), and
-    0 everywhere else.  That is O(n * depth) writes.  Growth stops once
-    no path can be extended, and TooLargeError refuses a truncation of
-    more than MAX_ELEMENTS elements before its n x n table is allocated.
+    Paths are grown level by level, each recording its parent's index.
+    Growth stops once no path can be extended, and TooLargeError refuses
+    a truncation of more than MAX_ELEMENTS elements after the level that
+    crosses the bound.
 
-    The table is lawful by construction, so it is not re-validated: the
-    down rows go to Semilattice._from_rows.  Below a path i lie the zero
-    and the paths that extend i, which are i and the paths whose
-    ancestor chain passes through i: its subtree in the parent list.
-    Each row starts as {0, i}, and each path from the last to the first
-    ORs its row into its parent's.  A path has a greater index than its
-    parent, because a level is appended after the level before it, so a
-    row is complete, holding the zero and the whole subtree, before it
-    is OR-ed up.  The root's parent is the zero, whose row is reset to {0}.
+    The instance is lawful by construction, so it is not validated: its
+    labels, bounds and down rows go to Semilattice._from_rows, which
+    checks nothing.  RootedGraph refuses empty ids, ids with whitespace
+    or any of '#<=.', and the reserved ids '0' and '^', so every path
+    label, its ids joined by '' or '.', is non-empty and free of
+    whitespace, '<', '#' and '='.  The collision check below makes the
+    labels distinct, and there are at least two, '0' and '^'.  The zero
+    is 0 and the one is 1.  Below a path i lie the zero and the paths
+    that extend i, which are i and the paths whose ancestor chain passes
+    through i: its subtree in the parent list.  Each row starts as
+    {0, i}, and each path from the last to the first ORs its row into
+    its parent's.  A path has a greater index than its parent, because a
+    level is appended after the level before it, so a row is complete,
+    holding the zero and the whole subtree, before it is OR-ed up.  The
+    root's parent is the zero, whose row is reset to {0}.
     """
     if not validate_rooted(G):
         raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
@@ -198,17 +203,11 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     labels = ["0"] + _path_labels(paths[1:])
     if len(set(labels)) != len(labels):
         raise FormatError("edge ids produce colliding path labels")
-    n = len(labels)
-    table = [[0] * n for _ in range(n)]
-    down = [1 | 1 << i for i in range(n)]
-    for i in range(n - 1, 0, -1):
+    down = [1 | 1 << i for i in range(len(labels))]
+    for i in range(len(labels) - 1, 0, -1):
         down[parent[i]] |= down[i]
-        a = i
-        while a:
-            table[i][a] = table[a][i] = i  # i extends a, the longer path is lower
-            a = parent[a]
     down[0] = 1  # the root's row went into parent[1], the zero
-    return Semilattice._from_rows(tuple(labels), tuple(map(tuple, table)), 0, 1, tuple(down))
+    return Semilattice._from_rows(tuple(labels), 0, 1, tuple(down))
 
 
 def level(S: Semilattice, e: int) -> int | float:

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
 
-from .core import Semilattice
+from .core import Semilattice, _members
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -66,12 +66,13 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
     holds meet(e, f), being meet-closed and upward closed, so
     K(meet(e, f)) = K(e) & K(f).  That every non-zero element lies in
     some ultrafilter is a theorem about the enumeration (see
-    extend_to_ultrafilter), so that one is checked.
+    extend_to_ultrafilter), so that one is checked.  A point up(g) holds
+    e iff g <= e, so K(e) is read off down[e] and the points' generators.
     """
     points = tuple(enumerate_ultrafilters(S))
-    base = tuple(
-        frozenset(i for i, U in enumerate(points) if e in U.carrier)
-        for e in S.elements())
+    point_of = {S.meet_all(U.carrier): i for i, U in enumerate(points)}
+    gens = sum(1 << g for g in point_of)
+    base = tuple(frozenset(map(point_of.__getitem__, _members(row & gens))) for row in S.down)
     for e in S.nonzero():
         if not base[e]:
             raise TheoremViolationError(

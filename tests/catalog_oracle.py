@@ -8,7 +8,10 @@ canonical_key permutes the whole interior, with no invariant cells.
 enumerate_filters builds every principal up-set afresh and sorts the
 filters, where the library reads the up-sets and their order that the
 semilattice keeps, and filterspace_nbhd scans that listing.  The tests
-hold the library's versions to all three.
+hold the library's versions to all three.  with_atom_table is the meet
+table of a one-atom extension as the catalog patched it from the
+smaller table, before extensions were built from down rows only; the
+tests hold the table derived from those rows to it.
 """
 
 from __future__ import annotations
@@ -73,3 +76,24 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     return [F for F in enumerate_filters(S)
             if e in F.carrier and all(x not in F.carrier for x in es)]
 
+
+def with_atom_table(P: Semilattice, U: int) -> tuple[tuple[int, ...], ...]:
+    """P's table with an atom a = n-1 below exactly U and the one moved to n.
+
+    A meet x^y = 0 with x, y in U becomes a, and a^y is a for y in U and
+    zero otherwise.
+    """
+    n = len(P)
+    a = n - 1
+    in_U = [U >> y & 1 for y in range(n)]
+    rows = []
+    for x, old in enumerate(P.meet_table):
+        row = [v if v < a else n for v in old]
+        if in_U[x]:
+            row = [a if v == 0 and in_U[y] else v for y, v in enumerate(row)]
+        row.insert(a, a if in_U[x] else 0)
+        rows.append(tuple(row))
+    atom = [a if b else 0 for b in in_U]
+    atom.insert(a, a)
+    rows.insert(a, tuple(atom))
+    return tuple(rows)

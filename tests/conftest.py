@@ -49,14 +49,20 @@ def random_instances() -> list[Semilattice]:
             for T in (S, relabeled(S, rng))]
 
 
-def bench_truncations() -> list[Semilattice]:
-    """The truncations the path-space benchmark builds: the two-loop graph
-    at depths 1 to 7 and the three-loop graph at depths 1 to 4."""
+def bench_truncation_inputs() -> list[tuple[RootedGraph, int]]:
+    """The graphs and depths of the truncations the path-space benchmark
+    builds: the two-loop graph at depths 1 to 7 and the three-loop graph
+    at depths 1 to 4."""
     out = []
     for name, depths in (("two-loop", range(1, 8)), ("three-loop", range(1, 5))):
         G = parse_rooted_graph((BENCH_INPUTS / f"{name}.txt").read_text(encoding="utf-8"))
-        out += [truncate(G, depth) for depth in depths]
+        out += [(G, depth) for depth in depths]
     return out
+
+
+def bench_truncations() -> list[Semilattice]:
+    """The truncations the path-space benchmark builds."""
+    return [truncate(G, depth) for G, depth in bench_truncation_inputs()]
 
 
 INSTANCE_SETS = {"catalog-7": catalog_instances, "random-8-12": random_instances,

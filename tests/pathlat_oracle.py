@@ -10,7 +10,10 @@ into a chain and takes all covers of each element on the chain from
 order_oracle's table scan, so it shares no code with the library's
 cover kernel.  unreachable_vertices is the search the library ran
 before it indexed the in-edges: it rescans every edge for each vertex
-it reaches.  The tests hold the library's versions to all three.
+it reaches.  ancestor_chain_table is the meet table truncate filled
+before it built down rows only: row i holds i at each ancestor a of
+path i, and row a holds i at i.  The tests hold the library's versions
+to all four, and the table derived from a truncation's rows to the last.
 """
 
 from __future__ import annotations
@@ -63,6 +66,28 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
             else:
                 table[i][j] = 0
     return Semilattice(tuple(labels), tuple(tuple(r) for r in table), zero=0, one=1)
+
+
+def ancestor_chain_table(G: RootedGraph, depth: int) -> tuple[tuple[int, ...], ...]:
+    """The meet table of the truncation, filled along recorded parent links."""
+    parent = [0, 0]  # indexed by element; 0 is the zero, 1 the root
+    frontier = [(1, G.root)]
+    for _ in range(depth):
+        grown = []
+        for i, at in frontier:
+            for _, src, tgt in G.edges:
+                if tgt == at:
+                    grown.append((len(parent), src))
+                    parent.append(i)
+        frontier = grown
+    n = len(parent)
+    table = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        a = i
+        while a:
+            table[i][a] = table[a][i] = i  # i extends a, the longer path is lower
+            a = parent[a]
+    return tuple(map(tuple, table))
 
 
 def cover_table(S: Semilattice) -> dict[int, frozenset]:

@@ -8,7 +8,10 @@ order_oracle.py on the catalog up to 7 elements, 30 seeded random
 instances of size 10 and two graph truncations.  Truncations and the
 one-atom extensions of catalog enumeration skip validation and bring
 their own down rows; all three rows of each are held to the validated
-rebuild of its table.
+rebuild of its table, and the meet table derived from its rows to the
+table its builder filled before it built rows only, kept as an oracle,
+also under a relabeling.  Classifying a truncation reads the rows
+alone and derives no table.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catalog_oracle
 import order_oracle as oracle
-from conftest import assert_rows_match_validated_rebuild, relabeled
+import pathlat_oracle
+from conftest import assert_rows_match_validated_rebuild, bench_truncation_inputs, relabeled
 from slat import classify, core, filters, pathlat, stone
 from slat.catalog import CatalogSpec, _admissible_up_sets, _sizes, _with_atom, enumerate_catalog
 from slat.core import Semilattice
@@ -101,9 +107,12 @@ def test_rows_of_the_vee(vee):
     assert vee.down[a] == bit[vee.zero] | bit[a]
     assert vee.up[a] == bit[a] | bit[vee.one]
     assert vee.star[a] == bit[vee.zero] | bit[b]
-    # Rows are derived data: they stay out of equality, hashing and repr.
+    # The down rows are the stored order and take part in equality; up and
+    # star are derived from them and stay out of it.  No row is in the repr.
     assert "down" not in repr(vee)
     assert vee == Semilattice(vee.labels, vee.meet_table, vee.zero, vee.one)
+    assert vee != Semilattice._from_rows(vee.labels, vee.zero, vee.one,
+                                         vee.down[:a] + (bit[a],) + vee.down[a + 1:])
 
 
 def _subsets(rng: random.Random, S: Semilattice, k: int) -> list[list[int]]:
@@ -173,31 +182,76 @@ def test_opens_match_all_unions_of_base_sets(S):
         assert stone.opens(space) == sorted(unions, key=lambda ps: (len(ps), tuple(sorted(ps))))
 
 
+def _assert_table_derived_as(S: Semilattice, table, rng: random.Random) -> None:
+    """S, built from rows, derives the given table on first read, and so
+    does the instance built from the rows of S relabeled."""
+    assert "meet_table" not in vars(S)
+    assert S.meet_table == table
+    T = relabeled(S, rng)
+    R = Semilattice._from_rows(T.labels, T.zero, T.one, T.down)
+    assert "meet_table" not in vars(R)
+    assert R.meet_table == T.meet_table
+
+
 def test_depth_nine_truncation_validates():
     S = truncate(TWO_LOOP, 9)
+    _assert_table_derived_as(S, pathlat_oracle.ancestor_chain_table(TWO_LOOP, 9), random.Random(9))
     assert_rows_match_validated_rebuild(S)
     assert len(S) == 1024
     assert pathlat.level(S, S.index("abababab")) == 9
     assert len(pathlat.covers_hat(S, S.one)) == 2
 
 
+def _truncations(inputs):
+    for G, depth in inputs:
+        yield truncate(G, depth), pathlat_oracle.ancestor_chain_table(G, depth)
+
+
 def _one_atom_candidates(max_size: int):
-    """Every one-atom extension that enumeration tries, of sizes 3 to max_size."""
+    """Every one-atom extension that enumeration tries, of sizes 3 to
+    max_size, with the table the catalog patched for it."""
     for classes in _sizes(max_size - 1):
         for P in classes:
             for U in _admissible_up_sets(P):
-                yield _with_atom(P, U)
+                yield _with_atom(P, U), catalog_oracle.with_atom_table(P, U)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: (truncate(TWO_LOOP, 10),),
-    lambda: (truncate(THREE_LOOP, 6),),
-    lambda: (truncate(ONE_LOOP, depth) for depth in (*range(1, 65), 128, 255, 256)),
-    lambda: _one_atom_candidates(9),
-], ids=["two-loop-10", "three-loop-6", "one-loop-to-256", "one-atom-3-9"])
-def test_rows_built_instances_match_the_validated_rebuild(build):
+@pytest.mark.parametrize("build, count", [
+    (lambda: _truncations([(TWO_LOOP, 10)]), 1),
+    (lambda: _truncations([(THREE_LOOP, 6)]), 1),
+    (lambda: _truncations((ONE_LOOP, depth) for depth in (*range(1, 65), 128, 255, 256)), 67),
+    (lambda: _one_atom_candidates(9), 3555),
+    (lambda: _truncations(bench_truncation_inputs()), 11),
+], ids=["two-loop-10", "three-loop-6", "one-loop-to-256", "one-atom-3-9", "bench-truncations"])
+def test_rows_built_instances_match_the_validated_rebuild(build, count):
     # Truncations and one-atom extensions skip validation and pass their
-    # own down rows; equality alone would not see a wrong row.  Two-loop
-    # depth 9 is checked with the other depth-nine assertions above.
-    for S in build():
+    # own down rows.  Equality compares the down rows but not up and star,
+    # and the meet table is derived from the rows, so each is held to its
+    # own check.  Two-loop depth 9 is checked with the other depth-nine
+    # assertions above.
+    rng = random.Random(count)
+    built = 0
+    for S, table in build():
+        _assert_table_derived_as(S, table, rng)
         assert_rows_match_validated_rebuild(S)
+        built += 1
+    assert built == count
+
+
+def test_classifying_a_truncation_derives_no_table():
+    S = truncate(THREE_LOOP, 4)
+    classify.is_compactable_finite(S)
+    pathlat.sibling_cover_witnesses(S, S.one)
+    stone.build_space(S)
+    assert "meet_table" not in vars(S)
+
+
+def test_a_truncation_keeps_no_table():
+    tracemalloc.start()
+    try:
+        S = truncate(TWO_LOOP, 9)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(S) == 1024
+    assert kept < 2 * 2 ** 20

@@ -7,8 +7,13 @@ the library's canonical key as the catalog returns them.
 canonical_key permutes the whole interior, with no invariant cells.
 enumerate_filters builds every principal up-set afresh and sorts the
 filters, where the library reads the up-sets and their order that the
-semilattice keeps, and filterspace_nbhd scans that listing.  The tests
-hold the library's versions to all three.  with_atom_table is the meet
+semilattice keeps; filterspace_nbhd scans that listing, and
+enumerate_ultrafilters keeps the filters that order_oracle finds maximal.
+scan_tight_pivots decides tightness by the (pivot, Y) subset scan that
+the single-element criterion replaced, and pivot_violations runs that
+criterion's cover test at every pivot, which the test at the generator
+replaced; tight_filters keeps the filters it finds none for.  The tests
+hold the library's versions to all of these.  with_atom_table is the meet
 table of a one-atom extension as the catalog patched it from the
 smaller table, before extensions were built from down rows only; the
 tests hold the table derived from those rows to it.
@@ -17,11 +22,13 @@ tests hold the table derived from those rows to it.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable
 
+import order_oracle
 from slat.catalog import _canonical_instance, _interior_labels, _meet_table_of
 from slat.catalog import canonical_key as library_key
-from slat.core import Semilattice, up
+from slat.core import Semilattice, _below_orthogonal, _members, constrained_set, up
 from slat.filters import Filter
 
 
@@ -65,9 +72,14 @@ def canonical_key(S: Semilattice) -> tuple:
 
 def enumerate_filters(S: Semilattice) -> list[Filter]:
     """The filter up(e) of every non-zero e, smallest carriers first."""
-    out = [Filter(S, up(S, {e})) for e in S.nonzero()]
-    out.sort(key=Filter.sort_key)
-    return out
+    return list(_filters(S))
+
+
+# filterspace_nbhd scans the listing once per (e, es), and the listing
+# routes and their arguments list the same instance in turn
+@lru_cache(maxsize=4)
+def _filters(S: Semilattice) -> tuple[Filter, ...]:
+    return tuple(sorted((Filter(S, up(S, {e})) for e in S.nonzero()), key=Filter.sort_key))
 
 
 def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
@@ -75,6 +87,54 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     es = tuple(es)
     return [F for F in enumerate_filters(S)
             if e in F.carrier and all(x not in F.carrier for x in es)]
+
+
+def enumerate_ultrafilters(S: Semilattice) -> list[Filter]:
+    """The filters that no other filter strictly contains, by the set scan."""
+    return [F for F in enumerate_filters(S) if order_oracle.is_ultrafilter(S, F.carrier)]
+
+
+def scan_tight_pivots(S: Semilattice, carrier: frozenset) -> list[int]:
+    """Pivots x in F for which some Y outside F admits a cover avoiding F.
+
+    For each pivot this scans every subset Y of the non-zero elements
+    outside F and asks whether the members of the constrained set of
+    ({x}, Y) that avoid F cover it.  Exponential in the size of the
+    complement.
+    """
+    outside = sorted(set(S.elements()) - carrier - {S.zero})
+    pivots = []
+    for pivot in sorted(carrier):
+        for r in range(len(outside) + 1):
+            if any(_avoiding_cover(S, carrier, constrained_set(S, {pivot}, Y))
+                   for Y in itertools.combinations(outside, r)):
+                pivots.append(pivot)
+                break
+    return pivots
+
+
+def _avoiding_cover(S: Semilattice, carrier: frozenset, target: frozenset) -> bool:
+    candidate = target - carrier - {S.zero}
+    return all(any(S.meet(x, z) != S.zero for z in candidate)
+               for x in target if x != S.zero)
+
+
+def pivot_violations(S: Semilattice, carrier: frozenset) -> list[int]:
+    """The cover test of tight_violations at every pivot x in F.
+
+    At x the target is down(x) - F - {0}; it covers iff only zero lies
+    below x orthogonal to all of it.  The library runs the test once, at
+    the generator.
+    """
+    zero = 1 << S.zero
+    avoid = S.up[S.meet_all(carrier)] | zero
+    return [x for x in sorted(carrier)
+            if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero]
+
+
+def tight_filters(S: Semilattice) -> list[Filter]:
+    """The filters with no violating pivot."""
+    return [F for F in enumerate_filters(S) if not pivot_violations(S, F.carrier)]
 
 
 def with_atom_table(P: Semilattice, U: int) -> tuple[tuple[int, ...], ...]:

@@ -1,35 +1,22 @@
 """Shared fixtures: the small semilattices and graphs every module
-exercises, and the instance sets that fast routes are held to oracles on."""
+exercises, and fault injections into the library.
+
+The instances that library routes are held to their oracles on, and the
+loop graphs, are built once per session in corpus.py; the registry of
+(library route, oracle) pairs is in test_oracles.py."""
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 
 import pytest
 
+import corpus
 from slat import classify, stone
-from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
-from slat.pathlat import RootedGraph, parse_rooted_graph, truncate
+from slat.pathlat import RootedGraph
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
-
-
-def catalog_instances() -> list[Semilattice]:
-    """Every isomorphism class of at most seven elements."""
-    return list(enumerate_catalog(CatalogSpec(max_size=7)))
-
-
-def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:
-    """S with its element indices shuffled, so that index order need not
-    extend the order of S."""
-    new = list(S.elements())
-    rng.shuffle(new)
-    old = sorted(S.elements(), key=new.__getitem__)
-    return Semilattice(tuple(S.labels[i] for i in old),
-                       tuple(tuple(new[S.meet(i, j)] for j in old) for i in old),
-                       new[S.zero], new[S.one])
 
 
 def assert_rows_match_validated_rebuild(S: Semilattice) -> None:
@@ -38,35 +25,6 @@ def assert_rows_match_validated_rebuild(S: Semilattice) -> None:
     T = Semilattice(S.labels, S.meet_table, S.zero, S.one)
     assert S == T
     assert (S.down, S.up, S.star) == (T.down, T.up, T.star)
-
-
-def random_instances() -> list[Semilattice]:
-    """Seeded random instances, three each of sizes 8 to 12, each also
-    under a seeded relabeling."""
-    rng = random.Random(8)
-    return [T for n in range(8, 13)
-            for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=3, seed=n))
-            for T in (S, relabeled(S, rng))]
-
-
-def bench_truncation_inputs() -> list[tuple[RootedGraph, int]]:
-    """The graphs and depths of the truncations the path-space benchmark
-    builds: the two-loop graph at depths 1 to 7 and the three-loop graph
-    at depths 1 to 4."""
-    out = []
-    for name, depths in (("two-loop", range(1, 8)), ("three-loop", range(1, 5))):
-        G = parse_rooted_graph((BENCH_INPUTS / f"{name}.txt").read_text(encoding="utf-8"))
-        out += [(G, depth) for depth in depths]
-    return out
-
-
-def bench_truncations() -> list[Semilattice]:
-    """The truncations the path-space benchmark builds."""
-    return [truncate(G, depth) for G, depth in bench_truncation_inputs()]
-
-
-INSTANCE_SETS = {"catalog-7": catalog_instances, "random-8-12": random_instances,
-                 "bench-truncations": bench_truncations}
 
 
 @pytest.fixture
@@ -107,13 +65,12 @@ def bool2() -> Semilattice:
 
 @pytest.fixture
 def two_loop() -> RootedGraph:
-    # one vertex, two loops: backward paths are all words over {a, b}
-    return RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
+    return corpus.TWO_LOOP
 
 
 @pytest.fixture
 def single_edge() -> RootedGraph:
-    return RootedGraph(("r", "s"), (("a", "s", "r"),), "r")
+    return corpus.SINGLE_EDGE
 
 
 @pytest.fixture

@@ -4,13 +4,13 @@ witnesses by listing every cover.
 truncate is the route the library ran before it recorded parent links:
 the paths are grown level by level as tuples of edge ids, and each cell
 of the meet table compares the two tuples' prefixes.
-sibling_cover_witness is the route the library ran before it walked
-down from e along the covers: it lists the interval [f, e], sorts it
-into a chain and takes all covers of each element on the chain from
-order_oracle's table scan, so it shares no code with the library's
-cover kernel.  unreachable_vertices is the search the library ran
-before it indexed the in-edges: it rescans every edge for each vertex
-it reaches.  ancestor_chain_table is the meet table truncate filled
+sibling_cover_witnesses runs, at each f below e, the route the library
+ran before it walked down from e along the covers: it lists the interval
+[f, e], sorts it into a chain and takes all covers of each element on
+the chain from order_oracle's table scan, so it shares no code with the
+library's cover kernel.  unreachable_vertices is the search the library
+ran before it indexed the in-edges: it rescans every edge for each
+vertex it reaches.  ancestor_chain_table is the meet table truncate filled
 before it built down rows only: row i holds i at each ancestor a of
 path i, and row a holds i at i.  The tests hold the library's versions
 to all four, and the table derived from a truncation's rows to the last.
@@ -18,7 +18,7 @@ to all four, and the table derived from a truncation's rows to the last.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import order_oracle
 from slat.core import Semilattice
@@ -92,10 +92,29 @@ def ancestor_chain_table(G: RootedGraph, depth: int) -> tuple[tuple[int, ...], .
 
 def cover_table(S: Semilattice) -> dict[int, frozenset]:
     """order_oracle.covers_hat of every non-zero element."""
+    return dict(_cover_table(S))
+
+
+@lru_cache(maxsize=2)  # sibling_cover_witnesses reads the table at every pair
+def _cover_table(S: Semilattice) -> dict[int, frozenset]:
     return {g: order_oracle.covers_hat(S, g) for g in S.nonzero()}
 
 
-def sibling_cover_witness(S: Semilattice, e: int, f: int, covers: dict[int, frozenset]) -> list[int]:
+def sibling_cover_witnesses(S: Semilattice, e: int):
+    """sibling_cover_witness(S, e, f) at every non-zero f < e, as the
+    witness or as its refusal (the error's type name and message); and
+    the witnesses alone, as sibling_cover_witnesses(S, e) gives them."""
+    answers: dict[int, list[int] | tuple[str, str]] = {}
+    for f in S.nonzero():
+        if f != e and S.leq(f, e):
+            try:
+                answers[f] = _sibling_cover_witness(S, e, f)
+            except BadPairError as exc:
+                answers[f] = (type(exc).__name__, str(exc))
+    return answers, {f: w for f, w in answers.items() if isinstance(w, list)}
+
+
+def _sibling_cover_witness(S: Semilattice, e: int, f: int) -> list[int]:
     """The witness read off the chain [f, e] and the cover table of S."""
     if f == S.zero or f == e or not S.leq(f, e):
         raise BadPairError(
@@ -104,6 +123,7 @@ def sibling_cover_witness(S: Semilattice, e: int, f: int, covers: dict[int, froz
     # some neighbours in the sorted list are not a cover pair.
     interval = sorted((g for g in S.elements() if S.leq(f, g) and S.leq(g, e)),
                       key=cmp_to_key(lambda g, h: -1 if S.leq(h, g) else 1))
+    covers = _cover_table(S)
     witness: list[int] = []
     for g, child in zip(interval, interval[1:]):
         if child not in covers[g]:

@@ -3,7 +3,12 @@
 These are the routines the library ran before it read the Boolean laws
 and density off the atoms: closure is checked over every pair of
 clopens, and density scans every non-empty clopen against every base
-set.  The tests hold the atom-based versions to them.
+set.  The tests hold the atom-based versions to them.  clopen_atoms are
+the minimal non-empty members of that closure-checked family, and
+base_set_unions lists the opens as every union of base sets.
+
+base_sets reads each base set off the ultrafilters that
+catalog_oracle.enumerate_ultrafilters lists.
 
 extension_violation is the check extend_hom once ran on its own result:
 the Boolean homomorphism laws over every pair of clopens, agreement with
@@ -15,6 +20,11 @@ the base sets at the bounds, and the meet law over every pair.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
+import catalog_oracle
+from slat.core import Semilattice
 from slat.errors import TheoremViolationError
 from slat.stone import (
     FiniteBooleanAlgebra,
@@ -41,6 +51,13 @@ def minimal_members(family) -> list[frozenset]:
 
 def clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
     """Opens with open complement, sorted, after the pairwise closure check."""
+    return _clopen_elements(space)
+
+
+# clopen_atoms and dense_check rescan the space that clopen_elements just
+# listed, and the listing is exponential in the points
+@lru_cache(maxsize=4)
+def _clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
     os = set(opens(space))
     universe = frozenset(range(len(space.points)))
     elems = sorted((o for o in os if universe - o in os),
@@ -53,6 +70,25 @@ def clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
     if not closed_pairwise(elems):
         raise TheoremViolationError("clopens not closed under set operations")
     return tuple(elems)
+
+
+def clopen_atoms(space: UltrafilterSpace) -> list[frozenset]:
+    return minimal_members(clopen_elements(space))
+
+
+def base_set_unions(space: UltrafilterSpace) -> list[frozenset]:
+    """Every union of base sets, sorted as opens() lists them."""
+    distinct = sorted(set(space.base), key=lambda ps: (len(ps), tuple(sorted(ps))))
+    unions = {frozenset().union(*combo)
+              for r in range(len(distinct) + 1)
+              for combo in itertools.combinations(distinct, r)}
+    return sorted(unions, key=lambda ps: (len(ps), tuple(sorted(ps))))
+
+
+def base_sets(S: Semilattice) -> tuple[frozenset, ...]:
+    """The points, numbered as the ultrafilters are listed, in each element's filters."""
+    ultras = catalog_oracle.enumerate_ultrafilters(S)
+    return tuple(frozenset(i for i, U in enumerate(ultras) if e in U.carrier) for e in S.elements())
 
 
 def dense_check(space: UltrafilterSpace) -> bool:

@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 
+import corpus
 from cantor_oracle import check_expr_against_oracle, random_expr
 from slat.cantor import (
     complement,
@@ -38,7 +39,7 @@ from slat.filters import (
     principal_filter,
     tight_filters,
 )
-from slat.pathlat import RootedGraph, level, sibling_cover_witness, truncate, zero_disjunctive_graph
+from slat.pathlat import level, sibling_cover_witness, truncate, zero_disjunctive_graph
 from slat.stone import (
     FiniteBooleanAlgebra,
     build_space,
@@ -165,8 +166,7 @@ def test_acceptance_3_cantor_battery():
 
 
 def test_acceptance_4_path_lattices():
-    two_loop = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
-    single_edge = RootedGraph(("r", "s"), (("a", "s", "r"),), "r")
+    two_loop, single_edge = corpus.TWO_LOOP, corpus.SINGLE_EDGE
     ok = zero_disjunctive_graph(two_loop)
 
     for depth in (1, 2, 3, 4, 5):

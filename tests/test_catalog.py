@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import hashlib
-import random
 
 import pytest
 
 import catalog_oracle
-from conftest import relabeled
+import corpus
 from slat.catalog import CatalogSpec, _instances_of_size, canonical_key, enumerate_catalog
 from slat.core import Semilattice
 from slat.errors import TooLargeError
 
-# hand-verified for sizes 2..4; 5 and 6 frozen from the first trusted run
-EXPECTED_COUNTS = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
 # OEIS A006966, lattices on n unlabeled elements
-A006966 = {7: 53, 8: 222, 9: 1078}
+A006966 = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
 
 def counts(spec: CatalogSpec) -> dict[int, int]:
@@ -27,13 +24,8 @@ def counts(spec: CatalogSpec) -> dict[int, int]:
 
 
 def test_exhaustive_counts():
-    assert counts(CatalogSpec(max_size=6)) == EXPECTED_COUNTS
-
-
-def test_size_seven_regression():
-    got = counts(CatalogSpec(max_size=7))
-    assert got[7] == 53  # frozen from the first trusted run
-    assert {k: v for k, v in got.items() if k < 7} == EXPECTED_COUNTS
+    for max_size in (6, 7):
+        assert counts(CatalogSpec(max_size=max_size)) == {n: A006966[n] for n in range(2, max_size + 1)}
 
 
 def test_small_sizes_are_the_known_shapes(vee, chain3, chain4, bool1):
@@ -66,12 +58,8 @@ def partition(keys: list) -> set[frozenset[int]]:
 
 
 def test_canonical_key_partitions_like_the_permutation_oracle():
-    rng = random.Random(4)
-    instances = list(enumerate_catalog(CatalogSpec(max_size=7)))
-    for n, count in ((8, 20), (9, 4), (10, 1)):
-        instances += enumerate_catalog(
-            CatalogSpec(max_size=n, mode="random", sample_count=count, seed=n))
-    instances += [relabeled(S, rng) for S in instances]
+    base = [*corpus.catalog(), *corpus.sample(8, 20), *corpus.sample(9, 4), *corpus.sample(10, 1)]
+    instances = [T for S in base for T in corpus.copies(S)]
     want = partition([catalog_oracle.canonical_key(S) for S in instances])
     assert partition([canonical_key(S) for S in instances]) == want
     assert len(want) < len(instances) // 2  # the random samples repeat some shapes
@@ -92,15 +80,14 @@ def test_extension_matches_the_relation_scan(n):
     assert grown == scanned
     assert ({catalog_oracle.canonical_key(S) for S in grown}
             == {catalog_oracle.canonical_key(S) for S in scanned})
-    assert len(grown) == (EXPECTED_COUNTS | A006966)[n]
+    assert len(grown) == A006966[n]
 
 
 def test_classes_come_back_canonically_relabeled():
-    rng = random.Random(8)
     for S in _instances_of_size(7):
         n, _, enc = canonical_key(S)
         assert tuple(x for row in S.meet_table for x in row) == enc
-        assert canonical_key(relabeled(S, rng)) == canonical_key(S)
+        assert canonical_key(corpus.relabeled_copy(S)) == canonical_key(S)
         assert S.labels == ("0", *"abcde", "1") and (S.zero, S.one) == (0, n - 1)
 
 
@@ -115,7 +102,7 @@ def test_catalog_listing_is_frozen():
     # Each class is listed as the least encoding over its cell
     # permutations, so a key that chose any other encoding, or listed the
     # classes in another order, changes these bytes.
-    text = "".join(S.to_text() for S in enumerate_catalog(CatalogSpec(max_size=7)))
+    text = "".join(S.to_text() for S in corpus.catalog())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1f17f813df8ccc3a21f975eaf88f8715b44475993a61fd651a9f1b2454c3c9b9")
 

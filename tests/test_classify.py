@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import itertools
-import random
 import tracemalloc
 
 import pytest
 
-import order_oracle
-from conftest import BENCH_INPUTS, INSTANCE_SETS, idx, relabeled
-from slat.catalog import CatalogSpec, enumerate_catalog
+import corpus
+from conftest import idx
 from slat.classify import (
     is_compactable_finite,
     is_separative,
@@ -21,7 +19,8 @@ from slat.classify import (
 )
 from slat.core import arrow, down, nonzero_pairs_below, star
 from slat.errors import BadPairError, TheoremViolationError
-from slat.pathlat import parse_rooted_graph, truncate
+from slat.pathlat import truncate
+from test_oracles import drive
 
 
 def test_zero_disjunctive_fixtures(vee, chain3, bool1):
@@ -64,7 +63,7 @@ def test_trapping_witness_requires_strict_pair(vee):
 
 def test_trapping_witness_semantics():
     # any witness W must sit inside down(e) ^ star(f) and refine e
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         for e, f in nonzero_pairs_below(S):
             W = trapping_witness(S, e, f)
             if W is None:
@@ -76,7 +75,7 @@ def test_trapping_witness_semantics():
 
 def test_trapping_witness_complete():
     # when no witness is reported, no subset of the region works either
-    for S in enumerate_catalog(CatalogSpec(max_size=5)):
+    for S in corpus.catalog(5):
         for e, f in nonzero_pairs_below(S):
             if trapping_witness(S, e, f) is not None:
                 continue
@@ -93,7 +92,7 @@ def test_satisfies_trapping_fixtures(vee, chain3, bool1):
 
 
 def test_equivalences_exhaustive():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         zd = is_zero_disjunctive(S)
         assert is_separative(S) == zd
         assert meet_separation(S) == zd
@@ -118,25 +117,18 @@ def test_compactability_report(vee, chain3):
     assert trapping_witness(chain3, chain3.one, idx(chain3, "a")) is None
 
 
-@pytest.mark.parametrize("instances", INSTANCE_SETS)
-def test_cover_pair_verdicts_match_all_pair_oracles(instances):
+@pytest.mark.parametrize("instances", corpus.INSTANCE_SETS)
+def test_cover_pair_verdicts_match_all_pair_oracles(instances, request):
     # Catalog instances and truncations number elements along the order,
     # so the relabeled copies are the ones on which lower covers are found
     # by climbing.
-    rng = random.Random(14)
-    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
-        zd = order_oracle.is_zero_disjunctive(S)
-        trap = order_oracle.satisfies_trapping(S)
-        assert zd == trap
-        assert is_zero_disjunctive(S) == zd
-        assert satisfies_trapping(S) == trap
+    drive(request, *corpus.instances(instances))
 
 
 def test_classification_builds_no_per_pair_table():
     # Two-loop depth 8 has 512 elements and 3586 strict non-zero pairs;
     # a witness list kept per pair took 11 MiB here.
-    G = parse_rooted_graph((BENCH_INPUTS / "two-loop.txt").read_text(encoding="utf-8"))
-    S = truncate(G, 8)
+    S = truncate(corpus.TWO_LOOP, 8)
     S.up_sets, S.filter_generators  # cached on first use, so warmed outside the count
     tracemalloc.start()
     try:
@@ -149,7 +141,7 @@ def test_classification_builds_no_per_pair_table():
 
 def test_report_on_all_catalog_instances():
     # the internal cross-checks must never trip on lawful instances
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         rep = is_compactable_finite(S)
         assert rep.booleans()["tight_equals_ultrafilters"]
 

@@ -3,12 +3,14 @@
 clopen_algebra decides that the clopens form a Boolean algebra by
 counting them against their atoms, and dense_check asks density of the
 atoms alone.  A hypothesis property holds the atom criterion to the
-pairwise closure loop on random complement-closed families; both
-library routes are compared with the scans in stone_oracle.py on the
-catalog up to 7 elements, seeded random instances of sizes 8 to 11 and
-three graph truncations.  Fault injection shows both raise sites of
-clopen_algebra fire, and the size guard in opens() refuses a
-32-point space while a 16-point one still finishes.
+pairwise closure loop on random complement-closed families; both library
+routes are compared with the scans in stone_oracle.py through the
+registry in test_oracles.py, on each instance of the corpus slice
+"clopens" (the catalog up to 7 elements, seeded random instances of
+sizes 8 to 11 and three graph truncations) and its relabeled copy.
+Fault injection shows both raise sites of clopen_algebra fire, and the
+size guard in opens() refuses a 32-point space while a 16-point one
+still finishes.
 """
 
 from __future__ import annotations
@@ -19,27 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import stone_oracle as oracle
-from conftest import relabeled
+from corpus import TWO_LOOP
 from slat import stone
-from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.cli import main
 from slat.core import Semilattice
 from slat.errors import TheoremViolationError, TooLargeError
-from slat.pathlat import RootedGraph, truncate
-
-TWO_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
-THREE_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
-ONE_LOOP = RootedGraph(("t",), (("a", "t", "t"),), "t")
-
-
-def _instances():
-    yield from enumerate_catalog(CatalogSpec(max_size=7))
-    for n in range(8, 12):
-        yield from enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=10, seed=n))
-    yield truncate(TWO_LOOP, 3)
-    yield truncate(THREE_LOOP, 2)
-    yield truncate(ONE_LOOP, 6)
+from slat.pathlat import truncate
+from test_oracles import drive
 
 
 def _complement_closed(universe: frozenset, sets) -> set[frozenset]:
@@ -100,14 +90,9 @@ def test_atom_criterion_sees_both_verdicts():
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
-@pytest.mark.parametrize("S", list(_instances()), ids=lambda S: f"n{len(S)}")
-def test_clopen_algebra_and_density_match_the_scans(S):
-    for T in (S, relabeled(S, random.Random(len(S)))):
-        space = stone.build_space(T)
-        algebra = stone.clopen_algebra(space)
-        assert algebra.elements == oracle.clopen_elements(space)
-        assert list(algebra.atoms) == oracle.minimal_members(algebra.elements)
-        assert stone.dense_check(space) == oracle.dense_check(space)
+@pytest.mark.parametrize("S", corpus.instances("clopens"), ids=lambda S: f"n{len(S)}")
+def test_clopen_algebra_and_density_match_the_scans(S, request):
+    drive(request, S)
 
 
 def test_density_fails_at_an_atom_without_a_base_set(vee):

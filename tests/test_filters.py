@@ -1,26 +1,23 @@
 """Filters, ultrafilters, tightness.
 
 The oracles here are written from the raw definitions: a subset scan for
-filters, literal set-inclusion maximality for ultrafilters, the full
-(X, Y, Z) triple enumeration for tightness, the (pivot, Y) subset scan
-that the single-element tightness criterion replaced, and that
-criterion's cover test at every pivot, which the test at the generator
-replaced.  Library answers must agree on every catalog instance small
-enough to scan.
+filters, literal set-inclusion maximality for ultrafilters and the full
+(X, Y, Z) triple enumeration for tightness.  Library answers must agree
+on every catalog instance small enough to scan.  The filter listings are
+compared with catalog_oracle.py through the registry in test_oracles.py,
+on each corpus instance set; so is tightness, against the (pivot, Y)
+subset scan and the cover test at every pivot.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
-import catalog_oracle
-import order_oracle
-from conftest import INSTANCE_SETS, idx, relabeled
-from slat.catalog import CatalogSpec, enumerate_catalog
-from slat.core import Semilattice, _below_orthogonal, _members, constrained_set
+import corpus
+from conftest import idx
+from slat.core import Semilattice, constrained_set
 from slat.errors import NotAFilterError, ZeroElementError
 from slat.filters import (
     Filter,
@@ -34,8 +31,8 @@ from slat.filters import (
     tight_filters,
     tight_violations,
 )
-from slat.pathlat import RootedGraph, truncate
 from slat.stone import filterspace_nbhd
+from test_oracles import drive
 
 
 def subset_scan_filters(S: Semilattice) -> set[frozenset]:
@@ -76,76 +73,14 @@ def oracle_tight(S: Semilattice, carrier: frozenset) -> bool:
     return True
 
 
-def scan_tight_pivots(S: Semilattice, carrier: frozenset) -> list[int]:
-    """Pivots x in F for which some Y outside F admits a cover avoiding F.
-
-    For each pivot this scans every subset Y of the non-zero elements
-    outside F and asks whether the members of the constrained set of
-    ({x}, Y) that avoid F cover it.  Exponential in the size of the
-    complement.
-    """
-    outside = sorted(set(S.elements()) - carrier - {S.zero})
-    pivots = []
-    for pivot in sorted(carrier):
-        for r in range(len(outside) + 1):
-            if any(_avoiding_cover(S, carrier, constrained_set(S, {pivot}, Y))
-                   for Y in itertools.combinations(outside, r)):
-                pivots.append(pivot)
-                break
-    return pivots
+@pytest.mark.parametrize("instances", corpus.INSTANCE_SETS)
+def test_derived_values_and_listing_match_oracles(instances, request):
+    drive(request, *corpus.instances(instances))
 
 
-def pivot_violations(S: Semilattice, F: Filter) -> list[int]:
-    """The cover test of tight_violations at every pivot x in F.
-
-    At x the target is down(x) - F - {0}; it covers iff only zero lies
-    below x orthogonal to all of it.  The library runs the test once, at
-    the generator.
-    """
-    zero = 1 << S.zero
-    avoid = S.up[S.meet_all(F.carrier)] | zero
-    return [x for x in sorted(F.carrier)
-            if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero]
-
-
-def _avoiding_cover(S: Semilattice, carrier: frozenset, target: frozenset) -> bool:
-    candidate = target - carrier - {S.zero}
-    return all(any(S.meet(x, z) != S.zero for z in candidate)
-               for x in target if x != S.zero)
-
-
-def _scan_instances():
-    """Catalog up to 7, 30 random instances up to 9 and two truncations,
-    each also under a seeded relabeling."""
-    two_loop = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
-    three_loop = RootedGraph(
-        ("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
-    rng = random.Random(2)
-    for S in (*enumerate_catalog(CatalogSpec(max_size=7)),
-              *enumerate_catalog(CatalogSpec(max_size=9, mode="random", sample_count=30, seed=2)),
-              truncate(two_loop, 3), truncate(three_loop, 2)):
-        yield S
-        yield relabeled(S, rng)
-
-
-@pytest.mark.parametrize("instances", INSTANCE_SETS)
-def test_derived_values_and_listing_match_oracles(instances):
-    rng = random.Random(3)
-    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
-        assert S.up_sets == tuple(order_oracle.up(S, {e}) for e in S.elements())
-        listed = catalog_oracle.enumerate_filters(S)
-        assert [S.up_sets[g] for g in S.filter_generators] == [F.carrier for F in listed]
-        assert enumerate_filters(S) == listed
-        assert [principal_filter(S, g) for g in S.filter_generators] == listed
-
-
-@pytest.mark.parametrize("instances", INSTANCE_SETS)
-def test_ultrafilter_and_tight_listings_match_oracles(instances):
-    rng = random.Random(4)
-    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
-        listed = catalog_oracle.enumerate_filters(S)
-        assert enumerate_ultrafilters(S) == [F for F in listed if order_oracle.is_ultrafilter(S, F.carrier)]
-        assert tight_filters(S) == [F for F in listed if not pivot_violations(S, F)]
+@pytest.mark.parametrize("instances", corpus.INSTANCE_SETS)
+def test_ultrafilter_and_tight_listings_match_oracles(instances, request):
+    drive(request, *corpus.instances(instances))
 
 
 def test_returned_lists_are_fresh(vee, chain4):
@@ -190,7 +125,7 @@ def test_enumerate_filters_fixtures(vee, chain3, bool1):
 
 
 def test_enumerate_filters_matches_subset_scan():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         got = {F.carrier for F in enumerate_filters(S)}
         assert got == subset_scan_filters(S)
 
@@ -206,7 +141,7 @@ def test_ultrafilter_criterion_fixtures(vee, chain3):
 
 def test_ultrafilter_criterion_is_maximality():
     # criterion answer == literal maximality among all filters
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         all_filters = enumerate_filters(S)
         carriers = [F.carrier for F in all_filters]
         for F in all_filters:
@@ -222,7 +157,7 @@ def test_extend_to_ultrafilter(vee, chain3):
 
 
 def test_extension_is_an_ultrafilter_containing_seed():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         for e in S.nonzero():
             U = extend_to_ultrafilter(S, e)
             assert e in U
@@ -259,23 +194,14 @@ def test_tight_filters_fixtures(vee, chain3, bool1):
 
 def test_tightness_matches_triple_enumeration_oracle():
     # sizes up to 5 keep the full (X, Y, Z) scan cheap
-    for S in enumerate_catalog(CatalogSpec(max_size=5)):
+    for S in corpus.catalog(5):
         for F in enumerate_filters(S):
             assert is_tight(S, F) == oracle_tight(S, F.carrier), (
                 S.to_text(), F.labels())
 
 
-def test_tightness_matches_subset_scan_oracle():
-    for S in _scan_instances():
-        for F in enumerate_filters(S):
-            pivots = scan_tight_pivots(S, F.carrier)
-            assert list(tight_violations(S, F)) == pivots, (S.to_text(), F.labels())
-            assert pivot_violations(S, F) == pivots, (S.to_text(), F.labels())
-            assert is_tight(S, F) == (not pivots)
-
-
 def test_ultrafilters_are_tight_everywhere():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         ultras = {F.carrier for F in enumerate_ultrafilters(S)}
         tights = {F.carrier for F in tight_filters(S)}
         assert ultras <= tights

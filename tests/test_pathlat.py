@@ -3,21 +3,20 @@
 from __future__ import annotations
 
 import math
-import random
-import re
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import corpus
 import pathlat_oracle
-from conftest import assert_rows_match_validated_rebuild, relabeled
+from conftest import BENCH_INPUTS, assert_rows_match_validated_rebuild
+from corpus import THREE_LOOP
 from slat import pathlat
-from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
+from slat.catalog import canonical_key
 from slat.classify import is_zero_disjunctive
 from slat.cli import main
-from slat.core import Semilattice, arrow, down, nonzero_pairs_below, star
+from slat.core import Semilattice, arrow, down, star
 from slat.errors import (
     BadDepthError,
     BadPairError,
@@ -42,6 +41,7 @@ from slat.pathlat import (
     zero_disjunctive_graph,
 )
 from slat.stone import build_space, hausdorff_witness
+from test_oracles import drive
 
 TWO_LOOP_TEXT = """
 # one vertex, two loops
@@ -51,10 +51,7 @@ edge a t t
 edge b t t
 """
 
-THREE_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
-BENCH_GRAPHS = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "bench" / "inputs").glob("*.txt")
-    if p.read_text().startswith("vertices:"))
+BENCH_GRAPHS = sorted(p for p in BENCH_INPUTS.glob("*.txt") if p.read_text().startswith("vertices:"))
 
 
 def by_label(S: Semilattice, lab: str) -> int:
@@ -65,6 +62,9 @@ def test_parse_and_round_trip(two_loop):
     G = parse_rooted_graph(TWO_LOOP_TEXT)
     assert G == two_loop
     assert parse_rooted_graph(G.to_text()) == G
+    # the corpus truncates the graphs the benchmark reads
+    for name, G in corpus.GRAPHS.items():
+        assert parse_rooted_graph((BENCH_INPUTS / f"{name}.txt").read_text(encoding="utf-8")) == G
 
 
 def test_graph_validation():
@@ -217,53 +217,24 @@ def test_sibling_cover_witness_validates(two_loop):
                 assert arrow(S, e, list(W) + [f])
 
 
-def assert_cover_routes_match_scans(S: Semilattice) -> None:
-    """covers_hat, the order line of to_text and sibling_cover_witness on
-    every strict non-zero pair, each against the table scans; and
-    sibling_cover_witnesses of each e against sibling_cover_witness,
-    which it answers for exactly the pairs that the latter does not refuse."""
-    covers = pathlat_oracle.cover_table(S)
-    assert {g: covers_hat(S, g) for g in S.nonzero()} == covers
-    pairs = sorted((x, y) for y, xs in covers.items() for x in xs)
-    assert S.to_text().splitlines()[1] == "order: " + " ".join(
-        f"{S.labels[x]}<{S.labels[y]}" for x, y in pairs)
-    descents = {e: sibling_cover_witnesses(S, e) for e in S.nonzero()}
-    answered = set()
-    for e, f in nonzero_pairs_below(S):
-        try:
-            want = pathlat_oracle.sibling_cover_witness(S, e, f, covers)
-        except BadPairError as exc:
-            with pytest.raises(BadPairError, match=f"^{re.escape(str(exc))}$"):
-                sibling_cover_witness(S, e, f)
-        else:
-            assert sibling_cover_witness(S, e, f) == want
-            assert descents[e][f] == want
-            answered.add((e, f))
-    assert {(e, f) for e, witnesses in descents.items() for f in witnesses} == answered
+# covers_hat, the order line of to_text, sibling_cover_witness on every
+# strict non-zero pair and sibling_cover_witnesses of each e, against the
+# table scans, through the registry in test_oracles.py.  Truncations number
+# parents first, so the cover kernel's climb is at most one step on them;
+# each instance is also checked under shuffled indices.
 
-
-# Truncations number parents first, so the cover kernel's climb is at most
-# one step on them; each instance is also checked under shuffled indices.
-
-@pytest.mark.parametrize("G, depths", [
-    (RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t"), range(1, 8)),
-    (THREE_LOOP, range(1, 5)),
-    (RootedGraph(("t",), (("a", "t", "t"),), "t"), range(1, 41)),
+@pytest.mark.parametrize("graph, depths", [
+    ("two-loop", range(1, 8)),
+    ("three-loop", range(1, 5)),
+    ("one-loop", range(1, 41)),
 ], ids=["two-loop", "three-loop", "one-loop"])
-def test_sibling_cover_witness_matches_all_covers_oracle(G, depths):
-    rng = random.Random(13)
-    for depth in depths:
-        S = truncate(G, depth)
-        assert_cover_routes_match_scans(S)
-        assert_cover_routes_match_scans(relabeled(S, rng))
+def test_sibling_cover_witness_matches_all_covers_oracle(graph, depths, request):
+    drive(request, *(corpus.truncation(graph, depth) for depth in depths))
 
 
-def test_sibling_cover_witness_matches_oracle_off_chains():
+def test_sibling_cover_witness_matches_oracle_off_chains(request):
     # catalog intervals need not be chains: both routes refuse the same pairs
-    rng = random.Random(6)
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
-        assert_cover_routes_match_scans(S)
-        assert_cover_routes_match_scans(relabeled(S, rng))
+    drive(request, *corpus.catalog(6))
 
 
 def test_sibling_cover_witness_bad_pairs(two_loop):
@@ -380,15 +351,14 @@ def test_truncate_matches_prefix_compare_oracle(G, depth):
     assert_rows_match_validated_rebuild(S)
 
 
-@pytest.mark.parametrize("G, depths", [
-    (RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t"), range(1, 9)),
-    (THREE_LOOP, range(1, 6)),
+@pytest.mark.parametrize("graph, depths", [
+    ("two-loop", range(1, 9)),
+    ("three-loop", range(1, 6)),
 ], ids=["two-loop", "three-loop"])
-def test_loop_truncations_match_prefix_compare_oracle(G, depths):
+def test_loop_truncations_match_prefix_compare_oracle(graph, depths, request):
+    drive(request, *((corpus.GRAPHS[graph], depth) for depth in depths))
     for depth in depths:
-        S = truncate(G, depth)
-        assert S == pathlat_oracle.truncate(G, depth)
-        assert_rows_match_validated_rebuild(S)
+        assert_rows_match_validated_rebuild(corpus.truncation(graph, depth))
 
 
 @pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)

@@ -3,15 +3,15 @@
 Validation checks the O(n^2) row law down[meet(e, f)] == down[e] & down[f]
 in place of the cubic associativity loop; the property test holds it to
 that loop on random idempotent, commutative, bounded tables.  Every order
-primitive that reads the rows is compared with its scan in
-order_oracle.py on the catalog up to 7 elements, 30 seeded random
-instances of size 10 and two graph truncations.  Truncations and the
-one-atom extensions of catalog enumeration skip validation and bring
-their own down rows; all three rows of each are held to the validated
-rebuild of its table, and the meet table derived from its rows to the
-table its builder filled before it built rows only, kept as an oracle,
-also under a relabeling.  Classifying a truncation reads the rows
-alone and derives no table.
+primitive that reads the rows, and the filter and classification checks,
+are compared with their scans in order_oracle.py through the registry in
+test_oracles.py, on each instance of the corpus slice "rows" and its
+relabeled copy.  Truncations and the one-atom extensions of catalog
+enumeration skip validation and bring their own down rows; all three rows
+of each are held to the validated rebuild of its table, and the meet table
+derived from its rows to the table its builder filled before it built
+rows only, kept as an oracle, also under a relabeling.  Classifying a
+truncation reads the rows alone and derives no table.
 """
 
 from __future__ import annotations
@@ -26,30 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalog_oracle
+import corpus
 import order_oracle as oracle
 import pathlat_oracle
-from conftest import assert_rows_match_validated_rebuild, bench_truncation_inputs, relabeled
-from slat import classify, core, filters, pathlat, stone
-from slat.catalog import CatalogSpec, _admissible_up_sets, _sizes, _with_atom, enumerate_catalog
+from conftest import assert_rows_match_validated_rebuild
+from corpus import ONE_LOOP, THREE_LOOP, TWO_LOOP
+from slat import classify, pathlat, stone
+from slat.catalog import _admissible_up_sets, _sizes, _with_atom
 from slat.core import Semilattice
-from slat.errors import InvalidSemilatticeError, NotSubsetError
-from slat.pathlat import RootedGraph, truncate
+from slat.errors import InvalidSemilatticeError
+from slat.pathlat import truncate
+from test_oracles import drive
 
-SMALL_CATALOG = list(enumerate_catalog(CatalogSpec(max_size=7)))
-
-TWO_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
-THREE_LOOP = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t"), ("c", "t", "t")), "t")
-ONE_LOOP = RootedGraph(("t",), (("a", "t", "t"),), "t")
-
-
-def _instances():
-    yield from SMALL_CATALOG
-    yield from enumerate_catalog(CatalogSpec(max_size=10, mode="random", sample_count=30, seed=4))
-    yield truncate(TWO_LOOP, 4)
-    yield truncate(THREE_LOOP, 3)
-
-
-INSTANCES = list(_instances())
+SMALL_CATALOG = corpus.catalog()
+INSTANCES = corpus.instances("rows")
 
 
 def _table_labels(n: int) -> tuple[str, ...]:
@@ -115,71 +105,19 @@ def test_rows_of_the_vee(vee):
                                          vee.down[:a] + (bit[a],) + vee.down[a + 1:])
 
 
-def _subsets(rng: random.Random, S: Semilattice, k: int) -> list[list[int]]:
-    es = list(S.elements())
-    return [rng.sample(es, rng.randint(0, min(3, len(es)))) for _ in range(k)]
+@pytest.mark.parametrize("S", INSTANCES, ids=lambda S: f"n{len(S)}")
+def test_order_primitives_match_scans(S, request):
+    drive(request, S)
 
 
 @pytest.mark.parametrize("S", INSTANCES, ids=lambda S: f"n{len(S)}")
-def test_order_primitives_match_scans(S):
-    rng = random.Random(len(S))
-    for e in S.elements():
-        assert core.star(S, e) == oracle.star(S, e)
-        assert core.up(S, {e}) == oracle.up(S, {e})
-        assert core.down(S, {e}) == oracle.down(S, {e})
-        assert pathlat.level(S, e) == oracle.level(S, e)
-        if e != S.zero:
-            assert pathlat.covers_hat(S, e) == oracle.covers_hat(S, e)
-    assert list(core.nonzero_pairs_below(S)) == oracle.nonzero_pairs_below(S)
-    covers = " ".join(f"{S.labels[x]}<{S.labels[y]}" for x, y in oracle.covering_pairs(S))
-    assert S.to_text().splitlines()[1] == "order: " + covers
-
-    families = _subsets(rng, S, 40)
-    for X in families:
-        assert core.up(S, X) == oracle.up(S, X)
-        assert core.down(S, X) == oracle.down(S, X)
-        for f in rng.sample(S.nonzero(), min(4, len(S) - 1)):
-            assert core.arrow(S, f, X) == oracle.arrow(S, f, X)
-    for X, Y in zip(families, reversed(families)):
-        target = core.constrained_set(S, X, Y)
-        assert target == oracle.constrained_set(S, X, Y)
-        for Z in (sorted(target), rng.sample(sorted(target), len(target) // 2), X):
-            want = oracle.is_cover(S, Z, X, Y)
-            if want is None:
-                with pytest.raises(NotSubsetError):
-                    core.is_cover(S, Z, X, Y)
-            else:
-                assert core.is_cover(S, Z, X, Y) == want
-
-
-@pytest.mark.parametrize("S", INSTANCES, ids=lambda S: f"n{len(S)}")
-def test_filter_and_classification_checks_match_scans(S):
-    rng = random.Random(len(S))
-    if len(S) <= 6:
-        carriers = [frozenset(c) for r in range(len(S) + 1)
-                    for c in itertools.combinations(S.elements(), r)]
-    else:
-        carriers = [frozenset(X) for X in _subsets(rng, S, 60)]
-    for A in carriers:
-        assert filters.is_filter(S, A) == oracle.is_filter(S, A)
-    for F in filters.enumerate_filters(S):
-        assert oracle.is_filter(S, F.carrier)
-        assert filters.is_ultrafilter(S, F) == oracle.is_ultrafilter(S, F.carrier)
-    for e in S.nonzero():
-        assert filters.extend_to_ultrafilter(S, e).carrier == oracle.extend_to_ultrafilter(S, e)
-    assert classify.meet_separation(S) == oracle.meet_separation(S)
-    assert classify.is_zero_disjunctive(S) == oracle.is_zero_disjunctive(S)
+def test_filter_and_classification_checks_match_scans(S, request):
+    drive(request, S)
 
 
 @pytest.mark.parametrize("S", INSTANCES[:len(SMALL_CATALOG) + 10], ids=lambda S: f"n{len(S)}")
-def test_opens_match_all_unions_of_base_sets(S):
-    for T in (S, relabeled(S, random.Random(len(S)))):
-        space = stone.build_space(T)
-        distinct = sorted(set(space.base), key=lambda ps: (len(ps), tuple(sorted(ps))))
-        unions = {frozenset().union(*combo)
-                  for r in range(len(distinct) + 1)
-                  for combo in itertools.combinations(distinct, r)}
-        assert stone.opens(space) == sorted(unions, key=lambda ps: (len(ps), tuple(sorted(ps))))
+def test_opens_match_all_unions_of_base_sets(S, request):
+    drive(request, S)
 
 
 def _assert_table_derived_as(S: Semilattice, table, rng: random.Random) -> None:
@@ -187,7 +125,7 @@ def _assert_table_derived_as(S: Semilattice, table, rng: random.Random) -> None:
     does the instance built from the rows of S relabeled."""
     assert "meet_table" not in vars(S)
     assert S.meet_table == table
-    T = relabeled(S, rng)
+    T = corpus.relabeled(S, rng)
     R = Semilattice._from_rows(T.labels, T.zero, T.one, T.down)
     assert "meet_table" not in vars(R)
     assert R.meet_table == T.meet_table
@@ -221,7 +159,7 @@ def _one_atom_candidates(max_size: int):
     (lambda: _truncations([(THREE_LOOP, 6)]), 1),
     (lambda: _truncations((ONE_LOOP, depth) for depth in (*range(1, 65), 128, 255, 256)), 67),
     (lambda: _one_atom_candidates(9), 3555),
-    (lambda: _truncations(bench_truncation_inputs()), 11),
+    (lambda: _truncations((corpus.GRAPHS[graph], depth) for graph, depth in corpus.BENCH_TRUNCATIONS), 11),
 ], ids=["two-loop-10", "three-loop-6", "one-loop-to-256", "one-atom-3-9", "bench-truncations"])
 def test_rows_built_instances_match_the_validated_rebuild(build, count):
     # Truncations and one-atom extensions skip validation and pass their

@@ -8,13 +8,12 @@ import re
 
 import pytest
 
-import catalog_oracle
-import order_oracle
+import corpus
 import stone_oracle
 import suite_oracle
+from conftest import idx
 from slat import stone
-from conftest import INSTANCE_SETS, bench_truncations, catalog_instances, idx, random_instances, relabeled
-from slat.catalog import CatalogSpec, enumerate_catalog
+from slat.catalog import CatalogSpec
 from slat.cli import main
 from slat.core import Semilattice
 from slat.errors import (
@@ -35,7 +34,7 @@ from slat.filters import (
     is_ultrafilter,
     principal_filter,
 )
-from slat.pathlat import RootedGraph, truncate
+from slat.pathlat import truncate
 from slat.stone import (
     FiniteBooleanAlgebra,
     Representation,
@@ -54,6 +53,7 @@ from slat.stone import (
     rep_of_filter,
 )
 from slat.suite import run_suite
+from test_oracles import drive
 
 
 def point_of(space, label: str) -> int:
@@ -76,32 +76,9 @@ def test_build_space_fixtures(vee, chain3, bool1):
     assert len(build_space(bool1).points) == 1
 
 
-def _base_law_instances():
-    yield from enumerate_catalog(CatalogSpec(max_size=7))
-    for size in range(8, 12):
-        yield from enumerate_catalog(
-            CatalogSpec(max_size=size, mode="random", sample_count=6, seed=size))
-    two_loop = RootedGraph(("t",), (("a", "t", "t"), ("b", "t", "t")), "t")
-    three_loop = RootedGraph(("t",), tuple((x, "t", "t") for x in "abc"), "t")
-    yield from (truncate(two_loop, d) for d in range(1, 9))
-    yield from (truncate(three_loop, d) for d in range(1, 6))
-
-
-def test_base_respects_meet_everywhere():
-    # build_space holds the base-set laws by construction; the oracle re-checks them
-    for S in _base_law_instances():
-        assert stone_oracle.base_law_violation(build_space(S)) is None, S.to_text()
-
-
-@pytest.mark.parametrize("instances", INSTANCE_SETS)
-def test_build_space_points_match_ultrafilter_oracle(instances):
-    rng = random.Random(5)
-    for S in (T for S in INSTANCE_SETS[instances]() for T in (S, relabeled(S, rng))):
-        space = build_space(S)
-        ultras = [F for F in catalog_oracle.enumerate_filters(S) if order_oracle.is_ultrafilter(S, F.carrier)]
-        assert list(space.points) == ultras
-        assert space.base == tuple(frozenset(i for i, U in enumerate(ultras) if e in U.carrier)
-                                   for e in S.elements())
+@pytest.mark.parametrize("instances", corpus.INSTANCE_SETS)
+def test_build_space_points_match_ultrafilter_oracle(instances, request):
+    drive(request, *corpus.instances(instances))
 
 
 def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):
@@ -146,7 +123,7 @@ def test_hausdorff_witness_sees_intersecting_base_sets(vee):
 
 
 def test_hausdorff_witness_separates_all_pairs():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         space = build_space(S)
         ultras = enumerate_ultrafilters(S)
         for F, G in itertools.permutations(ultras, 2):
@@ -170,7 +147,7 @@ def test_clopen_algebra_fixtures(vee, chain3, bool1):
 
 
 def test_clopen_algebra_is_boolean():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         alg = clopen_algebra(build_space(S))
         elems = set(alg.elements)
         for C in elems:
@@ -221,7 +198,7 @@ def test_representation_round_trip_fixture(vee):
 
 
 def test_representation_round_trip_everywhere():
-    for S in enumerate_catalog(CatalogSpec(max_size=6)):
+    for S in corpus.catalog(6):
         filters = enumerate_filters(S)
         for F in filters:
             assert filter_of_rep(S, rep_of_filter(S, F)) == F
@@ -231,19 +208,6 @@ def test_representation_round_trip_everywhere():
             vals for vals in itertools.product((0, 1), repeat=n)
             if suite_oracle.is_representation(S, vals)]
         assert len(reps) == len(filters)
-
-
-def test_is_representation_matches_pairwise_meets():
-    instances = [*enumerate_catalog(CatalogSpec(max_size=6))]
-    instances += [S for n in (8, 9, 10)
-                  for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=2, seed=n))]
-    for S in instances:
-        vectors = list(itertools.product((0, 1), repeat=len(S)))
-        vectors += [(2,) * len(S), (0,) * (len(S) - 1), tuple(range(len(S)))]
-        # values equal to 0 and 1 that are not ints
-        vectors += [tuple(map(float, v)) for v in vectors[:64]] + [tuple(map(bool, v)) for v in vectors[:64]]
-        for vals in vectors:
-            assert stone.is_representation(S, vals) == suite_oracle.is_representation(S, vals)
 
 
 def test_equal_but_distinct_lattice_is_accepted(vee, chain4):
@@ -279,27 +243,6 @@ def test_filterspace_nbhd(vee):
     assert len(everything) == len(enumerate_filters(vee))
     with pytest.raises(BadBasisError):
         filterspace_nbhd(vee, a, [b])  # b is not below a
-
-
-def test_filterspace_nbhd_matches_filter_scan():
-    """Every family of at most two elements below e, on the catalog up to
-    seven elements and on random instances of sizes 8 to 12.  On the bench
-    truncations, where e can have hundreds of elements below it, the empty
-    family and eight seeded families of one or two, and past 64 elements
-    e is the top and 24 seeded others."""
-    instances = [*catalog_instances(),
-                 *enumerate_catalog(CatalogSpec(max_size=10, mode="random", sample_count=4, seed=5)),
-                 *random_instances(), *bench_truncations()]
-    for S in instances:
-        rng = random.Random(len(S))
-        tops = S.nonzero() if len(S) <= 64 else [S.one, *rng.sample(S.nonzero(), 24)]
-        for e in tops:
-            below = [x for x in S.elements() if S.leq(x, e)]
-            families = [es for r in range(3) for es in itertools.combinations(below, r)]
-            if len(families) > 80:
-                families = [(), *(rng.sample(below, 1 + i % 2) for i in range(8))]
-            for es in families:
-                assert filterspace_nbhd(S, e, es) == catalog_oracle.filterspace_nbhd(S, e, es)
 
 
 def test_point_index_rejects_non_points(vee):
@@ -428,7 +371,7 @@ def _pullback_homs(rng: random.Random, space, count: int):
 
 def test_extend_hom_is_a_boolean_hom_on_injective_instances(two_loop):
     rng = random.Random(3)
-    instances = [S for S in enumerate_catalog(CatalogSpec(max_size=7))
+    instances = [S for S in corpus.catalog(7)
                  if kappa_injective(build_space(S))]
     instances.append(truncate(two_loop, 2))
     assert len(instances) == 10

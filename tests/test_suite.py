@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import corpus
 import suite_oracle
 from slat import core, stone, suite
-from slat.catalog import CatalogSpec, enumerate_catalog
+from slat.catalog import CatalogSpec
 from slat.cli import main
 from slat.core import Semilattice
 from slat.suite import VerificationReport, run_suite
@@ -181,11 +182,7 @@ def test_wrong_is_representation_is_a_counterexample(wrong, monkeypatch, capsys)
     assert "check representations_are_filters: pass=0 fail=9\n" in captured.out
 
 
-ORACLE_INSTANCES = [
-    *enumerate_catalog(CatalogSpec(max_size=7)),
-    *(S for n in range(8, 13)
-      for S in enumerate_catalog(CatalogSpec(max_size=n, mode="random", sample_count=2, seed=n))),
-]
+ORACLE_INSTANCES = corpus.instances("suite")
 
 
 def _suite_verdicts(S):

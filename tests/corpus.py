@@ -32,11 +32,14 @@ RELABEL_SEED = 20
 
 
 @cache
+def _catalog() -> tuple[Semilattice, ...]:
+    return tuple(enumerate_catalog(CatalogSpec(max_size=7)))
+
+
 def catalog(max_size: int = 7) -> tuple[Semilattice, ...]:
     """Every class of at most max_size <= 7 elements, in the catalog's order."""
-    if max_size < 7:
-        return tuple(S for S in catalog() if len(S) <= max_size)
-    return tuple(enumerate_catalog(CatalogSpec(max_size=7)))
+    assert max_size <= 7
+    return tuple(S for S in _catalog() if len(S) <= max_size)
 
 
 @cache

@@ -185,13 +185,19 @@ ROUTES = (
 )
 BY_NAME = {route.name: route for route in ROUTES}
 
+# The parametrized comparisons that held these routes before keep their
+# ids, one per instance (425 ids in test_rows.py and test_clopen_atoms.py)
+# or per instance set or graph (the other seven tests), so that a failure
+# or a slow case in CI's --durations names its instance, and the ids that
+# test histories record stay; each runs the routes named here.
 _COVERS = ("cover_table", "covering_pairs", "sibling_cover_witnesses")
 DRIVERS = {
     "test_rows.py::test_order_primitives_match_scans": (
         "star", "up", "down", "level", "covers_hat", "nonzero_pairs_below", "covering_pairs", "arrow",
         "constrained_set", "is_cover"),
     "test_rows.py::test_filter_and_classification_checks_match_scans": (
-        "is_filter", "is_ultrafilter", "extend_to_ultrafilter", "meet_separation", "is_zero_disjunctive"),
+        "is_filter", "is_ultrafilter", "extend_to_ultrafilter", "meet_separation", "is_zero_disjunctive",
+        "enumerate_filters", "filter_generators"),
     "test_rows.py::test_opens_match_all_unions_of_base_sets": ("opens",),
     "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (
         "clopen_algebra.elements", "clopen_algebra.atoms", "dense_check"),

@@ -98,15 +98,16 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
     the 0-disjunctive, separative and trapping verdicts must agree; a
     disagreement means a bug, not a finding, hence the raise.  The
     ultrafilter space is built once: the separative verdict and the
-    ultrafilters are both read from it.
+    ultrafilters are both read from it.  A filter is its generator, so
+    the two listings are compared as sets of generators.
     """
     zd = is_zero_disjunctive(S)
     space = stone.build_space(S)
     sep = stone.kappa_injective(space)
     ms = meet_separation(S)
     trap = satisfies_trapping(S)
-    ultra = {U.carrier for U in space.points}
-    tight = {F.carrier for F in tight_filters(S)}
+    ultra = {U.generator for U in space.points}
+    tight = {F.generator for F in tight_filters(S)}
     teu = ultra == tight
     if zd != sep:
         raise TheoremViolationError(
@@ -115,7 +116,7 @@ def is_compactable_finite(S: Semilattice) -> ClassificationReport:
         raise TheoremViolationError(
             f"trapping={trap} but separative={sep} on a finite instance")
     if not teu:
-        odd = sorted(tuple(sorted(c)) for c in ultra ^ tight)
+        odd = sorted(tuple(_members(S.up[g])) for g in ultra ^ tight)
         raise TheoremViolationError(
             f"tight filters differ from ultrafilters at carriers {odd}")
     return ClassificationReport(zd, sep, ms, trap, teu)

@@ -25,7 +25,7 @@ from typing import NoReturn
 
 from . import cantor, classify, pathlat, stone
 from .catalog import CatalogSpec
-from .core import Semilattice, nonzero_pairs_below, parse_semilattice
+from .core import Semilattice, _members, nonzero_pairs_below, parse_semilattice
 from .errors import SlatError, TheoremViolationError
 from .filters import enumerate_filters, is_ultrafilter
 from .suite import run_suite
@@ -54,7 +54,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print("filters:")
     for F in enumerate_filters(S):
         ultra = str(is_ultrafilter(S, F)).lower()
-        print(f"  {_fmt_set(S, F.carrier)} ultrafilter={ultra} tight={ultra}")
+        print(f"  {_fmt_set(S, F)} ultrafilter={ultra} tight={ultra}")
     print("trapping witnesses:")
     for e, f in nonzero_pairs_below(S):
         W = classify.trapping_witness(S, e, f)
@@ -69,10 +69,10 @@ def cmd_stone(args: argparse.Namespace) -> int:
     algebra = stone.clopen_algebra(space)
     print(f"points: {len(space.points)}")
     for i, F in enumerate(space.points):
-        print(f"  point {i}: {_fmt_set(S, F.carrier)}")
+        print(f"  point {i}: {_fmt_set(S, F)}")
     print("base sets:")
     for e in S.elements():
-        inside = ",".join(str(i) for i in sorted(space.base[e]))
+        inside = ",".join(map(str, _members(space.base[e])))
         print(f"  K[{S.labels[e]}] = {{{inside}}}")
     separative = stone.kappa_injective(space)
     print(f"clopens: {len(algebra.elements)}")
@@ -82,7 +82,7 @@ def cmd_stone(args: argparse.Namespace) -> int:
         print("decompositions:")
         for C in algebra.elements:
             parts = stone.join_decomposition(space, C)
-            inside = ",".join(str(i) for i in sorted(C))
+            inside = ",".join(map(str, _members(C)))
             shown = " ".join(S.labels_for(parts)) if parts else "-"
             print(f"  {{{inside}}} = {shown}")
     else:

@@ -5,23 +5,24 @@ An instance stores its order once, as int bitmask rows: down[e] holds
 the elements below e.  Construction derives two more rows per element,
 up[e] and star[e] (the elements whose meet with e is zero), in _set_rows.
 The order primitives read them through one kernel, the elements below m
-orthogonal to all of Y, and return frozensets; masks never leave the
-library.  The meet of a family is the element whose down row is the AND
-of the family's rows.  The n x n meet table is a view: the public
-constructor keeps the table it validated, and an instance built from
-rows derives it on first read (_derived_table).  Classification,
-tightness and build_space read only the rows.
+orthogonal to all of Y.  Every set of elements or of points is such a
+mask inside the library; the order primitives return frozensets.
+Listings sort masks by _set_key.  The meet of a family is the element
+whose down row is the AND of the family's rows.  The n x n meet table
+is a view: the public constructor keeps the table it validated, and an
+instance built from rows derives it on first read (_derived_table).
+Classification, tightness and build_space read only the rows.
 The lower-cover relation has one kernel too, _lower_covers, which peels
 maximal elements off a down-set: covers_hat, to_text, the sibling
 witnesses of path semilattices and the cover pairs that classification
 decides on all read it.
-Three more values are derived lazily, on first use, and then kept:
-the tuple that nonzero() returns, up_sets, the frozenset up(e) for each
-element, and filter_generators, the non-zero elements in the order of
-their filters up(g) under Filter.sort_key.  Every filter of a finite
-instance is such an up(g), so filter listings and neighbourhoods read
-the last two instead of rebuilding them.  Like up, star and the meet
-table, none of the three takes part in equality, hashing or repr.
+Two more values are derived lazily, on first use, and then kept: the
+tuple that nonzero() returns, and filter_generators, the non-zero
+elements in the order of their filters up(g) under Filter.sort_key.
+Every filter of a finite instance is such an up(g), and a Filter is its
+generator g, so filter listings and neighbourhoods read that order
+instead of rebuilding it.  Like up, star and the meet table, neither
+takes part in equality, hashing or repr.
 Validation is O(n^2): an idempotent, commutative table is associative
 iff down[meet(e, f)] == down[e] & down[f] for all e, f.  Every public
 or parsed construction validates.  The two library routes that build
@@ -85,6 +86,11 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _set_key(mask: int) -> tuple:
+    """The one order of set masks in listings: by size, then by members."""
+    return (mask.bit_count(), _members(mask))
 
 
 def _check_label(label: str) -> None:
@@ -189,16 +195,11 @@ class Semilattice:
         return {row: e for e, row in enumerate(self.down)}
 
     @cached_property
-    def up_sets(self) -> tuple[frozenset, ...]:
-        """up(e) as a frozenset, for each element e."""
-        return tuple(frozenset(_members(u)) for u in self.up)
-
-    @cached_property
     def filter_generators(self) -> tuple[int, ...]:
         """The non-zero elements g, ordered as Filter.sort_key orders up(g):
         by size, then by the ascending member list."""
         up = self.up
-        return tuple(sorted(self.nonzero(), key=lambda g: (up[g].bit_count(), _members(up[g]))))
+        return tuple(sorted(self.nonzero(), key=lambda g: _set_key(up[g])))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -267,6 +268,18 @@ class Semilattice:
         return "\n".join(lines) + "\n"
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The rows of the transposed bit matrix: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 def _set_rows(S: Semilattice, down: tuple[int, ...]) -> None:
     """Store the down rows of a lawful S with the up and star rows they give.
 
@@ -275,13 +288,7 @@ def _set_rows(S: Semilattice, down: tuple[int, ...]) -> None:
     up[x] over the non-zero x in down[e].
     """
     n = len(down)
-    up = [0] * n
-    for e, row in enumerate(down):
-        bit = 1 << e
-        while row:
-            low = row & -row
-            up[low.bit_length() - 1] |= bit
-            row ^= low
+    up = _transpose(down, n)
     full, nonzero = (1 << n) - 1, ~(1 << S.zero)
     star = []
     for row in down:

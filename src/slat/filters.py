@@ -2,40 +2,57 @@
 
 A filter is a non-empty, meet-closed, upward-closed set of elements that
 excludes zero.  In a finite semilattice every filter is the up-set of its
-smallest member, so enumeration reduces to the non-zero principal up-sets;
-the test suite asserts this identity against a raw subset scan.  The
-semilattice keeps those up-sets and their listing order once built
-(Semilattice.up_sets and filter_generators), so each listing here only
-wraps them in Filters.  Being principal also lets tightness be decided
-one element at a time, with no scan over excluded sets; the tests keep
-that scan as an oracle.
+smallest member, its generator, and distinct non-zero generators give
+distinct filters; the test suite asserts this against a raw subset scan.
+So a Filter is the pair (lattice, generator), its members are the set
+bits of up[generator], and listings read the generators in the order
+S.filter_generators keeps.  Being principal also lets tightness be
+decided one element at a time, with no scan over excluded sets; the
+tests keep that scan as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .core import Semilattice, _below_orthogonal, _members
+from .core import Semilattice, _below_orthogonal, _members, _set_key
 from .errors import NotAFilterError, ZeroElementError
 
 
 @dataclass(frozen=True)
 class Filter:
-    lattice: Semilattice
-    carrier: frozenset
+    """The filter up(generator) of a non-zero element; carrier is a
+    read-only frozenset view of its members."""
 
-    def __contains__(self, e: int) -> bool:
-        return e in self.carrier
+    lattice: Semilattice
+    generator: int
+
+    def __post_init__(self) -> None:
+        if self.generator == self.lattice.zero:
+            raise ZeroElementError("zero generates no filter")
+
+    @classmethod
+    def from_carrier(cls, S: Semilattice, A: Iterable[int]) -> "Filter":
+        """The filter whose members are A, or NotAFilterError."""
+        A = frozenset(A)
+        if not is_filter(S, A):
+            raise NotAFilterError(f"carrier {tuple(sorted(A))} fails the filter axioms")
+        return cls(S, S.meet_all(A))
+
+    @cached_property
+    def carrier(self) -> frozenset:
+        return frozenset(self)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.carrier))
+        return iter(_members(self.lattice.up[self.generator]))
 
     def labels(self) -> tuple[str, ...]:
-        return self.lattice.labels_for(self.carrier)
+        return self.lattice.labels_for(self)
 
     def sort_key(self) -> tuple:
-        return (len(self.carrier), tuple(sorted(self.carrier)))
+        return _set_key(self.lattice.up[self.generator])
 
 
 def is_filter(S: Semilattice, A: Iterable[int]) -> bool:
@@ -47,34 +64,24 @@ def is_filter(S: Semilattice, A: Iterable[int]) -> bool:
     equally many members.
     """
     A = frozenset(A)
-    if not A or S.zero in A:
-        return False
-    if min(A) < 0 or max(A) >= len(S):
+    if not A or S.zero in A or min(A) < 0 or max(A) >= len(S):
         return False
     return S.up[S.meet_all(A)].bit_count() == len(A)
 
 
 def _require_filter(S: Semilattice, F: Filter) -> None:
-    if F.lattice is not S and F.lattice != S or not is_filter(S, F.carrier):
-        raise NotAFilterError(f"carrier {tuple(sorted(F.carrier))} fails the filter axioms")
+    if F.lattice is not S and F.lattice != S:
+        raise NotAFilterError(f"filter {F.labels()} belongs to another semilattice")
 
 
 def principal_filter(S: Semilattice, e: int) -> Filter:
     """The up-set of a non-zero element."""
-    if e == S.zero:
-        raise ZeroElementError("zero generates no filter")
-    return Filter(S, S.up_sets[e])
+    return Filter(S, e)
 
 
 def enumerate_filters(S: Semilattice) -> list[Filter]:
-    """All filters, smallest carriers first.
-
-    Finite semilattices only have principal filters and distinct non-zero
-    generators give distinct up-sets, so this is {e^up : e != 0}, listed
-    in the order S.filter_generators keeps.
-    """
-    carriers = S.up_sets
-    return [Filter(S, carriers[g]) for g in S.filter_generators]
+    """All filters up(g), g != 0, smallest carriers first (S.filter_generators)."""
+    return [Filter(S, g) for g in S.filter_generators]
 
 
 def is_ultrafilter(S: Semilattice, F: Filter) -> bool:
@@ -87,7 +94,7 @@ def is_ultrafilter(S: Semilattice, F: Filter) -> bool:
     g non-trivially: F is maximal iff each b lies above g or in star(g).
     """
     _require_filter(S, F)
-    g = S.meet_all(F.carrier)
+    g = F.generator
     return S.up[g] | S.star[g] == (1 << len(S)) - 1
 
 
@@ -96,14 +103,15 @@ def extend_to_ultrafilter(S: Semilattice, e: int) -> Filter:
 
     Deterministic: repeatedly adjoin the smallest-index element compatible
     with the current generator.  The generator strictly decreases, so this
-    terminates with the meet criterion satisfied.
+    terminates with the meet criterion satisfied.  Each meet is read off
+    the down rows, so no meet table is derived.
     """
     if e == S.zero:
         raise ZeroElementError("zero extends to no ultrafilter")
     g = e
     full = (1 << len(S)) - 1
     while candidates := full ^ (S.up[g] | S.star[g]):
-        g = S.meet(g, (candidates & -candidates).bit_length() - 1)
+        g = S.meet_all((g, (candidates & -candidates).bit_length() - 1))
     return principal_filter(S, g)
 
 
@@ -130,11 +138,11 @@ def tight_violations(S: Semilattice, F: Filter) -> Iterator[int]:
     covers iff g is not an atom.
     """
     _require_filter(S, F)
-    g = S.meet_all(F.carrier)
+    g = F.generator
     zero = 1 << S.zero
     # down(g) - {g, 0} covers iff only zero is orthogonal to all of it.
     if _below_orthogonal(S, g, _members(S.down[g] & ~(1 << g | zero))) == zero:
-        yield from sorted(F.carrier)
+        yield from F
 
 
 def is_tight(S: Semilattice, F: Filter) -> bool:

@@ -2,21 +2,22 @@
 
 Points are ultrafilters.  Each element e owns the base set K(e) of
 ultrafilters containing it, base sets generate the topology, and the
-clopen algebra is materialized extensionally.  Nothing assumes the space
-is discrete; that it comes out discrete on finite instances is observed
-by the test suite, not baked in.  The Boolean laws and density are read
-off the clopen atoms, and opens() refuses spaces over MAX_POINTS points.
+clopen algebra is materialized extensionally.  A set of points is an
+int mask, bit i for point i.  Nothing assumes the space is discrete;
+that it comes out discrete on finite instances is observed by the test
+suite, not baked in.  The Boolean laws and density are read off the
+clopen atoms, and opens() refuses spaces over MAX_POINTS points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping
 
-from .core import Semilattice, _members
+from .core import Semilattice, _members, _set_key, _transpose
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -30,29 +31,29 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    _require_filter,
     enumerate_ultrafilters,
-    is_filter,
     is_ultrafilter,
 )
 
 MAX_POINTS = 16
 
 
-def _point_set_key(ps: frozenset) -> tuple:
-    return (len(ps), tuple(sorted(ps)))
-
-
 @dataclass(frozen=True)
 class UltrafilterSpace:
     lattice: Semilattice
     points: tuple[Filter, ...]
-    base: tuple[frozenset, ...]  # indexed by element: point indices whose filter holds it
+    base: tuple[int, ...]  # indexed by element: the mask of the points whose filter holds it
+
+    @cached_property
+    def _point_of(self) -> dict[int, int]:
+        return {U.generator: i for i, U in enumerate(self.points)}
 
     def point_index(self, F: Filter) -> int:
-        try:
-            return self.points.index(F)
-        except ValueError:
-            raise ValueError("not a point of this space") from None
+        i = self._point_of.get(F.generator)
+        if i is None or self.points[i] != F:
+            raise ValueError("not a point of this space")
+        return i
 
 
 def build_space(S: Semilattice) -> UltrafilterSpace:
@@ -66,13 +67,12 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
     holds meet(e, f), being meet-closed and upward closed, so
     K(meet(e, f)) = K(e) & K(f).  That every non-zero element lies in
     some ultrafilter is a theorem about the enumeration (see
-    extend_to_ultrafilter), so that one is checked.  A point up(g) holds
-    e iff g <= e, so K(e) is read off down[e] and the points' generators.
+    extend_to_ultrafilter), so that one is checked.  Point i holds e iff
+    e is in the up row of its generator, so the base sets are the
+    transpose of the points' up rows.
     """
     points = tuple(enumerate_ultrafilters(S))
-    point_of = {S.meet_all(U.carrier): i for i, U in enumerate(points)}
-    gens = sum(1 << g for g in point_of)
-    base = tuple(frozenset(map(point_of.__getitem__, _members(row & gens))) for row in S.down)
+    base = tuple(_transpose([S.up[U.generator] for U in points], len(S)))
     for e in S.nonzero():
         if not base[e]:
             raise TheoremViolationError(
@@ -80,8 +80,8 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
     return UltrafilterSpace(S, points, base)
 
 
-def kappa(space: UltrafilterSpace, e: int) -> frozenset:
-    """Base set of an element: the points whose ultrafilter contains it."""
+def kappa(space: UltrafilterSpace, e: int) -> int:
+    """Base set of an element: the mask of the points whose ultrafilter contains it."""
     if not (0 <= e < len(space.lattice)):
         raise ValueError(f"element index {e} out of range")
     return space.base[e]
@@ -102,14 +102,16 @@ def hausdorff_witness(space: UltrafilterSpace, F: Filter, G: Filter) -> tuple[in
     space.point_index(F)
     space.point_index(G)
     S = space.lattice
-    e = min(F.carrier - G.carrier)
-    f = min(g for g in G.carrier if S.meet(e, g) == S.zero)
+    only_F = S.up[F.generator] & ~S.up[G.generator]
+    e = (only_F & -only_F).bit_length() - 1
+    in_G = S.up[G.generator] & S.star[e]
+    f = (in_G & -in_G).bit_length() - 1
     if space.base[e] & space.base[f]:
         raise TheoremViolationError("separating base sets intersect")
     return (e, f)
 
 
-def opens(space: UltrafilterSpace) -> list[frozenset]:
+def opens(space: UltrafilterSpace) -> list[int]:
     """Every open set: all unions of base sets, exactly.
 
     Closes {} under union with each distinct base set in turn, so the
@@ -117,31 +119,31 @@ def opens(space: UltrafilterSpace) -> list[frozenset]:
     """
     if len(space.points) > MAX_POINTS:  # up to 2^points opens
         raise TooLargeError(f"opens are listed for up to {MAX_POINTS} points, got {len(space.points)}")
-    found = {frozenset()}
+    found = {0}
     for b in set(space.base):
         found |= {o | b for o in found}
-    return sorted(found, key=_point_set_key)
+    return sorted(found, key=_set_key)
 
 
 @dataclass(frozen=True)
 class ClopenAlgebra:
-    """The Boolean algebra of clopen point sets, listed extensionally, and its atoms."""
+    """The Boolean algebra of clopen point masks, listed extensionally, and its atoms."""
 
-    universe: frozenset
-    elements: tuple[frozenset, ...]
-    atoms: tuple[frozenset, ...]
+    universe: int
+    elements: tuple[int, ...]
+    atoms: tuple[int, ...]
 
-    def complement(self, a: frozenset) -> frozenset:
-        return self.universe - a
+    def complement(self, a: int) -> int:
+        return self.universe & ~a
 
 
-def _boolean_atoms(universe: frozenset, family: list[frozenset]) -> tuple[frozenset, ...] | None:
+def _boolean_atoms(universe: int, family: list[int]) -> tuple[int, ...] | None:
     """Atoms of a complement-closed family holding {}, or None if not closed (see below)."""
-    atom = dict.fromkeys(universe, universe)
+    atom = dict.fromkeys(_members(universe), universe)
     for C in family:
-        for p in C:
+        for p in _members(C):
             atom[p] &= C
-    atoms = sorted(set(atom.values()), key=_point_set_key)
+    atoms = sorted(set(atom.values()), key=_set_key)
     return tuple(atoms) if len(family) == 2 ** len(atoms) else None
 
 
@@ -155,11 +157,12 @@ def clopen_algebra(space: UltrafilterSpace) -> ClopenAlgebra:
     and intersection exactly when all 2^(number of atoms) unions are clopen.
     That takes O(clopens x points) work, not a scan over pairs.
     """
-    os = set(opens(space))
-    universe = frozenset(range(len(space.points)))
-    elems = sorted((o for o in os if universe - o in os), key=_point_set_key)
+    listed = opens(space)
+    os = set(listed)
+    universe = (1 << len(space.points)) - 1
+    elems = [o for o in listed if universe & ~o in os]
     for e in space.lattice.elements():
-        if space.base[e] not in os or universe - space.base[e] not in os:
+        if space.base[e] not in os or universe & ~space.base[e] not in os:
             raise TheoremViolationError(
                 f"base set of {space.lattice.labels[e]!r} is not clopen")
     atoms = _boolean_atoms(universe, elems)
@@ -168,19 +171,18 @@ def clopen_algebra(space: UltrafilterSpace) -> ClopenAlgebra:
     return ClopenAlgebra(universe, tuple(elems), atoms)
 
 
-def join_decomposition(space: UltrafilterSpace, C: Iterable[int]) -> list[int]:
-    """Write a clopen as a union of base sets, greedily.
+def join_decomposition(space: UltrafilterSpace, C: int) -> list[int]:
+    """Write a clopen, a mask of points, as a union of base sets, greedily.
 
     Takes every non-zero element whose base set sits inside C and checks
     the union comes back exactly.  The empty clopen decomposes as the
     empty list.  Point sets that are not unions of base sets are rejected.
     """
-    C = frozenset(C)
     S = space.lattice
-    picks = [e for e in S.nonzero() if space.base[e] <= C]
-    if frozenset().union(*(space.base[e] for e in picks)) != C:
+    picks = [e for e in S.nonzero() if not space.base[e] & ~C]
+    if reduce(or_, (space.base[e] for e in picks), 0) != C:
         raise UndecomposableError(
-            f"point set {sorted(C)} is not a union of base sets")
+            f"point set {_members(C)} is not a union of base sets")
     return picks
 
 
@@ -207,7 +209,7 @@ def _dense_atoms(space: UltrafilterSpace, algebra: ClopenAlgebra) -> bool:
     tests/test_clopen_atoms.py gives the zero of the vee a point of its
     own, and the atom {0} holds no base set of a non-zero element."""
     nonzero_bases = [space.base[e] for e in space.lattice.nonzero() if space.base[e]]
-    return all(any(b <= A for b in nonzero_bases) for A in algebra.atoms)
+    return all(any(not b & ~A for b in nonzero_bases) for A in algebra.atoms)
 
 
 @dataclass(frozen=True)
@@ -237,16 +239,15 @@ def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
     """Characteristic function of a filter."""
-    if F.lattice is not S and F.lattice != S or not is_filter(S, F.carrier):
-        raise NotAFilterError("carrier fails the filter axioms")
-    return Representation(S, tuple(1 if e in F.carrier else 0 for e in S.elements()))
+    _require_filter(S, F)
+    return Representation(S, tuple(S.up[F.generator] >> e & 1 for e in S.elements()))
 
 
 def filter_of_rep(S: Semilattice, rep: Representation) -> Filter:
     """Preimage of 1, which the representation laws force to be a filter."""
     if rep.lattice is not S and rep.lattice != S or not is_representation(S, rep.values):
         raise NotARepresentationError("values fail the representation laws")
-    return Filter(S, frozenset(e for e in S.elements() if rep.values[e] == 1))
+    return Filter.from_carrier(S, (e for e in S.elements() if rep.values[e] == 1))
 
 
 def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
@@ -265,8 +266,7 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
     keep = S.down[e] & ~reduce(or_, (S.down[x] for x in es), 1 << S.zero)
-    carriers = S.up_sets
-    return [Filter(S, carriers[g]) for g in S.filter_generators if keep >> g & 1]
+    return [Filter(S, g) for g in S.filter_generators if keep >> g & 1]
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,8 @@ class FiniteBooleanAlgebra:
 
     def elements(self) -> list[frozenset]:
         return sorted((frozenset(c) for r in range(len(self.atoms) + 1)
-                       for c in itertools.combinations(self.atoms, r)), key=_point_set_key)
+                       for c in itertools.combinations(self.atoms, r)),
+                      key=lambda c: (len(c), sorted(c)))
 
     def complement(self, a: frozenset) -> frozenset:
         return self.top - a
@@ -314,7 +315,7 @@ def _check_bounded_hom(S: Semilattice, B: FiniteBooleanAlgebra,
 
 
 def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
-               alpha: Mapping[int, frozenset]) -> dict[frozenset, frozenset]:
+               alpha: Mapping[int, frozenset]) -> dict[int, frozenset]:
     """Extend a bounded homomorphism through the clopen algebra.
 
     Requires the base-set map to be injective and, for every atom of B,
@@ -335,15 +336,15 @@ def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
 
     pull_point: dict[str, int] = {}
     for atom in B.atoms:
-        carrier = frozenset(e for e in S.elements() if atom in alpha[e])
-        if not is_filter(S, carrier):
+        try:
+            F = Filter.from_carrier(S, (e for e in S.elements() if atom in alpha[e]))
+        except NotAFilterError:
             raise PreconditionFailedError(
-                f"pullback at atom {atom!r} is not a filter")
-        F = Filter(S, carrier)
+                f"pullback at atom {atom!r} is not a filter") from None
         if not is_ultrafilter(S, F):
             raise PreconditionFailedError(
                 f"pullback at atom {atom!r} is not an ultrafilter")
         pull_point[atom] = space.point_index(F)
 
-    return {C: frozenset(atom for atom in B.atoms if pull_point[atom] in C)
+    return {C: frozenset(atom for atom in B.atoms if C >> pull_point[atom] & 1)
             for C in clopen_algebra(space).elements}

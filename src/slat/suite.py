@@ -5,12 +5,12 @@ independent routes (order scans on one side, ultrafilter-space data on
 the other) and reports disagreements as counterexamples, serialized in
 the same text format the parser accepts so a failure replays directly.
 
-Inside the heaviest checks, sets of elements and of points are int
-bitmasks (bit i for element or point i), converted once per instance
-from what the library returns; the library routes are still called
-with their members, so only the representation inside each route
-changes and the two routes stay independent.  The frozenset bodies are
-kept as the test oracle tests/suite_oracle.py.
+Sets of elements and of points are int bitmasks (bit i for element or
+point i), as the library stores them: base sets, the up rows of filter
+generators, and the down and star rows.  The library routes are still
+called with their members, so the two routes of each check stay
+independent.  The frozenset bodies of the heaviest checks are kept as
+the test oracle tests/suite_oracle.py.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable
 
 from . import classify, stone
 from .catalog import CatalogSpec, enumerate_catalog
-from .core import Semilattice, _members, arrow, constrained_set, down, nonzero_pairs_below, star
+from .core import Semilattice, _members, arrow, constrained_set, nonzero_pairs_below
 from .errors import SlatError
 from .filters import (
-    Filter,
     enumerate_filters,
     enumerate_ultrafilters,
     extend_to_ultrafilter,
@@ -80,53 +78,35 @@ def _subsets(xs, max_size):
         yield from itertools.combinations(xs, r)
 
 
-def _strict_base_monotone(S: Semilattice, space: stone.UltrafilterSpace) -> bool:
-    return all(
-        space.base[f] < space.base[e]
-        for e, f in nonzero_pairs_below(S))
-
-
-def _mask(xs: Iterable[int]) -> int:
-    return reduce(or_, (1 << x for x in xs), 0)
-
-
 def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     space = stone.build_space(S)
     elements = S.elements()
-    base = [_mask(b) for b in space.base]  # point masks
-    orthogonal = [_mask(star(S, y)) for y in elements]
+    base, up, orthogonal = space.base, S.up, S.star
     ultra = enumerate_ultrafilters(S)
     zd = classify.is_zero_disjunctive(S)
     sep = stone.kappa_injective(space)
 
     # Filters are exactly the non-zero principal up-sets.
     if len(S) <= 6:
-        scanned = set()
-        for r in range(1, len(S) + 1):
-            for sub in itertools.combinations(S.elements(), r):
-                if is_filter(S, frozenset(sub)):
-                    scanned.add(frozenset(sub))
+        scanned = {frozenset(sub) for sub in _subsets(elements, len(S)) if is_filter(S, sub)}
         listed = {F.carrier for F in enumerate_filters(S)}
         report.record("filters_are_principal", scanned == listed, S,
                       f"scan={sorted(map(sorted, scanned))} listed={sorted(map(sorted, listed))}")
 
     # Ultrafilter criterion agrees with literal maximality.
     all_filters = enumerate_filters(S)
-    agree = True
-    for F in all_filters:
-        maximal = not any(F.carrier < G.carrier for G in all_filters)
-        if is_ultrafilter(S, F) != maximal:
-            agree = False
-            break
+    rows = [up[F.generator] for F in all_filters]
+    agree = all(is_ultrafilter(S, F) == (not any(row != other and not row & ~other for other in rows))
+                for F, row in zip(all_filters, rows))
     report.record("ultrafilter_criterion_is_maximality", agree, S,
                   "criterion and maximality disagree")
 
     # Every non-zero element extends to an ultrafilter containing it.
     ok = True
-    ultra_carriers = {F.carrier for F in ultra}
+    ultra_generators = {F.generator for F in ultra}
     for e in S.nonzero():
         U = extend_to_ultrafilter(S, e)
-        if e not in U.carrier or U.carrier not in ultra_carriers:
+        if not up[U.generator] >> e & 1 or U.generator not in ultra_generators:
             ok = False
             break
     report.record("extension_reaches_ultrafilter", ok, S, "extension broke")
@@ -136,14 +116,15 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
                   all(is_tight(S, F) for F in ultra), S, "an ultrafilter is not tight")
     tight = tight_filters(S)
     report.record("tight_equals_ultrafilters",
-                  {F.carrier for F in tight} == ultra_carriers, S,
+                  {F.generator for F in tight} == ultra_generators, S,
                   f"tight={[F.labels() for F in tight]} ultra={[F.labels() for F in ultra]}")
 
     # The classification properties coincide, three ways.
     report.record("zero_disjunctive_iff_separative", zd == sep, S,
                   f"zero_disjunctive={zd} separative={sep}")
+    strict = all(base[f] != base[e] and not base[f] & ~base[e] for e, f in nonzero_pairs_below(S))
     report.record("strict_base_monotonicity_iff_zero_disjunctive",
-                  _strict_base_monotone(S, space) == zd, S, "monotonicity mismatch")
+                  strict == zd, S, "monotonicity mismatch")
     report.record("meet_separation_iff_zero_disjunctive",
                   classify.meet_separation(S) == zd, S, "separation mismatch")
     report.record("trapping_iff_separative",
@@ -166,7 +147,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     # Refinement matches base-set covering for all small families: a
     # family's base sets cover K(f) iff no point of K(f) lies outside
     # their union, and the empty family covers only an empty K(f).
-    families = [(es, _mask(es), reduce(or_, (base[e] for e in es), 0))
+    families = [(es, sum(1 << e for e in es), reduce(or_, (base[e] for e in es), 0))
                 for es in _subsets(elements, 3)]
     # Refinement is monotone in the family.  The families form a downward
     # closed set, so every A < B among them is a chain of one-element
@@ -194,13 +175,13 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
 
     # Order embeds in base-set containment via singleton refinement.
     ok = all(
-        (space.base[e] <= space.base[f]) == arrow(S, e, [f])
+        (not base[e] & ~base[f]) == arrow(S, e, [f])
         for e in S.nonzero() for f in S.nonzero())
     report.record("order_bridge", ok, S, "containment vs refinement mismatch")
 
     # Base sets obey the meet law (also verified inside build_space).
     ok = all(
-        space.base[S.meet(e, f)] == space.base[e] & space.base[f]
+        base[S.meet(e, f)] == base[e] & base[f]
         for e in S.elements() for f in S.elements())
     report.record("base_meet_law", ok, S, "base sets break the meet law")
 
@@ -208,7 +189,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     ok = True
     for F, G in itertools.combinations(space.points, 2):
         e, f = stone.hausdorff_witness(space, F, G)
-        if e not in F.carrier or f not in G.carrier or space.base[e] & space.base[f]:
+        if not up[F.generator] >> e & 1 or not up[G.generator] >> f & 1 or base[e] & base[f]:
             ok = False
     report.record("hausdorff_witnesses", ok, S, "separation failed")
 
@@ -222,7 +203,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         except SlatError:
             decomposes = False
             break
-        if frozenset().union(*(space.base[e] for e in parts)) != C:
+        if reduce(or_, (base[e] for e in parts), 0) != C:
             decomposes = False
             break
     report.record("clopens_decompose", decomposes, S, "a clopen failed to decompose")
@@ -259,7 +240,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     # set side intersects down-sets and orthogonal sets as defined, the
     # meet side asks the library once per distinct (meet, Y).
     full = (1 << len(S)) - 1
-    below = [_mask(down(S, {x})) for x in elements]
+    below = S.down
     small = list(_subsets(elements, 2))
     orthogonal_Y = [reduce(and_, (orthogonal[y] for y in Y), full) for Y in small]
     by_meet: dict[int, list[int]] = {}
@@ -268,29 +249,27 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         below_X = reduce(and_, (below[x] for x in X), full)
         m = S.meet_all(X)
         if m not in by_meet:
-            by_meet[m] = [_mask(constrained_set(S, {m}, Y)) for Y in small]
+            by_meet[m] = [sum(1 << x for x in constrained_set(S, {m}, Y)) for Y in small]
         if [below_X & o for o in orthogonal_Y] != by_meet[m]:
             ok = False
     report.record("constraint_reduces_to_meet", ok, S, "reduction mismatch")
 
     # Filter-space neighbourhoods restrict to unions of base sets on points.
-    point_of = {F.carrier: i for i, F in enumerate(space.points)}
-    carrier = [_mask(F.carrier) for F in space.points]
+    point_of = {F.generator: i for i, F in enumerate(space.points)}
     ok = True
     for e in S.nonzero():
         strictly_below = [x for x in elements if S.leq(x, e)]
         for es in _subsets(strictly_below, 2):
-            hood = [point_of[F.carrier] for F in stone.filterspace_nbhd(S, e, es)
-                    if F.carrier in point_of]
-            hood_points = _mask(hood)
-            for p in hood:
-                # pick the smallest member of the point orthogonal to each x
-                choices = [carrier[p] & orthogonal[x] for x in es]
+            hood = [F.generator for F in stone.filterspace_nbhd(S, e, es) if F.generator in point_of]
+            hood_points = sum(1 << point_of[g] for g in hood)
+            for g in hood:
+                # pick the smallest member of the point up(g) orthogonal to each x
+                choices = [up[g] & orthogonal[x] for x in es]
                 if not all(choices):
                     ok = False
                     continue
                 i = S.meet_all([e] + [(c & -c).bit_length() - 1 for c in choices])
-                if not carrier[p] >> i & 1 or base[i] & ~hood_points:
+                if not up[g] >> i & 1 or base[i] & ~hood_points:
                     ok = False
     report.record("nbhd_agrees_on_points", ok, S, "interior witness failed")
 

@@ -79,7 +79,7 @@ def enumerate_filters(S: Semilattice) -> list[Filter]:
 # routes and their arguments list the same instance in turn
 @lru_cache(maxsize=4)
 def _filters(S: Semilattice) -> tuple[Filter, ...]:
-    return tuple(sorted((Filter(S, up(S, {e})) for e in S.nonzero()), key=Filter.sort_key))
+    return tuple(sorted((Filter.from_carrier(S, up(S, {e})) for e in S.nonzero()), key=Filter.sort_key))
 
 
 def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:

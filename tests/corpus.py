@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from functools import cache
 
+import pytest
+
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
 from slat.pathlat import RootedGraph, truncate
@@ -71,6 +73,7 @@ SLICES = {
     "random-8-12": lambda: sample(range(8, 13), 3),
     "bench-truncations": lambda: truncations(*BENCH_TRUNCATIONS),
     "rows": lambda: (*catalog(), *sample(10, 30, seed=4), *truncations(("two-loop", 4), ("three-loop", 3))),
+    "opens": lambda: (*catalog(), *sample(10, 10, seed=4)),
     "clopens": lambda: (*catalog(), *sample(range(8, 12), 10),
                         *truncations(("two-loop", 3), ("three-loop", 2), ("one-loop", 6))),
     "base-laws": lambda: (*catalog(), *sample(range(8, 12), 6), *truncations(
@@ -87,6 +90,20 @@ SLICES = {
 def instances(*names: str) -> tuple:
     """The union of the named slices, each instance once, in order."""
     return tuple({id(x): x for name in names for x in SLICES[name]()}.values())
+
+
+def params(name: str) -> list:
+    """A pytest param (name, i) for each instance i of the slice, with the
+    id n<size>, which pytest numbers apart where sizes repeat.  The slice
+    is built at collection.  Should building it raise, as a library fault
+    can make it do, the one param (name, None) stands for the whole slice,
+    and its test fails where it builds the slice again, so the fault fails
+    tests instead of their collection."""
+    try:
+        built = instances(name)
+    except Exception:  # reported by the test that rebuilds the slice
+        return [pytest.param(name, None, id=name)]
+    return [pytest.param(name, i, id=f"n{len(S)}") for i, S in enumerate(built)]
 
 
 def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:

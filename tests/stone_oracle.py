@@ -16,6 +16,10 @@ the map on base sets, and the join-decomposition route.
 
 base_law_violation is the check build_space once ran on its own result:
 the base sets at the bounds, and the meet law over every pair.
+
+The library keeps each set of points as an int mask, bit i for point i;
+these routines read the base sets, the opens and the extension's
+clopens as frozensets of point indices.
 """
 
 from __future__ import annotations
@@ -24,16 +28,23 @@ import itertools
 from functools import lru_cache
 
 import catalog_oracle
-from slat.core import Semilattice
+from slat.core import Semilattice, _members
 from slat.errors import TheoremViolationError
 from slat.stone import (
     FiniteBooleanAlgebra,
     UltrafilterSpace,
-    clopen_algebra,
     join_decomposition,
     kappa_injective,
     opens,
 )
+
+
+def _points(mask: int) -> frozenset:
+    return frozenset(_members(mask))
+
+
+def _base(space: UltrafilterSpace) -> list[frozenset]:
+    return [_points(b) for b in space.base]
 
 
 def closed_pairwise(family) -> bool:
@@ -58,13 +69,14 @@ def clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
 # listed, and the listing is exponential in the points
 @lru_cache(maxsize=4)
 def _clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
-    os = set(opens(space))
+    os = set(map(_points, opens(space)))
     universe = frozenset(range(len(space.points)))
     elems = sorted((o for o in os if universe - o in os),
                    key=lambda ps: (len(ps), tuple(sorted(ps))))
     got = set(elems)
+    base = _base(space)
     for e in space.lattice.elements():
-        if space.base[e] not in got:
+        if base[e] not in got:
             raise TheoremViolationError(
                 f"base set of {space.lattice.labels[e]!r} is not clopen")
     if not closed_pairwise(elems):
@@ -78,7 +90,7 @@ def clopen_atoms(space: UltrafilterSpace) -> list[frozenset]:
 
 def base_set_unions(space: UltrafilterSpace) -> list[frozenset]:
     """Every union of base sets, sorted as opens() lists them."""
-    distinct = sorted(set(space.base), key=lambda ps: (len(ps), tuple(sorted(ps))))
+    distinct = sorted(set(_base(space)), key=lambda ps: (len(ps), tuple(sorted(ps))))
     unions = {frozenset().union(*combo)
               for r in range(len(distinct) + 1)
               for combo in itertools.combinations(distinct, r)}
@@ -95,20 +107,20 @@ def dense_check(space: UltrafilterSpace) -> bool:
     """Injective base map, and every non-empty clopen holds a non-empty base set."""
     if not kappa_injective(space):
         return False
-    S = space.lattice
-    nonzero_bases = [space.base[e] for e in S.nonzero() if space.base[e]]
+    S, base = space.lattice, _base(space)
+    nonzero_bases = [base[e] for e in S.nonzero() if base[e]]
     return all(any(b <= C for b in nonzero_bases)
                for C in clopen_elements(space) if C)
 
 
 def base_law_violation(space: UltrafilterSpace) -> str | None:
     """Which base-set law the space breaks, if any."""
-    S = space.lattice
-    if space.base[S.zero] or space.base[S.one] != frozenset(range(len(space.points))):
+    S, base = space.lattice, _base(space)
+    if base[S.zero] or base[S.one] != frozenset(range(len(space.points))):
         return "base sets at the bounds are wrong"
     for e in S.elements():
         for f in S.elements():
-            if space.base[S.meet(e, f)] != space.base[e] & space.base[f]:
+            if base[S.meet(e, f)] != base[e] & base[f]:
                 return f"base sets fail the meet law at ({S.labels[e]!r}, {S.labels[f]!r})"
     return None
 
@@ -116,23 +128,25 @@ def base_law_violation(space: UltrafilterSpace) -> str | None:
 def extension_violation(space: UltrafilterSpace, B: FiniteBooleanAlgebra,
                         alpha, beta) -> str | None:
     """Which law the extension beta of alpha breaks, if any."""
-    S = space.lattice
-    algebra = clopen_algebra(space)
-    if set(beta) != set(algebra.elements):
+    S, base = space.lattice, _base(space)
+    clopens = clopen_elements(space)
+    universe = frozenset(range(len(space.points)))
+    beta = {_points(C): image for C, image in beta.items()}
+    if set(beta) != set(clopens):
         return "domain is not the clopens"
     for e in S.elements():
-        if beta[space.base[e]] != frozenset(alpha[e]):
+        if beta[base[e]] != frozenset(alpha[e]):
             return f"disagrees with the map at {S.labels[e]!r}"
-    if beta[frozenset()] != B.bottom or beta[algebra.universe] != B.top:
+    if beta[frozenset()] != B.bottom or beta[universe] != B.top:
         return "breaks the bounds"
-    for C in algebra.elements:
-        if beta[algebra.complement(C)] != B.complement(beta[C]):
+    for C in clopens:
+        if beta[universe - C] != B.complement(beta[C]):
             return "breaks complement"
-        for D in algebra.elements:
+        for D in clopens:
             if beta[C & D] != beta[C] & beta[D] or beta[C | D] != beta[C] | beta[D]:
                 return "breaks meet or join"
-    for C in algebra.elements:
-        parts = join_decomposition(space, C)
+    for C in clopens:
+        parts = join_decomposition(space, sum(1 << p for p in C))
         if frozenset().union(*(frozenset(alpha[e]) for e in parts)) != beta[C]:
             return "decomposition route disagrees"
     return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from slat import stone, suite
-from slat.core import Semilattice, down, star
+from slat.core import Semilattice, _members, down, star
 from slat.filters import enumerate_filters, enumerate_ultrafilters
 
 CHECKS = (
@@ -42,6 +42,7 @@ def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
 def verdicts(S: Semilattice) -> dict[str, bool]:
     """Pass (True) or fail of each check in CHECKS on one instance."""
     space = stone.build_space(S)
+    base = [frozenset(_members(b)) for b in space.base]  # the points, from the space's masks
     all_filters = enumerate_filters(S)
     ultra_carriers = {F.carrier for F in enumerate_ultrafilters(S)}
     out = {}
@@ -51,8 +52,8 @@ def verdicts(S: Semilattice) -> dict[str, bool]:
     for f in S.nonzero():
         for es in _subsets(list(S.elements()), 3):
             got = suite.arrow(S, f, es)
-            want = space.base[f] <= frozenset().union(*(space.base[e] for e in es)) \
-                if es else not space.base[f]
+            want = base[f] <= frozenset().union(*(base[e] for e in es)) \
+                if es else not base[f]
             results[(f, frozenset(es))] = got
             if got != want:
                 ok = False
@@ -104,7 +105,7 @@ def verdicts(S: Semilattice) -> dict[str, bool]:
                 for x in es:
                     picks.append(min(c for c in F.carrier if S.meet(c, x) == S.zero))
                 i = S.meet_all([e] + picks)
-                if i not in F.carrier or not space.base[i] <= hood_points:
+                if i not in F.carrier or not base[i] <= hood_points:
                     ok = False
     out["nbhd_agrees_on_points"] = ok
     return out

@@ -129,7 +129,7 @@ def test_classification_builds_no_per_pair_table():
     # Two-loop depth 8 has 512 elements and 3586 strict non-zero pairs;
     # a witness list kept per pair took 11 MiB here.
     S = truncate(corpus.TWO_LOOP, 8)
-    S.up_sets, S.filter_generators  # cached on first use, so warmed outside the count
+    S.filter_generators  # cached on first use, so warmed outside the count
     tracemalloc.start()
     try:
         is_compactable_finite(S)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -22,6 +24,7 @@ VEE_TEXT = "elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\n"
 CHAIN3_TEXT = "elements: 0 a 1\norder: 0<a a<1\n"
 TWO_LOOP_TEXT = "vertices: t\nroot: t\nedge a t t\nedge b t t\n"
 SINGLE_EDGE_TEXT = "vertices: r s\nroot: r\nedge a s r\n"
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
 
 def outcome(argv: list[str]) -> tuple[int, str, str]:
@@ -332,6 +335,20 @@ def test_catalog_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["catalog", "--max-size", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_runs_match_the_bench_goldens():
+    # A golden's name is its command line, each input file named by its
+    # path under bench/inputs without the .txt suffix.  The two catalog kv
+    # goldens keep whole reports: test_suite.py compares the size-seven one
+    # and the benchmark smoke check the size-four one.
+    inputs = GOLDENS.parent / "inputs"
+    runs = {name: want for name, want in json.loads(GOLDENS.read_text()).items() if "sha256" in want}
+    assert len(runs) == 77
+    for name, want in runs.items():
+        argv = [str(inputs / f"{a}.txt") if (inputs / f"{a}.txt").is_file() else a for a in name.split()]
+        code, out, _ = outcome(argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["exit"], want["sha256"]), name
 
 
 def test_graph_two_loop(two_loop_file, capsys):

@@ -26,7 +26,7 @@ import stone_oracle as oracle
 from corpus import TWO_LOOP
 from slat import stone
 from slat.cli import main
-from slat.core import Semilattice
+from slat.core import Semilattice, _members
 from slat.errors import TheoremViolationError, TooLargeError
 from slat.pathlat import truncate
 from test_oracles import drive
@@ -34,6 +34,16 @@ from test_oracles import drive
 
 def _complement_closed(universe: frozenset, sets) -> set[frozenset]:
     return {frozenset(), universe} | set(sets) | {universe - C for C in sets}
+
+
+def _mask(points: frozenset) -> int:
+    return sum(1 << p for p in points)
+
+
+def _atoms(universe: frozenset, family) -> list[frozenset] | None:
+    """stone._boolean_atoms on the family as masks, its atoms as frozensets."""
+    atoms = stone._boolean_atoms(_mask(universe), list(map(_mask, family)))
+    return None if atoms is None else [frozenset(_members(A)) for A in atoms]
 
 
 @st.composite
@@ -67,10 +77,10 @@ def complement_closed_families(draw):
 @given(complement_closed_families())
 def test_atom_criterion_matches_pairwise_closure(case):
     universe, family = case
-    atoms = stone._boolean_atoms(universe, list(family))
+    atoms = _atoms(universe, family)
     assert (atoms is not None) == oracle.closed_pairwise(family)
     if atoms is not None:
-        assert list(atoms) == oracle.minimal_members(family)
+        assert atoms == oracle.minimal_members(family)
         assert sum(len(A) for A in atoms) == len(universe)
         assert frozenset().union(*atoms) == universe
         for C in family:
@@ -85,25 +95,25 @@ def test_atom_criterion_sees_both_verdicts():
         sets = [frozenset(p for p in universe if rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
         family = _complement_closed(universe, sets)
         closed = oracle.closed_pairwise(family)
-        assert (stone._boolean_atoms(universe, list(family)) is not None) == closed
+        assert (_atoms(universe, family) is not None) == closed
         verdicts[closed] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
-@pytest.mark.parametrize("S", corpus.instances("clopens"), ids=lambda S: f"n{len(S)}")
-def test_clopen_algebra_and_density_match_the_scans(S, request):
-    drive(request, S)
+@pytest.mark.parametrize("name, i", corpus.params("clopens"))
+def test_clopen_algebra_and_density_match_the_scans(name, i, request):
+    drive(request, corpus.instances(name)[i], where=f"slice {name}, instance {i}")
 
 
 def test_density_fails_at_an_atom_without_a_base_set(vee):
     # Built by hand, not by build_space: the zero owns point 0, so the
     # atom {0} holds no base set of a non-zero element.
     a, b = vee.index("a"), vee.index("b")
-    base = [frozenset()] * 4
-    base[vee.zero], base[a], base[vee.one] = frozenset({0}), frozenset({1}), frozenset({0, 1})
+    base = [0] * 4
+    base[vee.zero], base[a], base[vee.one] = 0b01, 0b10, 0b11
     space = stone.UltrafilterSpace(vee, stone.build_space(vee).points, tuple(base))
-    assert stone.kappa_injective(space) and base[b] == frozenset()
-    assert stone.clopen_algebra(space).atoms == (frozenset({0}), frozenset({1}))
+    assert stone.kappa_injective(space) and base[b] == 0
+    assert stone.clopen_algebra(space).atoms == (0b01, 0b10)
     assert not stone.dense_check(space)
     assert not oracle.dense_check(space)
 
@@ -115,7 +125,7 @@ def m4() -> Semilattice:
         tuple(("0", x) for x in "abcd") + tuple((x, "1") for x in "abcd"))
 
 
-def _drop_open(monkeypatch, dropped: frozenset) -> None:
+def _drop_open(monkeypatch, dropped: int) -> None:
     """Fault injection: opens() loses one open set."""
     listed = stone.opens
     monkeypatch.setattr(stone, "opens", lambda space: [o for o in listed(space) if o != dropped])
@@ -124,17 +134,17 @@ def _drop_open(monkeypatch, dropped: frozenset) -> None:
 def test_m4_clopens(m4):
     algebra = stone.clopen_algebra(stone.build_space(m4))
     assert len(algebra.elements) == 16
-    assert algebra.atoms == tuple(frozenset({i}) for i in range(4))
+    assert algebra.atoms == tuple(1 << i for i in range(4))
 
 
 def test_lost_open_breaks_closure(m4, monkeypatch):
-    _drop_open(monkeypatch, frozenset({0, 1}))
+    _drop_open(monkeypatch, 0b11)
     with pytest.raises(TheoremViolationError, match="^clopens not closed under set operations$"):
         stone.clopen_algebra(stone.build_space(m4))
 
 
 def test_lost_universe_breaks_a_base_set(m4, monkeypatch):
-    _drop_open(monkeypatch, frozenset(range(4)))
+    _drop_open(monkeypatch, 0b1111)
     with pytest.raises(TheoremViolationError, match="^base set of '0' is not clopen$"):
         stone.clopen_algebra(stone.build_space(m4))
 
@@ -142,7 +152,7 @@ def test_lost_universe_breaks_a_base_set(m4, monkeypatch):
 def test_stone_cli_reports_broken_closure(m4, monkeypatch, tmp_path, capsys):
     path = tmp_path / "m4.slat"
     path.write_text(m4.to_text())
-    _drop_open(monkeypatch, frozenset({0, 1}))
+    _drop_open(monkeypatch, 0b11)
     assert main(["stone", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,11 +4,15 @@ A Route pairs a library callable with its oracle, the calls to make on
 one instance and the corpus slices that test_route_matches_oracle runs it
 on, one test id per route.  check() makes each call on the instance and
 on its relabeled copy; a SlatError counts as a result, so a refusal must
-match in type and message.  The parametrized comparisons that held these
-routes before keep their ids and run the routes DRIVERS gives them.  The
-audit fails when a public function of an oracle module is the oracle of
-no route and is not in COMPARED_ELSEWHERE, the oracles compared on
-hypothesis draws, fault injections, fresh builds or whole sets.
+match in type and message.  A mismatch names the instance: where it was
+taken from, whether it is the relabeled copy, and its text when short.
+The library keeps sets of points as int masks, and the route adapters
+hand them to the comparison as the oracles' frozensets.  The
+parametrized comparisons that held these routes before keep their ids
+and run the routes DRIVERS gives them.  The audit fails when a public
+function of an oracle module is the oracle of no route and is not in
+COMPARED_ELSEWHERE, the oracles compared on hypothesis draws, fault
+injections, fresh builds or whole sets.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import pathlat_oracle
 import stone_oracle
 import suite_oracle
 from slat import classify, core, filters, pathlat, stone
-from slat.core import Semilattice
+from slat.core import Semilattice, _members
 from slat.errors import NotSubsetError, SlatError
 from slat.filters import Filter
 
@@ -127,7 +131,12 @@ def _sibling_witnesses(S: Semilattice, e: int) -> tuple[dict, dict]:
 
 
 def _violations(S: Semilattice, A: frozenset) -> list[int]:
-    return list(filters.tight_violations(S, Filter(S, A)))
+    return list(filters.tight_violations(S, Filter.from_carrier(S, A)))
+
+
+def _points(masks) -> list[frozenset]:
+    """Each mask of point indices as the frozenset of its points."""
+    return [frozenset(_members(m)) for m in masks]
 
 
 ROUTES = (
@@ -135,7 +144,6 @@ ROUTES = (
     Route("star", core.star, order_oracle.star, lambda S: _each(S, S.elements())),
     Route("up", core.up, order_oracle.up, lambda S: _singletons(S) + _draws(S)[0]),
     Route("down", core.down, order_oracle.down, lambda S: _singletons(S) + _draws(S)[0]),
-    Route("up_sets", lambda S, X: S.up_sets[min(X)], order_oracle.up, _singletons),
     Route("level", pathlat.level, order_oracle.level, lambda S: _each(S, S.elements())),
     Route("covers_hat", pathlat.covers_hat, order_oracle.covers_hat, lambda S: _each(S, S.nonzero())),
     Route("nonzero_pairs_below", lambda S: list(core.nonzero_pairs_below(S)), order_oracle.nonzero_pairs_below),
@@ -145,8 +153,8 @@ ROUTES = (
     Route("is_cover", _is_cover, order_oracle.is_cover, lambda S: _draws(S)[3]),
     # filters and classification
     Route("is_filter", filters.is_filter, order_oracle.is_filter, _carriers),
-    Route("is_ultrafilter", lambda S, A: filters.is_ultrafilter(S, Filter(S, A)), order_oracle.is_ultrafilter,
-          _filter_carriers),
+    Route("is_ultrafilter", lambda S, A: filters.is_ultrafilter(S, Filter.from_carrier(S, A)),
+          order_oracle.is_ultrafilter, _filter_carriers),
     Route("extend_to_ultrafilter", lambda S, e: filters.extend_to_ultrafilter(S, e).carrier,
           order_oracle.extend_to_ultrafilter, lambda S: _each(S, S.nonzero())),
     Route("meet_separation", classify.meet_separation, order_oracle.meet_separation),
@@ -166,13 +174,13 @@ ROUTES = (
           ("neighbourhoods",)),
     # the Stone space
     Route("build_space.points", lambda S: list(stone.build_space(S).points), catalog_oracle.enumerate_ultrafilters),
-    Route("build_space.base", lambda S: stone.build_space(S).base, stone_oracle.base_sets),
+    Route("build_space.base", lambda S: tuple(_points(stone.build_space(S).base)), stone_oracle.base_sets),
     # the oracle checks the space that build_space made, and finds no violation
     Route("build_space.laws", lambda space: None, stone_oracle.base_law_violation, _space, ("base-laws",)),
-    Route("opens", stone.opens, stone_oracle.base_set_unions, _space),
-    Route("clopen_algebra.elements", lambda space: stone.clopen_algebra(space).elements,
+    Route("opens", lambda space: _points(stone.opens(space)), stone_oracle.base_set_unions, _space),
+    Route("clopen_algebra.elements", lambda space: tuple(_points(stone.clopen_algebra(space).elements)),
           stone_oracle.clopen_elements, _space),
-    Route("clopen_algebra.atoms", lambda space: list(stone.clopen_algebra(space).atoms),
+    Route("clopen_algebra.atoms", lambda space: _points(stone.clopen_algebra(space).atoms),
           stone_oracle.clopen_atoms, _space),
     Route("dense_check", stone.dense_check, stone_oracle.dense_check, _space),
     Route("is_representation", stone.is_representation, suite_oracle.is_representation, _vectors,
@@ -203,8 +211,7 @@ DRIVERS = {
         "clopen_algebra.elements", "clopen_algebra.atoms", "dense_check"),
     "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (
         "is_zero_disjunctive", "satisfies_trapping", "trapping_is_zero_disjunctive"),
-    "test_filters.py::test_derived_values_and_listing_match_oracles": (
-        "up_sets", "enumerate_filters", "filter_generators"),
+    "test_filters.py::test_derived_values_and_listing_match_oracles": ("enumerate_filters", "filter_generators"),
     "test_filters.py::test_ultrafilter_and_tight_listings_match_oracles": ("enumerate_ultrafilters", "tight_filters"),
     "test_stone.py::test_build_space_points_match_ultrafilter_oracle": ("build_space.points", "build_space.base"),
     "test_pathlat.py::test_sibling_cover_witness_matches_all_covers_oracle": _COVERS,
@@ -233,24 +240,33 @@ def _outcome(f: Callable, args: tuple):
         return type(exc).__name__, str(exc)
 
 
-def check(route: Route, instance) -> None:
-    for x in corpus.copies(instance):
+def _named(route: Route, where: str, x, args: tuple) -> str:
+    text = f"\n{x.to_text()}" if isinstance(x, Semilattice) and len(x) < 20 else ""
+    return f"{route.name} on {where}: {args!r}"[:2000] + text
+
+
+def check(route: Route, instance, where: str) -> None:
+    """Compare the route with its oracle on the instance and its copy;
+    where names the instance in a failure."""
+    for x, shown in zip(corpus.copies(instance), (where, f"{where}, relabeled copy")):
         for args in route.args(x):
-            assert _outcome(route.library, args) == _outcome(route.oracle, args), f"{route.name}: {args!r}"[:2000]
+            assert _outcome(route.library, args) == _outcome(route.oracle, args), _named(route, shown, x, args)
 
 
-def drive(request: pytest.FixtureRequest, *instances) -> None:
-    """Run the routes DRIVERS gives the requesting test on each instance."""
+def drive(request: pytest.FixtureRequest, *instances, where: str | None = None) -> None:
+    """Run the routes DRIVERS gives the requesting test on each instance.
+    A failure names the instance by where, or else by the test's id and
+    the instance's place among those given."""
     names = DRIVERS[f"{request.path.name}::{request.function.__name__}"]
-    for instance in instances:
+    for i, instance in enumerate(instances):
         for name in names:
-            check(BY_NAME[name], instance)
+            check(BY_NAME[name], instance, where or f"{request.node.name}, instance {i}")
 
 
 @pytest.mark.parametrize("route", [r for r in ROUTES if r.corpus], ids=lambda r: r.name)
 def test_route_matches_oracle(route):
-    for instance in corpus.instances(*route.corpus):
-        check(route, instance)
+    for i, instance in enumerate(corpus.instances(*route.corpus)):
+        check(route, instance, f"slice {'+'.join(route.corpus)}, instance {i}")
 
 
 def _test_exists(test_id: str) -> bool:

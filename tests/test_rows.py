@@ -6,12 +6,14 @@ that loop on random idempotent, commutative, bounded tables.  Every order
 primitive that reads the rows, and the filter and classification checks,
 are compared with their scans in order_oracle.py through the registry in
 test_oracles.py, on each instance of the corpus slice "rows" and its
-relabeled copy.  Truncations and the one-atom extensions of catalog
-enumeration skip validation and bring their own down rows; all three rows
-of each are held to the validated rebuild of its table, and the meet table
-derived from its rows to the table its builder filled before it built
-rows only, kept as an oracle, also under a relabeling.  Classifying a
-truncation reads the rows alone and derives no table.
+relabeled copy, and the opens on the slice "opens".  Truncations and the
+one-atom extensions of catalog enumeration skip validation and bring
+their own down rows; all three rows of each are held to the validated
+rebuild of its table, and the meet table derived from its rows to the
+table its builder filled before it built rows only, kept as an oracle,
+also under a relabeling.  Classifying a truncation, extending its
+filters to ultrafilters and separating its points read the rows alone
+and derive no table.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from slat import classify, pathlat, stone
 from slat.catalog import _admissible_up_sets, _sizes, _with_atom
 from slat.core import Semilattice
 from slat.errors import InvalidSemilatticeError
+from slat.filters import extend_to_ultrafilter
 from slat.pathlat import truncate
 from test_oracles import drive
-
-SMALL_CATALOG = corpus.catalog()
-INSTANCES = corpus.instances("rows")
 
 
 def _table_labels(n: int) -> tuple[str, ...]:
@@ -55,7 +55,7 @@ def bounded_tables(draw):
     tables both turn up.
     """
     if draw(st.booleans()):
-        S = draw(st.sampled_from(SMALL_CATALOG))
+        S = draw(st.sampled_from(corpus.catalog()))
         n, fixed = len(S), S.meet_table
     else:
         n, fixed = draw(st.integers(2, 7)), None
@@ -105,19 +105,19 @@ def test_rows_of_the_vee(vee):
                                          vee.down[:a] + (bit[a],) + vee.down[a + 1:])
 
 
-@pytest.mark.parametrize("S", INSTANCES, ids=lambda S: f"n{len(S)}")
-def test_order_primitives_match_scans(S, request):
-    drive(request, S)
+@pytest.mark.parametrize("name, i", corpus.params("rows"))
+def test_order_primitives_match_scans(name, i, request):
+    drive(request, corpus.instances(name)[i], where=f"slice {name}, instance {i}")
 
 
-@pytest.mark.parametrize("S", INSTANCES, ids=lambda S: f"n{len(S)}")
-def test_filter_and_classification_checks_match_scans(S, request):
-    drive(request, S)
+@pytest.mark.parametrize("name, i", corpus.params("rows"))
+def test_filter_and_classification_checks_match_scans(name, i, request):
+    drive(request, corpus.instances(name)[i], where=f"slice {name}, instance {i}")
 
 
-@pytest.mark.parametrize("S", INSTANCES[:len(SMALL_CATALOG) + 10], ids=lambda S: f"n{len(S)}")
-def test_opens_match_all_unions_of_base_sets(S, request):
-    drive(request, S)
+@pytest.mark.parametrize("name, i", corpus.params("opens"))
+def test_opens_match_all_unions_of_base_sets(name, i, request):
+    drive(request, corpus.instances(name)[i], where=f"slice {name}, instance {i}")
 
 
 def _assert_table_derived_as(S: Semilattice, table, rng: random.Random) -> None:
@@ -181,6 +181,16 @@ def test_classifying_a_truncation_derives_no_table():
     classify.is_compactable_finite(S)
     pathlat.sibling_cover_witnesses(S, S.one)
     stone.build_space(S)
+    assert "meet_table" not in vars(S)
+
+
+def test_ultrafilter_extension_and_separation_derive_no_table():
+    S = truncate(TWO_LOOP, 6)
+    for e in S.nonzero():
+        extend_to_ultrafilter(S, e)
+    space = stone.build_space(S)
+    for F, G in itertools.pairwise(space.points):
+        stone.hausdorff_witness(space, F, G)
     assert "meet_table" not in vars(S)
 
 

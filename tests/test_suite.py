@@ -182,9 +182,6 @@ def test_wrong_is_representation_is_a_counterexample(wrong, monkeypatch, capsys)
     assert "check representations_are_filters: pass=0 fail=9\n" in captured.out
 
 
-ORACLE_INSTANCES = corpus.instances("suite")
-
-
 def _suite_verdicts(S):
     report = VerificationReport()
     suite._check_instance(S, report)
@@ -196,9 +193,9 @@ def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
     if fault:
         monkeypatch.setattr(*FAULTS[fault])
     failed = set()
-    for S in ORACLE_INSTANCES:
+    for i, S in enumerate(corpus.instances("suite")):
         got = _suite_verdicts(S)
-        assert got == suite_oracle.verdicts(S), S.to_text()
+        assert got == suite_oracle.verdicts(S), f"slice suite, instance {i}\n{S.to_text()}"
         failed.update(name for name, passed in got.items() if not passed)
     # each fault shows in at least one of the five checks
     assert bool(failed) == bool(fault)

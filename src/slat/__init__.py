@@ -57,6 +57,7 @@ from .stone import (
     UltrafilterSpace,
     build_space,
     clopen_algebra,
+    clopen_elements,
     dense_check,
     extend_hom,
     filter_of_rep,

@@ -75,12 +75,12 @@ def cmd_stone(args: argparse.Namespace) -> int:
         inside = ",".join(map(str, _members(space.base[e])))
         print(f"  K[{S.labels[e]}] = {{{inside}}}")
     separative = stone.kappa_injective(space)
-    print(f"clopens: {len(algebra.elements)}")
+    print(f"clopens: {2 ** len(algebra.atoms)}")
     print(f"separative={'true' if separative else 'false'}")
     print(f"dense={'true' if separative and stone._dense_atoms(space, algebra) else 'false'}")
     if len(space.points) <= 6:
         print("decompositions:")
-        for C in algebra.elements:
+        for C in stone.clopen_elements(space):
             parts = stone.join_decomposition(space, C)
             inside = ",".join(map(str, _members(C)))
             shown = " ".join(S.labels_for(parts)) if parts else "-"

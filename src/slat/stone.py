@@ -1,12 +1,12 @@
 """The ultrafilter space of a finite bounded meet semilattice.
 
 Points are ultrafilters.  Each element e owns the base set K(e) of
-ultrafilters containing it, base sets generate the topology, and the
-clopen algebra is materialized extensionally.  A set of points is an
-int mask, bit i for point i.  Nothing assumes the space is discrete;
-that it comes out discrete on finite instances is observed by the test
-suite, not baked in.  The Boolean laws and density are read off the
-clopen atoms, and opens() refuses spaces over MAX_POINTS points.
+ultrafilters containing it, and base sets generate the topology.  A set
+of points is an int mask, bit i for point i.  The clopen algebra is its
+atoms, and the Boolean laws and density are read off them.  Nothing
+assumes the space is discrete; that it comes out discrete on finite
+instances is observed by the test suite, not baked in.  Only listings
+are exponential, and opens() refuses spaces over MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .core import Semilattice, _members, _set_key, _transpose
@@ -127,48 +127,53 @@ def opens(space: UltrafilterSpace) -> list[int]:
 
 @dataclass(frozen=True)
 class ClopenAlgebra:
-    """The Boolean algebra of clopen point masks, listed extensionally, and its atoms."""
+    """The Boolean algebra of clopen point masks, as its atoms, whose unions are the clopens."""
 
     universe: int
-    elements: tuple[int, ...]
     atoms: tuple[int, ...]
 
     def complement(self, a: int) -> int:
         return self.universe & ~a
 
 
-def _boolean_atoms(universe: int, family: list[int]) -> tuple[int, ...] | None:
-    """Atoms of a complement-closed family holding {}, or None if not closed (see below)."""
-    atom = dict.fromkeys(_members(universe), universe)
-    for C in family:
-        for p in _members(C):
-            atom[p] &= C
-    atoms = sorted(set(atom.values()), key=_set_key)
-    return tuple(atoms) if len(family) == 2 ** len(atoms) else None
-
-
 def clopen_algebra(space: UltrafilterSpace) -> ClopenAlgebra:
-    """Opens with open complement, checked to form a Boolean algebra.
+    """The clopen atoms, read off the points' minimal neighbourhoods.
 
-    Base sets, {} = K(0) among them, must be clopen.  A point's atom is the
-    intersection of the clopens holding it; the atoms partition the points,
-    as the complement of a clopen holding q but not p holds p but not q.  So
-    every clopen is a union of atoms, and the clopens are closed under union
-    and intersection exactly when all 2^(number of atoms) unions are clopen.
-    That takes O(clopens x points) work, not a scan over pairs.
-    """
-    listed = opens(space)
-    os = set(listed)
-    universe = (1 << len(space.points)) - 1
-    elems = [o for o in listed if universe & ~o in os]
-    for e in space.lattice.elements():
-        if space.base[e] not in os or universe & ~space.base[e] not in os:
+    The base sets are taken to form a base, as build_space's do (K(1) is
+    every point, K(e) & K(f) = K(meet(e, f))).  Then U_p, the AND of the
+    base sets holding p, is the least open set holding p, so a set is
+    clopen iff no link p - q for q in U_p leaves it: iff it is a union of
+    the links' connected components.  These are the atoms, singletons on
+    a space from build_space, and each base set, being open, must be such
+    a union.  Nothing is listed."""
+    n = len(space.points)
+    universe = (1 << n) - 1
+    nbhd = [reduce(and_, map(space.base.__getitem__, _members(holding)), universe)
+            for holding in _transpose(space.base, n)]
+    links = [u | v for u, v in zip(nbhd, _transpose(nbhd, n))]
+
+    def reach(ps: int) -> int:  # ps and the points one link away
+        return reduce(or_, map(links.__getitem__, _members(ps)), 0)
+
+    for e, K in enumerate(space.base):
+        if reach(K) & ~K:
             raise TheoremViolationError(
                 f"base set of {space.lattice.labels[e]!r} is not clopen")
-    atoms = _boolean_atoms(universe, elems)
-    if atoms is None:
-        raise TheoremViolationError("clopens not closed under set operations")
-    return ClopenAlgebra(universe, tuple(elems), atoms)
+    atoms, left = [], universe
+    while left:
+        atom = left & -left
+        while (grown := reach(atom)) != atom:
+            atom = grown
+        atoms.append(atom)
+        left &= ~atom
+    return ClopenAlgebra(universe, tuple(sorted(atoms, key=_set_key)))
+
+
+def clopen_elements(space: UltrafilterSpace) -> list[int]:
+    """Every clopen: the opens that are unions of atoms, on a space from
+    build_space every open.  opens() refuses spaces over MAX_POINTS points."""
+    atoms = clopen_algebra(space).atoms
+    return [C for C in opens(space) if all(not A & C or not A & ~C for A in atoms)]
 
 
 def join_decomposition(space: UltrafilterSpace, C: int) -> list[int]:
@@ -187,27 +192,18 @@ def join_decomposition(space: UltrafilterSpace, C: int) -> list[int]:
 
 
 def dense_check(space: UltrafilterSpace) -> bool:
-    """Does the lattice embed densely into its clopen algebra?
-
-    Two things must hold: the base-set map is injective, so the lattice
-    really sits inside the algebra, and every non-empty clopen contains a
-    non-empty base set of a non-zero element (_dense_atoms).
-    """
+    """Does the lattice embed densely into its clopen algebra?  The base-set
+    map must be injective, so the lattice sits inside the algebra, and every
+    non-empty clopen must hold a non-empty base set of a non-zero element."""
     return kappa_injective(space) and _dense_atoms(space, clopen_algebra(space))
 
 
 def _dense_atoms(space: UltrafilterSpace, algebra: ClopenAlgebra) -> bool:
     """Does every non-empty clopen hold a non-empty base set of a non-zero
-    element?  Each one holds an atom of the algebra, and atoms are clopens,
-    so only the atoms are tested.
-
-    On a space from build_space the test cannot fail: an atom is a
-    non-empty open, so a union of base sets, and K(0) is empty, so one of
-    those base sets is the non-empty base set of a non-zero element.  The
-    test stays for spaces built by hand, where K(0) may be non-empty:
-    test_density_fails_at_an_atom_without_a_base_set in
-    tests/test_clopen_atoms.py gives the zero of the vee a point of its
-    own, and the atom {0} holds no base set of a non-zero element."""
+    element?  Each one holds an atom, and atoms are clopens, so only the
+    atoms are tested.  On a space from build_space that cannot fail: an
+    atom is a non-empty union of base sets, and K(0) is empty.  By hand it
+    can (test_density_fails_at_an_atom_without_a_base_set)."""
     nonzero_bases = [space.base[e] for e in space.lattice.nonzero() if space.base[e]]
     return all(any(not b & ~A for b in nonzero_bases) for A in algebra.atoms)
 
@@ -347,4 +343,4 @@ def extend_hom(S: Semilattice, B: FiniteBooleanAlgebra,
         pull_point[atom] = space.point_index(F)
 
     return {C: frozenset(atom for atom in B.atoms if C >> pull_point[atom] & 1)
-            for C in clopen_algebra(space).elements}
+            for C in clopen_elements(space)}

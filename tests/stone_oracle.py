@@ -1,11 +1,12 @@
 """The clopen algebra and the density test by pairwise scans.
 
-These are the routines the library ran before it read the Boolean laws
-and density off the atoms: closure is checked over every pair of
-clopens, and density scans every non-empty clopen against every base
-set.  The tests hold the atom-based versions to them.  clopen_atoms are
-the minimal non-empty members of that closure-checked family, and
-base_set_unions lists the opens as every union of base sets.
+These are the routines the library ran before it read the clopen
+algebra off its atoms: the clopens are listed as the opens with open
+complement, closure is checked over every pair of them, and density
+scans every non-empty clopen against every base set.  The tests hold
+the atom-based versions to them.  clopen_atoms are the minimal non-empty
+members of that closure-checked family, and base_set_unions lists the
+opens as every union of base sets.
 
 base_sets reads each base set off the ultrafilters that
 catalog_oracle.enumerate_ultrafilters lists.
@@ -47,13 +48,13 @@ def _base(space: UltrafilterSpace) -> list[frozenset]:
     return [_points(b) for b in space.base]
 
 
-def closed_pairwise(family) -> bool:
+def _closed_pairwise(family) -> bool:
     """Is the family closed under union and intersection, pair by pair?"""
     got = set(family)
     return all(a & b in got and a | b in got for a in got for b in got)
 
 
-def minimal_members(family) -> list[frozenset]:
+def _minimal_members(family) -> list[frozenset]:
     """The non-empty members with no non-empty member strictly inside."""
     nonempty = [C for C in family if C]
     return sorted((C for C in nonempty if not any(D < C for D in nonempty)),
@@ -79,13 +80,13 @@ def _clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
         if base[e] not in got:
             raise TheoremViolationError(
                 f"base set of {space.lattice.labels[e]!r} is not clopen")
-    if not closed_pairwise(elems):
+    if not _closed_pairwise(elems):
         raise TheoremViolationError("clopens not closed under set operations")
     return tuple(elems)
 
 
 def clopen_atoms(space: UltrafilterSpace) -> list[frozenset]:
-    return minimal_members(clopen_elements(space))
+    return _minimal_members(clopen_elements(space))
 
 
 def base_set_unions(space: UltrafilterSpace) -> list[frozenset]:

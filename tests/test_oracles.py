@@ -178,7 +178,7 @@ ROUTES = (
     # the oracle checks the space that build_space made, and finds no violation
     Route("build_space.laws", lambda space: None, stone_oracle.base_law_violation, _space, ("base-laws",)),
     Route("opens", lambda space: _points(stone.opens(space)), stone_oracle.base_set_unions, _space),
-    Route("clopen_algebra.elements", lambda space: tuple(_points(stone.clopen_algebra(space).elements)),
+    Route("clopen_elements", lambda space: tuple(_points(stone.clopen_elements(space))),
           stone_oracle.clopen_elements, _space),
     Route("clopen_algebra.atoms", lambda space: _points(stone.clopen_algebra(space).atoms),
           stone_oracle.clopen_atoms, _space),
@@ -208,7 +208,7 @@ DRIVERS = {
         "enumerate_filters", "filter_generators"),
     "test_rows.py::test_opens_match_all_unions_of_base_sets": ("opens",),
     "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (
-        "clopen_algebra.elements", "clopen_algebra.atoms", "dense_check"),
+        "clopen_elements", "clopen_algebra.atoms", "dense_check"),
     "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (
         "is_zero_disjunctive", "satisfies_trapping", "trapping_is_zero_disjunctive"),
     "test_filters.py::test_derived_values_and_listing_match_oracles": ("enumerate_filters", "filter_generators"),
@@ -226,8 +226,6 @@ COMPARED_ELSEWHERE = {
     "catalog_oracle.with_atom_table": "test_rows.py::test_rows_built_instances_match_the_validated_rebuild",
     "pathlat_oracle.ancestor_chain_table": "test_rows.py::test_rows_built_instances_match_the_validated_rebuild",
     "pathlat_oracle.unreachable_vertices": "test_pathlat.py::test_root_distances_are_shortest_backward_paths",
-    "stone_oracle.closed_pairwise": "test_clopen_atoms.py::test_atom_criterion_matches_pairwise_closure",
-    "stone_oracle.minimal_members": "test_clopen_atoms.py::test_atom_criterion_matches_pairwise_closure",
     "stone_oracle.extension_violation": "test_stone.py::test_extend_hom_is_a_boolean_hom_on_injective_instances",
     "suite_oracle.verdicts": "test_suite.py::test_mask_checks_match_frozenset_oracle",
 }

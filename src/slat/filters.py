@@ -41,6 +41,14 @@ class Filter:
             raise NotAFilterError(f"carrier {tuple(sorted(A))} fails the filter axioms")
         return cls(S, S.meet_all(A))
 
+    @classmethod
+    def _of(cls, S: Semilattice, g: int) -> "Filter":
+        """The filter up(g) of a g that the caller knows is non-zero, as
+        every listed generator is; nothing is checked."""
+        F = object.__new__(cls)
+        F.__dict__.update(lattice=S, generator=g)
+        return F
+
     @cached_property
     def carrier(self) -> frozenset:
         return frozenset(self)
@@ -81,7 +89,7 @@ def principal_filter(S: Semilattice, e: int) -> Filter:
 
 def enumerate_filters(S: Semilattice) -> list[Filter]:
     """All filters up(g), g != 0, smallest carriers first (S.filter_generators)."""
-    return [Filter(S, g) for g in S.filter_generators]
+    return [Filter._of(S, g) for g in S.filter_generators]
 
 
 def is_ultrafilter(S: Semilattice, F: Filter) -> bool:

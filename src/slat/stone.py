@@ -37,6 +37,7 @@ from .filters import (
 )
 
 MAX_POINTS = 16
+_BITS = frozenset((0, 1))  # floats and bools equal to 0 and 1 hash as them
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,21 @@ def dense_check(space: UltrafilterSpace) -> bool:
 def _dense_atoms(space: UltrafilterSpace, algebra: ClopenAlgebra) -> bool:
     """Does every non-empty clopen hold a non-empty base set of a non-zero
     element?  Each one holds an atom, and atoms are clopens, so only the
-    atoms are tested.  On a space from build_space that cannot fail: an
-    atom is a non-empty union of base sets, and K(0) is empty.  By hand it
-    can (test_density_fails_at_an_atom_without_a_base_set)."""
-    nonzero_bases = [space.base[e] for e in space.lattice.nonzero() if space.base[e]]
-    return all(any(not b & ~A for b in nonzero_bases) for A in algebra.atoms)
+    atoms are tested.  The atoms partition the points, so a non-empty
+    base set can lie only in the atom of its lowest point: one pass marks
+    that atom when the set lies inside it, and every atom must be marked.
+    On a space from build_space that cannot fail: an atom is a non-empty
+    union of base sets, and K(0) is empty.  By hand it can
+    (test_density_fails_at_an_atom_without_a_base_set)."""
+    atoms = algebra.atoms
+    atom_at = _transpose(atoms, len(space.points))  # point -> the bit of its atom's index
+    marked = 0
+    for e in space.lattice.nonzero():
+        if b := space.base[e]:
+            atom = atoms[atom_at[(b & -b).bit_length() - 1].bit_length() - 1]
+            if not b & ~atom:
+                marked |= atom
+    return marked == algebra.universe
 
 
 @dataclass(frozen=True)
@@ -221,16 +232,21 @@ def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
     = value(e) * value(f)?  Row e of that law reads the values along the
     meet table's row e, which must equal the values themselves where
     value(e) = 1 and all zeros where value(e) = 0.  The entries of row e
-    are exactly down(e), so a zero row only asks that no element of
-    down(e) takes the value 1."""
+    are exactly down(e), so the zero rows ask that no 1 lie below a 0:
+    that the 1-set be closed upward, which it is iff the up rows of its
+    members cover nothing outside it.  The 1-rows imply that too (row x
+    reads value(y) = value(x) at each y above x), but the closure test
+    turns most vectors away before any table row is read, and then only
+    the 1-rows are read."""
     values = tuple(values)
-    if not (len(values) == len(S) and values[S.zero] == 0 and values[S.one] == 1
-            and all(v in (0, 1) for v in values)):
+    if not (len(values) == len(S.labels) and values[S.zero] == 0 and values[S.one] == 1
+            and _BITS.issuperset(values)):
         return False
-    ones = sum(1 << e for e, v in enumerate(values) if v)
-    at = values.__getitem__
-    return all(tuple(map(at, row)) == values if v else not down & ones
-               for v, row, down in zip(values, S.meet_table, S.down))
+    ones = list(itertools.compress(itertools.count(), values))
+    if reduce(or_, map(S.up.__getitem__, ones)).bit_count() != len(ones):
+        return False
+    at, table = values.__getitem__, S.meet_table
+    return all(tuple(map(at, table[e])) == values for e in ones)
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
@@ -256,13 +272,14 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     in enumerate_filters: one pass over S.filter_generators keeps that
     order.
     """
-    es = tuple(es)
-    bad = [x for x in es if not S.leq(x, e)]
-    if bad:
+    es, below = tuple(es), S.down[e]
+    drop = reduce(or_, map(S.down.__getitem__, es), 1 << S.zero)
+    if drop & ~below:  # some down(x) leaves down(e): x is not below e
+        bad = [x for x in es if not below >> x & 1]
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
-    keep = S.down[e] & ~reduce(or_, (S.down[x] for x in es), 1 << S.zero)
-    return [Filter(S, g) for g in S.filter_generators if keep >> g & 1]
+    keep = below & ~drop
+    return [Filter._of(S, g) for g in S.filter_generators if keep >> g & 1]
 
 
 @dataclass(frozen=True)

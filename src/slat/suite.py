@@ -11,18 +11,33 @@ generators, and the down and star rows.  The library routes are still
 called with their members, so the two routes of each check stay
 independent.  The frozenset bodies of the heaviest checks are kept as
 the test oracle tests/suite_oracle.py.
+
+What a check asks the library is fixed by what it verifies, so the
+suite's cost is its library calls.  On n elements an instance asks
+is_representation of all 2^n vectors of 0s and 1s, and arrow of each
+non-zero f with each family of at most three elements.  The heavy
+checks make their calls through one map over the argument lists, and
+what depends only on n (the families of at most three elements, and the
+masks that step them up by one element) is built once per size.
+
+The 2^n scan stays: a wrong is_representation may err on a single
+vector, such as the all-ones one, which sends zero to 1 and which no
+search that prunes on the laws would ever ask.  test_suite.py pins the
+number of calls to each route.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, partial, reduce
+from itertools import repeat
 from operator import and_, or_
+from typing import NamedTuple
 
 from . import classify, stone
 from .catalog import CatalogSpec, enumerate_catalog
-from .core import Semilattice, _members, arrow, constrained_set, nonzero_pairs_below
+from .core import Semilattice, _members, _transpose, arrow, constrained_set, nonzero_pairs_below
 from .errors import SlatError
 from .filters import (
     enumerate_filters,
@@ -76,6 +91,35 @@ class VerificationReport:
 def _subsets(xs, max_size):
     for r in range(min(len(xs), max_size) + 1):
         yield from itertools.combinations(xs, r)
+
+
+class _SizeTables(NamedTuple):
+    """What the checks sweep that depends only on the size n.  A family
+    of elements A is bit A (A read as a mask) of a 2^n-bit family mask."""
+
+    bits: tuple[int, ...]  # element i -> 1 << i
+    pairs: tuple[tuple[int, ...], ...]  # the families of at most two elements
+    families: tuple[tuple[int, ...], ...]  # the families of at most three elements
+    family_bits: tuple[int, ...]  # family A -> 1 << A
+    holding: tuple[int, ...]  # element x -> the families that hold x
+    lacking: tuple[int, ...]  # element x -> the families of at most two that lack x
+
+
+@cache
+def _size_tables(n: int) -> _SizeTables:
+    elements = range(n)
+    families = tuple(_subsets(elements, 3))
+    family_bits = tuple(1 << sum(1 << x for x in es) for es in families)
+    holding = [0] * n
+    lacking = [0] * n
+    for es, bit in zip(families, family_bits):
+        for x in elements:
+            if x in es:
+                holding[x] |= bit
+            elif len(es) < 3:
+                lacking[x] |= bit
+    return _SizeTables(tuple(1 << i for i in elements), tuple(_subsets(elements, 2)),
+                       families, family_bits, tuple(holding), tuple(lacking))
 
 
 def _check_instance(S: Semilattice, report: VerificationReport) -> None:
@@ -145,31 +189,28 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     report.record("trapping_witnesses_valid", ok, S, "witness family fails its contract")
 
     # Refinement matches base-set covering for all small families: a
-    # family's base sets cover K(f) iff no point of K(f) lies outside
-    # their union, and the empty family covers only an empty K(f).
-    families = [(es, sum(1 << e for e in es), reduce(or_, (base[e] for e in es), 0))
-                for es in _subsets(elements, 3)]
+    # family's base sets cover K(f) iff each point of K(f) lies in the
+    # base set of a member, that is iff the family meets the elements
+    # that hold the point; and the empty family covers only an empty
+    # K(f).  So hits[p] marks the families whose base sets hold point p,
+    # and the families that cover K(f) are the AND of hits over K(f).
+    tables = _size_tables(len(S))
+    families = tables.families
+    all_families = sum(tables.family_bits)
+    hits = [reduce(or_, map(tables.holding.__getitem__, _members(held)), 0)
+            for held in _transpose(base, len(space.points))]
     # Refinement is monotone in the family.  The families form a downward
     # closed set, so every A < B among them is a chain of one-element
-    # steps inside it, and checking the steps checks every pair.  A false
-    # result bounds nothing, so only the true ones are stepped from:
-    # step[k] marks the families one element above family k, and the
-    # families that the true ones step to must all be true.
-    index = {A: k for k, (_, A, _) in enumerate(families)}
-    step = [reduce(or_, (1 << index[A | 1 << x] for x in elements if not A >> x & 1), 0)
-            if len(es) < 3 else 0
-            for es, A, _ in families]
+    # steps inside it, and checking the steps checks every pair.  Adding
+    # x to a family A that lacks it moves its bit from A to A + 2^x, so
+    # one shift per element steps every true family at once, and the
+    # families stepped to must all be true.
+    shifts = [(lacking, 1 << x) for x, lacking in enumerate(tables.lacking)]
     ok = mono = True
     for f in S.nonzero():
-        true = 0
-        for k, (es, _, cover) in enumerate(families):
-            got = arrow(S, f, es)
-            if got:
-                true |= 1 << k
-            if got != (not base[f] & ~cover):
-                ok = False
-        stepped = reduce(or_, map(step.__getitem__, _members(true)), 0)
-        mono = mono and not stepped & ~true
+        true = sum(itertools.compress(tables.family_bits, map(arrow, repeat(S), repeat(f), families)))
+        ok = ok and true == reduce(and_, map(hits.__getitem__, _members(base[f])), all_families)
+        mono = mono and not any((true & lacking) << by & ~true for lacking, by in shifts)
     report.record("refinement_matches_base_cover", ok, S, "refinement mismatch")
     report.record("refinement_monotone", mono, S, "monotonicity broke")
 
@@ -220,18 +261,20 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
 
     # Filters and representations are the same data, both directions.  A
     # round trip that raises, because one side refuses what the other
-    # produced, fails this check; it is not an input error.
+    # produced, fails this check; it is not an input error.  Every 0/1
+    # vector is asked: a wrong is_representation may err on one vector
+    # only, such as the all-ones one that no search pruned on the laws
+    # would reach.
     ok = True
     rep_count = 0
     try:
         for F in all_filters:
             if stone.filter_of_rep(S, stone.rep_of_filter(S, F)) != F:
                 ok = False
-        for bits in itertools.product((0, 1), repeat=len(S)):
-            if stone.is_representation(S, bits):
-                rep_count += 1
-                if stone.rep_of_filter(S, stone.filter_of_rep(S, stone.Representation(S, bits))).values != bits:
-                    ok = False
+        for bits in filter(partial(stone.is_representation, S), itertools.product((0, 1), repeat=len(S))):
+            rep_count += 1
+            if stone.rep_of_filter(S, stone.filter_of_rep(S, stone.Representation(S, bits))).values != bits:
+                ok = False
         ok = ok and rep_count == len(all_filters)
         detail = f"{rep_count} representations vs {len(all_filters)} filters"
     except SlatError as exc:
@@ -239,38 +282,42 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     report.record("representations_are_filters", ok, S, detail)
 
     # Constraining by a finite set equals constraining by its meet: the
-    # set side intersects down-sets and orthogonal sets as defined, the
-    # meet side asks the library once per distinct (meet, Y).
+    # set side intersects down-sets and orthogonal sets as defined, once
+    # per distinct down row that the X give, and the meet side asks the
+    # library once per distinct (meet, Y).
     full = (1 << len(S)) - 1
+    bit, small = tables.bits.__getitem__, tables.pairs
     below = S.down
-    small = list(_subsets(elements, 2))
-    orthogonal_Y = [reduce(and_, (orthogonal[y] for y in Y), full) for Y in small]
+    orthogonal_Y = [reduce(and_, map(orthogonal.__getitem__, Y), full) for Y in small]
+    rows = dict.fromkeys((reduce(and_, map(below.__getitem__, X), full), S.meet_all(X)) for X in small)
     by_meet: dict[int, list[int]] = {}
     ok = True
-    for X in small:
-        below_X = reduce(and_, (below[x] for x in X), full)
-        m = S.meet_all(X)
+    for below_X, m in rows:
         if m not in by_meet:
-            by_meet[m] = [sum(1 << x for x in constrained_set(S, {m}, Y)) for Y in small]
-        if [below_X & o for o in orthogonal_Y] != by_meet[m]:
-            ok = False
+            by_meet[m] = [sum(map(bit, c)) for c in map(constrained_set, repeat(S), repeat({m}), small)]
+        ok = ok and [below_X & o for o in orthogonal_Y] == by_meet[m]
     report.record("constraint_reduces_to_meet", ok, S, "reduction mismatch")
 
     # Filter-space neighbourhoods restrict to unions of base sets on points.
     point_of = {F.generator: i for i, F in enumerate(space.points)}
+    # pick[g][x] is the smallest member of the point up(g) orthogonal to
+    # x, or None where there is none.
+    pick = {}
+    for U in space.points:
+        row = up[U.generator]
+        pick[U.generator] = [(c & -c).bit_length() - 1 if (c := row & o) else None for o in orthogonal]
     ok = True
     for e in S.nonzero():
-        strictly_below = [x for x in elements if S.leq(x, e)]
-        for es in _subsets(strictly_below, 2):
-            hood = [F.generator for F in stone.filterspace_nbhd(S, e, es) if F.generator in point_of]
+        sets = list(_subsets(_members(below[e]), 2))
+        for es, hood in zip(sets, map(stone.filterspace_nbhd, repeat(S), repeat(e), sets)):
+            hood = [g for F in hood if (g := F.generator) in point_of]
             hood_points = sum(1 << point_of[g] for g in hood)
             for g in hood:
-                # pick the smallest member of the point up(g) orthogonal to each x
-                choices = [up[g] & orthogonal[x] for x in es]
-                if not all(choices):
+                picks = [pick[g][x] for x in es]
+                if None in picks:
                     ok = False
                     continue
-                i = S.meet_all([e] + [(c & -c).bit_length() - 1 for c in choices])
+                i = S.meet_all([e, *picks])
                 if not up[g] >> i & 1 or base[i] & ~hood_points:
                     ok = False
     report.record("nbhd_agrees_on_points", ok, S, "interior witness failed")

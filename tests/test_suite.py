@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,42 @@ def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
         failed.update(name for name, passed in got.items() if not passed)
     # each fault shows in at least one of the five checks
     assert bool(failed) == bool(fault)
+
+
+# How often the suite calls each library route, through the bindings the
+# fault tests patch, on the size-7 catalog and on one random size-10
+# instance.  A speedup must come from cheaper calls, never from fewer.  On
+# n elements an instance asks is_representation of all 2^n vectors, and
+# once more inside each filter_of_rep; arrow of each non-zero f with each
+# family of at most three elements, with each singleton [f'] for the order
+# bridge and with each trapping witness family; constrained_set of each
+# distinct meet of at most two elements with each family Y of at most two;
+# and filterspace_nbhd of each non-zero e with each family of at most two
+# elements below it.
+CALL_BUDGET = {
+    (suite, "arrow"): (26_839, 1_665),
+    (suite, "constrained_set"): (13_256, 560),
+    (stone, "filterspace_nbhd"): (4_601, 224),
+    (stone, "is_representation"): (8_792, 1_042),
+    (stone, "rep_of_filter"): (844, 18),
+    (stone, "filter_of_rep"): (844, 18),
+}
+
+
+def _counted(calls: Counter, name: str, route):
+    def counted(*args):
+        calls[name] += 1
+        return route(*args)
+    return counted
+
+
+@pytest.mark.parametrize("column, spec", [
+    (0, CatalogSpec(max_size=7)),
+    (1, CatalogSpec(max_size=10, mode="random", sample_count=1, seed=5)),
+], ids=["max-size-7", "random-size-10"])
+def test_suite_makes_every_library_call(column, spec, monkeypatch):
+    calls = Counter()
+    for module, name in CALL_BUDGET:
+        monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+    assert run_suite(spec).ok()
+    assert calls == {name: budget[column] for (_, name), budget in CALL_BUDGET.items()}

@@ -31,7 +31,7 @@ from typing import Iterator
 from .core import Semilattice, _meet_table, _members
 from .errors import NoMeetError, TooLargeError
 
-EXHAUSTIVE_LIMIT = 8
+EXHAUSTIVE_LIMIT = 9
 
 _INTERIOR_NAMES = "abcdefghij"
 

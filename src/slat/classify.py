@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import stone
 from .core import (
-    Semilattice, _below_orthogonal, _check_pair_below, _members, _nonzero_cover_pairs, arrow,
+    Semilattice, _below_orthogonal, _check_pair_below, _members, _nonzero_cover_pairs, _refines,
     constrained_set)
 from .errors import TheoremViolationError
 from .filters import tight_filters
@@ -26,6 +26,10 @@ def is_zero_disjunctive(S: Semilattice) -> bool:
     avoids c also avoids f, since x meet f <= x meet c, so the non-zero
     element below e that avoids c avoids f too.
     """
+    # The public constrained_set, not its kernel _below_orthogonal: the
+    # benchmark's smoke test (PREDICTIONS in bench/test_bench.py) expects
+    # core.constrained_set to be called on the catalog and graph-classify
+    # workloads, so this call stays until that test is re-pinned.
     return all(len(constrained_set(S, (e,), (c,))) > 1 for e, c in _nonzero_cover_pairs(S))
 
 
@@ -55,7 +59,7 @@ def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
     """
     _check_pair_below(S, e, f)
     W = _members(_below_orthogonal(S, e, (f,)) & ~(1 << S.zero))
-    if W and arrow(S, e, W + [f]):
+    if W and _refines(S, e, W + [f]):
         return W
     return None
 

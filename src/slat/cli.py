@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="run the verification suite over small instances")
     p.add_argument("--max-size", type=int, required=True,
-                   help="largest size: every class of 2..max-size elements, up to 8, "
+                   help="largest size: every class of 2..max-size elements, up to 9, "
                         "or with --random the sample size, up to 12")
     p.add_argument("--random", type=int, default=None, metavar="M",
                    help="sample M random instances of exactly max-size elements")

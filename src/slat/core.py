@@ -7,6 +7,15 @@ up[e] and star[e] (the elements whose meet with e is zero), in _set_rows.
 The order primitives read them through one kernel, the elements below m
 orthogonal to all of Y.  Every set of elements or of points is such a
 mask inside the library; the order primitives return frozensets.
+Element indices are checked at the public boundary: star, up, down,
+constrained_set, is_cover, arrow, stone.filterspace_nbhd and stone.kappa
+refuse a negative index, or one past the last element, with
+BadIndexError, which only _refuse_index raises.  Each route checks
+where it reads the rows, by a sign test in the loop it already runs and
+by the row lookup's IndexError, so the check costs no extra pass.  The
+private kernels that classification and the suite call,
+_below_orthogonal and _refines (the unchecked arrow), check nothing:
+their callers pass elements.
 Listings sort masks by _set_key.  The meet of a family is the element
 whose down row is the AND of the family's rows.  The n x n meet table
 is a view: the public constructor keeps the table it validated, and an
@@ -40,11 +49,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import eq, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from operator import eq
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
+    BadIndexError,
     BadPairError,
     CycleError,
     FormatError,
@@ -458,6 +468,45 @@ def _below_orthogonal(S: Semilattice, m: int, Y: Iterable[int]) -> int:
     return mask
 
 
+def _refuse_index(S: Semilattice, i: int) -> NoReturn:
+    """The one refusal of an element index that names no element."""
+    raise BadIndexError(f"no element has index {i}: indices run from 0 to {len(S) - 1}") from None
+
+
+def _row_at(S: Semilattice, rows: Sequence[int], i: int) -> int:
+    """rows[i] for an element index i; any other index is refused."""
+    if i < 0:
+        _refuse_index(S, i)
+    try:
+        return rows[i]
+    except IndexError:
+        _refuse_index(S, i)
+
+
+def _and_rows(S: Semilattice, rows: Sequence[int], xs: Iterable[int], mask: int) -> int:
+    """mask AND rows[x] for each element index x in xs; any other index is refused."""
+    for x in xs:
+        if x < 0:
+            _refuse_index(S, x)
+        try:
+            mask &= rows[x]
+        except IndexError:
+            _refuse_index(S, x)
+    return mask
+
+
+def _or_rows(S: Semilattice, rows: Sequence[int], xs: Iterable[int], mask: int) -> int:
+    """mask OR rows[x] for each element index x in xs; any other index is refused."""
+    for x in xs:
+        if x < 0:
+            _refuse_index(S, x)
+        try:
+            mask |= rows[x]
+        except IndexError:
+            _refuse_index(S, x)
+    return mask
+
+
 def _lower_covers(S: Semilattice, g: int) -> int:
     """Mask of the lower covers of g: the elements below g with nothing
     strictly between.  The one cover kernel of the library.
@@ -493,26 +542,29 @@ def _check_pair_below(S: Semilattice, e: int, f: int) -> None:
 
 def star(S: Semilattice, e: int) -> frozenset:
     """All elements whose meet with e is zero."""
-    return frozenset(_members(S.star[e]))
+    return frozenset(_members(_row_at(S, S.star, e)))
 
 
 def up(S: Semilattice, X: Iterable[int]) -> frozenset:
     """Upward closure: everything above some member of X."""
-    return frozenset(_members(reduce(or_, map(S.up.__getitem__, X), 0)))
+    return frozenset(_members(_or_rows(S, S.up, X, 0)))
 
 
 def down(S: Semilattice, X: Iterable[int]) -> frozenset:
     """Downward closure: everything below some member of X."""
-    return frozenset(_members(reduce(or_, map(S.down.__getitem__, X), 0)))
+    return frozenset(_members(_or_rows(S, S.down, X, 0)))
 
 
 def constrained_set(S: Semilattice, X: Iterable[int], Y: Iterable[int]) -> frozenset:
     """Elements below every member of X and orthogonal to every member of Y.
 
     Always contains zero.  An empty X constrains nothing, so the result is
-    the set of elements orthogonal to all of Y.
+    the set of elements orthogonal to all of Y.  The AND of X's down rows
+    is the down row of their meet, so this is _below_orthogonal at that
+    meet, with the indices checked.
     """
-    return frozenset(_members(_below_orthogonal(S, S.meet_all(X), Y)))
+    below = _and_rows(S, S.down, X, S.down[S.one])
+    return frozenset(_members(_and_rows(S, S.star, Y, below)))
 
 
 def is_cover(S: Semilattice, Z: Iterable[int], X: Iterable[int], Y: Iterable[int]) -> bool:
@@ -523,12 +575,13 @@ def is_cover(S: Semilattice, Z: Iterable[int], X: Iterable[int], Y: Iterable[int
     the constrained set is {0} this holds vacuously, even for empty Z.
     So Z covers iff constraining by Y and Z together leaves only zero.
     """
-    m, Y, Z = S.meet_all(X), tuple(Y), frozenset(Z)
-    target = _below_orthogonal(S, m, Y)
+    Z = frozenset(Z)
+    target = _and_rows(S, S.star, Y, _and_rows(S, S.down, X, S.down[S.one]))
+    left = _and_rows(S, S.star, Z, target)
     outside = S.labels_for(z for z in Z if not target >> z & 1)
     if outside:
         raise NotSubsetError(f"cover candidates {outside} lie outside the constrained set")
-    return _below_orthogonal(S, m, Y + tuple(Z)) == 1 << S.zero
+    return left == 1 << S.zero
 
 
 def arrow(S: Semilattice, f: int, es: Iterable[int]) -> bool:
@@ -540,6 +593,11 @@ def arrow(S: Semilattice, f: int, es: Iterable[int]) -> bool:
     """
     if f == S.zero:
         raise ZeroSourceError("refinement source must be non-zero")
+    return _and_rows(S, S.star, es, _row_at(S, S.down, f)) == 1 << S.zero
+
+
+def _refines(S: Semilattice, f: int, es: Iterable[int]) -> bool:
+    """arrow(S, f, es) for a non-zero f and element indices, unchecked."""
     return _below_orthogonal(S, f, es) == 1 << S.zero
 
 

@@ -30,6 +30,10 @@ class InvalidSemilatticeError(SlatError):
     """A meet table violates the semilattice laws."""
 
 
+class BadIndexError(SlatError):
+    """An element index is negative or past the last element."""
+
+
 class NotSubsetError(SlatError):
     """A candidate cover contains elements outside the constrained set."""
 

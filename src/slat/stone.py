@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import Semilattice, _members, _set_key, _transpose
+from .core import Semilattice, _members, _or_rows, _row_at, _set_key, _transpose
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -83,9 +83,7 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
 
 def kappa(space: UltrafilterSpace, e: int) -> int:
     """Base set of an element: the mask of the points whose ultrafilter contains it."""
-    if not (0 <= e < len(space.lattice)):
-        raise ValueError(f"element index {e} out of range")
-    return space.base[e]
+    return _row_at(space.lattice, space.base, e)
 
 
 def kappa_injective(space: UltrafilterSpace) -> bool:
@@ -266,20 +264,29 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
     """Basic neighbourhood in the space of all filters.
 
     Filters containing e and omitting each listed element; the listed
-    elements must sit below e.  Every filter is up(g) for a non-zero g,
-    which holds e iff g <= e and omits x iff g is not below x, so the
-    generators are read off the down rows.  Smallest carriers first, as
-    in enumerate_filters: one pass over S.filter_generators keeps that
+    elements must sit below e.  Smallest carriers first, as in
+    enumerate_filters: one pass over S.filter_generators keeps that
     order.
     """
-    es, below = tuple(es), S.down[e]
-    drop = reduce(or_, map(S.down.__getitem__, es), 1 << S.zero)
+    keep = _nbhd_generators(S, e, tuple(es))
+    return [Filter._of(S, g) for g in S.filter_generators if keep >> g & 1]
+
+
+def _nbhd_generators(S: Semilattice, e: int, es: Sequence[int]) -> int:
+    """The mask of the generators of filterspace_nbhd(S, e, es).
+
+    Every filter is up(g) for a non-zero g, which holds e iff g <= e and
+    omits x iff g is not below x, so the generators are read off the down
+    rows.  The indices are checked where the rows are read, at one sign
+    test per element.  The suite calls this kernel and builds no Filter.
+    """
+    below = _row_at(S, S.down, e)
+    drop = _or_rows(S, S.down, es, 1 << S.zero)
     if drop & ~below:  # some down(x) leaves down(e): x is not below e
         bad = [x for x in es if not below >> x & 1]
         raise BadBasisError(
             f"basis elements {S.labels_for(bad)} are not below {S.labels[e]!r}")
-    keep = below & ~drop
-    return [Filter._of(S, g) for g in S.filter_generators if keep >> g & 1]
+    return below & ~drop
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,18 @@ the same text format the parser accepts so a failure replays directly.
 
 Sets of elements and of points are int bitmasks (bit i for element or
 point i), as the library stores them: base sets, the up rows of filter
-generators, and the down and star rows.  The library routes are still
-called with their members, so the two routes of each check stay
-independent.  The frozenset bodies of the heaviest checks are kept as
-the test oracle tests/suite_oracle.py.
+generators, and the down and star rows.  Where a library route has a
+mask kernel, the suite calls the kernel (core._refines for arrow,
+core._below_orthogonal for constrained_set, stone._nbhd_generators for
+filterspace_nbhd), so no frozenset or Filter is built only to be read
+back.  Each check still reaches its two sides by independent routes.
+The frozenset bodies of the heaviest checks are kept as the test oracle
+tests/suite_oracle.py.
 
 What a check asks the library is fixed by what it verifies, so the
 suite's cost is its library calls.  On n elements an instance asks
-is_representation of all 2^n vectors of 0s and 1s, and arrow of each
-non-zero f with each family of at most three elements.  The heavy
+is_representation of all 2^n vectors of 0s and 1s, and the arrow kernel
+of each non-zero f with each family of at most three elements.  The heavy
 checks make their calls through one map over the argument lists, and
 what depends only on n (the families of at most three elements, and the
 masks that step them up by one element) is built once per size.
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 from . import classify, stone
 from .catalog import CatalogSpec, enumerate_catalog
-from .core import Semilattice, _members, _transpose, arrow, constrained_set, nonzero_pairs_below
+from .core import Semilattice, _below_orthogonal, _members, _refines, _transpose, nonzero_pairs_below
 from .errors import SlatError
 from .filters import (
     enumerate_filters,
@@ -97,7 +100,6 @@ class _SizeTables(NamedTuple):
     """What the checks sweep that depends only on the size n.  A family
     of elements A is bit A (A read as a mask) of a 2^n-bit family mask."""
 
-    bits: tuple[int, ...]  # element i -> 1 << i
     pairs: tuple[tuple[int, ...], ...]  # the families of at most two elements
     families: tuple[tuple[int, ...], ...]  # the families of at most three elements
     family_bits: tuple[int, ...]  # family A -> 1 << A
@@ -118,8 +120,7 @@ def _size_tables(n: int) -> _SizeTables:
                 holding[x] |= bit
             elif len(es) < 3:
                 lacking[x] |= bit
-    return _SizeTables(tuple(1 << i for i in elements), tuple(_subsets(elements, 2)),
-                       families, family_bits, tuple(holding), tuple(lacking))
+    return _SizeTables(tuple(_subsets(elements, 2)), families, family_bits, tuple(holding), tuple(lacking))
 
 
 def _check_instance(S: Semilattice, report: VerificationReport) -> None:
@@ -183,7 +184,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         if not W or not all(S.leq(w, e) and S.meet(w, f) == S.zero and w != S.zero for w in W):
             ok = False
             break
-        if not arrow(S, e, W + [f]):
+        if not _refines(S, e, W + [f]):
             ok = False
             break
     report.record("trapping_witnesses_valid", ok, S, "witness family fails its contract")
@@ -208,7 +209,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     shifts = [(lacking, 1 << x) for x, lacking in enumerate(tables.lacking)]
     ok = mono = True
     for f in S.nonzero():
-        true = sum(itertools.compress(tables.family_bits, map(arrow, repeat(S), repeat(f), families)))
+        true = sum(itertools.compress(tables.family_bits, map(_refines, repeat(S), repeat(f), families)))
         ok = ok and true == reduce(and_, map(hits.__getitem__, _members(base[f])), all_families)
         mono = mono and not any((true & lacking) << by & ~true for lacking, by in shifts)
     report.record("refinement_matches_base_cover", ok, S, "refinement mismatch")
@@ -216,7 +217,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
 
     # Order embeds in base-set containment via singleton refinement.
     ok = all(
-        (not base[e] & ~base[f]) == arrow(S, e, [f])
+        (not base[e] & ~base[f]) == _refines(S, e, [f])
         for e in S.nonzero() for f in S.nonzero())
     report.record("order_bridge", ok, S, "containment vs refinement mismatch")
 
@@ -284,9 +285,9 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     # Constraining by a finite set equals constraining by its meet: the
     # set side intersects down-sets and orthogonal sets as defined, once
     # per distinct down row that the X give, and the meet side asks the
-    # library once per distinct (meet, Y).
+    # library's kernel once per distinct (meet, Y), mask for mask.
     full = (1 << len(S)) - 1
-    bit, small = tables.bits.__getitem__, tables.pairs
+    small = tables.pairs
     below = S.down
     orthogonal_Y = [reduce(and_, map(orthogonal.__getitem__, Y), full) for Y in small]
     rows = dict.fromkeys((reduce(and_, map(below.__getitem__, X), full), S.meet_all(X)) for X in small)
@@ -294,12 +295,13 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     ok = True
     for below_X, m in rows:
         if m not in by_meet:
-            by_meet[m] = [sum(map(bit, c)) for c in map(constrained_set, repeat(S), repeat({m}), small)]
+            by_meet[m] = list(map(_below_orthogonal, repeat(S), repeat(m), small))
         ok = ok and [below_X & o for o in orthogonal_Y] == by_meet[m]
     report.record("constraint_reduces_to_meet", ok, S, "reduction mismatch")
 
     # Filter-space neighbourhoods restrict to unions of base sets on points.
     point_of = {F.generator: i for i, F in enumerate(space.points)}
+    points = sum(1 << g for g in point_of)  # the generators of the points
     # pick[g][x] is the smallest member of the point up(g) orthogonal to
     # x, or None where there is none.
     pick = {}
@@ -309,8 +311,8 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     ok = True
     for e in S.nonzero():
         sets = list(_subsets(_members(below[e]), 2))
-        for es, hood in zip(sets, map(stone.filterspace_nbhd, repeat(S), repeat(e), sets)):
-            hood = [g for F in hood if (g := F.generator) in point_of]
+        for es, hood in zip(sets, map(stone._nbhd_generators, repeat(S), repeat(e), sets)):
+            hood = _members(hood & points)
             hood_points = sum(1 << point_of[g] for g in hood)
             for g in hood:
                 picks = [pick[g][x] for x in es]

@@ -98,7 +98,7 @@ def blind_zero_disjunctive(monkeypatch):
 def untrap_every_pair(monkeypatch):
     """Fault injection: the refinement relation never holds, so every
     strict non-zero pair looks untrapped."""
-    monkeypatch.setattr(classify, "arrow", lambda S, f, es: False)
+    monkeypatch.setattr(classify, "_refines", lambda S, f, es: False)
 
 
 def idx(S: Semilattice, label: str) -> int:

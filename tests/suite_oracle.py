@@ -5,9 +5,10 @@ bitmasks: refinement against base-set covering and its monotonicity,
 the reduction of a constraint to its meet, neighbourhoods on points,
 and the representation scan with a representation test that asks
 S.meet for each pair.  They call the library through the same bindings
-as the suite (suite.arrow, suite.constrained_set, stone.*), so a fault
-injected there reaches both routes, and the tests hold the suite's
-verdicts to these on clean and on faulty libraries alike.
+as the suite (suite._refines, suite._below_orthogonal, stone.*), so a
+fault injected there reaches both routes, and the tests hold the suite's
+verdicts to these on clean and on faulty libraries alike.  The masks
+those kernels return are read here as frozensets of elements.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ def verdicts(S: Semilattice) -> dict[str, bool]:
     space = stone.build_space(S)
     base = [frozenset(_members(b)) for b in space.base]  # the points, from the space's masks
     all_filters = enumerate_filters(S)
-    ultra_carriers = {F.carrier for F in enumerate_ultrafilters(S)}
+    point_of = {U.carrier: i for i, U in enumerate(enumerate_ultrafilters(S))}
     out = {}
 
     results: dict[tuple[int, frozenset], bool] = {}
     ok = True
     for f in S.nonzero():
         for es in _subsets(list(S.elements()), 3):
-            got = suite.arrow(S, f, es)
+            got = suite._refines(S, f, es)
             want = base[f] <= frozenset().union(*(base[e] for e in es)) \
                 if es else not base[f]
             results[(f, frozenset(es))] = got
@@ -86,7 +87,7 @@ def verdicts(S: Semilattice) -> dict[str, bool]:
         m = S.meet_all(X)
         for Y in _subsets(list(S.elements()), 2):
             if (m, Y) not in by_meet:
-                by_meet[m, Y] = suite.constrained_set(S, {m}, Y)
+                by_meet[m, Y] = frozenset(_members(suite._below_orthogonal(S, m, Y)))
             if below_X.intersection(*(orthogonal[y] for y in Y)) != by_meet[m, Y]:
                 ok = False
     out["constraint_reduces_to_meet"] = ok
@@ -95,17 +96,16 @@ def verdicts(S: Semilattice) -> dict[str, bool]:
     for e in S.nonzero():
         strictly_below = [x for x in S.elements() if S.leq(x, e)]
         for es in _subsets(strictly_below, 2):
-            hood = stone.filterspace_nbhd(S, e, es)
-            hood_points = {space.point_index(F) for F in hood
-                           if F.carrier in ultra_carriers}
-            for F in hood:
-                if F.carrier not in ultra_carriers:
+            hood = [frozenset(_members(S.up[g])) for g in _members(stone._nbhd_generators(S, e, es))]
+            hood_points = {point_of[A] for A in hood if A in point_of}
+            for A in hood:
+                if A not in point_of:
                     continue
                 picks = []
                 for x in es:
-                    picks.append(min(c for c in F.carrier if S.meet(c, x) == S.zero))
+                    picks.append(min(c for c in A if S.meet(c, x) == S.zero))
                 i = S.meet_all([e] + picks)
-                if i not in F.carrier or not base[i] <= hood_points:
+                if i not in A or not base[i] <= hood_points:
                     ok = False
     out["nbhd_agrees_on_points"] = ok
     return out

@@ -111,9 +111,9 @@ def test_catalog_listing_is_frozen():
 
 
 def test_exhaustive_size_cap():
-    assert CatalogSpec(max_size=8).max_size == 8
-    with pytest.raises(TooLargeError, match="up to 8"):
-        CatalogSpec(max_size=9)
+    assert CatalogSpec(max_size=9).max_size == 9
+    with pytest.raises(TooLargeError, match="up to 9"):
+        CatalogSpec(max_size=10)
 
 
 def test_random_size_cap():

@@ -25,6 +25,7 @@ from slat.core import (
     up,
 )
 from slat.errors import (
+    BadIndexError,
     CycleError,
     FormatError,
     InvalidSemilatticeError,
@@ -33,6 +34,7 @@ from slat.errors import (
     NotSubsetError,
     ZeroSourceError,
 )
+from slat.stone import build_space, filterspace_nbhd, kappa
 
 VEE_TEXT = """
 # two atoms under a common top
@@ -208,6 +210,35 @@ def test_arrow_monotone_in_family(vee):
             for fam in itertools.combinations(es, r):
                 if arrow(vee, f, fam):
                     assert arrow(vee, f, fam + (vee.one,))
+
+
+# Each public route that takes element indices, once with the bad index
+# i in each of its index arguments, beside valid elements.
+BAD_INDEX_CALLS = {
+    "star": (lambda S, i: star(S, i),),
+    "up": (lambda S, i: up(S, [S.zero, i]),),
+    "down": (lambda S, i: down(S, (x for x in (S.one, i))),),
+    "constrained_set": (lambda S, i: constrained_set(S, [S.one, i], []),
+                        lambda S, i: constrained_set(S, [], [S.zero, i])),
+    "is_cover": (lambda S, i: is_cover(S, [i], [S.one], []),
+                 lambda S, i: is_cover(S, [], [i], []),
+                 lambda S, i: is_cover(S, [], [S.one], [S.zero, i])),
+    "arrow": (lambda S, i: arrow(S, i, [S.one]),
+              lambda S, i: arrow(S, S.one, [S.zero, i])),
+    "filterspace_nbhd": (lambda S, i: filterspace_nbhd(S, i, []),
+                         lambda S, i: filterspace_nbhd(S, S.one, [S.zero, i])),
+    "kappa": (lambda S, i: kappa(build_space(S), i),),
+}
+
+
+@pytest.mark.parametrize("end", ["negative", "past-the-end"])
+@pytest.mark.parametrize("route", BAD_INDEX_CALLS)
+def test_bad_index_is_refused(route, end, vee):
+    # -1 is refused, not read as the last element, the top here
+    i = -1 if end == "negative" else len(vee)
+    for call in BAD_INDEX_CALLS[route]:
+        with pytest.raises(BadIndexError, match=rf"^no element has index {i}: indices run from 0 to 3$"):
+            call(vee, i)
 
 
 def test_nonzero_pairs_below(chain4):

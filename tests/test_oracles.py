@@ -149,6 +149,8 @@ ROUTES = (
     Route("nonzero_pairs_below", lambda S: list(core.nonzero_pairs_below(S)), order_oracle.nonzero_pairs_below),
     Route("covering_pairs", _order_line, order_oracle.covering_pairs),
     Route("arrow", core.arrow, order_oracle.arrow, lambda S: _draws(S)[1]),
+    # the unchecked kernel that classification and the suite call
+    Route("arrow.kernel", core._refines, order_oracle.arrow, lambda S: _draws(S)[1], ("rows",)),
     Route("constrained_set", core.constrained_set, order_oracle.constrained_set, lambda S: _draws(S)[2]),
     Route("is_cover", _is_cover, order_oracle.is_cover, lambda S: _draws(S)[3]),
     # filters and classification
@@ -172,6 +174,10 @@ ROUTES = (
           ("tight-scan",)),
     Route("filterspace_nbhd", stone.filterspace_nbhd, catalog_oracle.filterspace_nbhd, _neighbourhoods,
           ("neighbourhoods",)),
+    # the mask kernel that the suite calls, against the generators the oracle lists
+    Route("filterspace_nbhd.generators", lambda S, e, es: _members(stone._nbhd_generators(S, e, es)),
+          lambda S, e, es: sorted(F.generator for F in catalog_oracle.filterspace_nbhd(S, e, es)),
+          _neighbourhoods, ("neighbourhoods",)),
     # the Stone space
     Route("build_space.points", lambda S: list(stone.build_space(S).points), catalog_oracle.enumerate_ultrafilters),
     Route("build_space.base", lambda S: tuple(_points(stone.build_space(S).base)), stone_oracle.base_sets),

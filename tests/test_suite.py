@@ -97,12 +97,14 @@ def test_size_seven_kv_report_matches_golden():
     assert run_suite(CatalogSpec(max_size=7)).render(kv=True) == golden
 
 
-_filterspace_nbhd = stone.filterspace_nbhd
+_nbhd_generators = stone._nbhd_generators
 
 
-def _drop_last_filter(S, e, es):
+def _drop_last_generator(S, e, es):
     # the largest carrier, often an ultrafilter, goes missing
-    return _filterspace_nbhd(S, e, es)[:-1]
+    keep = _nbhd_generators(S, e, es)
+    held = [g for g in S.filter_generators if keep >> g & 1]  # smallest carriers first
+    return keep & ~(1 << held[-1]) if held else keep
 
 
 def _rep_of_top_filter(S, F):
@@ -111,14 +113,16 @@ def _rep_of_top_filter(S, F):
 
 
 # Faults in the library routes that the five mask checks call, as
-# (module, name, replacement) for monkeypatch.setattr.
+# (module, name, replacement) for monkeypatch.setattr.  The suite calls
+# the mask kernels of arrow, constrained_set and filterspace_nbhd, so
+# those faults patch the kernels.
 FAULTS = {
     # true on families of odd size only: a one-element step can lose it
-    "arrow-odd-families": (suite, "arrow", lambda S, f, es: len(es) % 2 == 1),
+    "arrow-odd-families": (suite, "_refines", lambda S, f, es: len(es) % 2 == 1),
     # every family refines, the empty one and non-covering ones included
-    "arrow-always": (suite, "arrow", lambda S, f, es: True),
-    "constraint-drops-Y": (suite, "constrained_set", lambda S, X, Y: core.constrained_set(S, X, ())),
-    "nbhd-drops-last": (stone, "filterspace_nbhd", _drop_last_filter),
+    "arrow-always": (suite, "_refines", lambda S, f, es: True),
+    "constraint-drops-Y": (suite, "_below_orthogonal", lambda S, m, Y: core._below_orthogonal(S, m, ())),
+    "nbhd-drops-last": (stone, "_nbhd_generators", _drop_last_generator),
     # A wrong is_representation is not listed: the oracle scans with its
     # own, so it would disagree with the suite by design; see
     # test_wrong_is_representation_is_a_counterexample.
@@ -203,19 +207,20 @@ def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
 
 
 # How often the suite calls each library route, through the bindings the
-# fault tests patch, on the size-7 catalog and on one random size-10
-# instance.  A speedup must come from cheaper calls, never from fewer.  On
-# n elements an instance asks is_representation of all 2^n vectors, and
-# once more inside each filter_of_rep; arrow of each non-zero f with each
-# family of at most three elements, with each singleton [f'] for the order
-# bridge and with each trapping witness family; constrained_set of each
-# distinct meet of at most two elements with each family Y of at most two;
-# and filterspace_nbhd of each non-zero e with each family of at most two
+# fault tests patch (the kernels, where a route has one), on the size-7
+# catalog and on one random size-10 instance.  A speedup must come from
+# cheaper calls, never from fewer.  On n elements an instance asks
+# is_representation of all 2^n vectors, and once more inside each
+# filter_of_rep; arrow of each non-zero f with each family of at most
+# three elements, with each singleton [f'] for the order bridge and with
+# each trapping witness family; constrained_set of each distinct meet of
+# at most two elements with each family Y of at most two; and
+# filterspace_nbhd of each non-zero e with each family of at most two
 # elements below it.
 CALL_BUDGET = {
-    (suite, "arrow"): (26_839, 1_665),
-    (suite, "constrained_set"): (13_256, 560),
-    (stone, "filterspace_nbhd"): (4_601, 224),
+    (suite, "_refines"): (26_839, 1_665),
+    (suite, "_below_orthogonal"): (13_256, 560),
+    (stone, "_nbhd_generators"): (4_601, 224),
     (stone, "is_representation"): (8_792, 1_042),
     (stone, "rep_of_filter"): (844, 18),
     (stone, "filter_of_rep"): (844, 18),

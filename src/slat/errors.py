@@ -30,8 +30,12 @@ class InvalidSemilatticeError(SlatError):
     """A meet table violates the semilattice laws."""
 
 
-class BadIndexError(SlatError):
-    """An element index is negative or past the last element."""
+class BadIndexError(SlatError, IndexError):
+    """An element index is negative or past the last element.
+
+    Also an IndexError, so callers that caught the bare IndexError of a
+    row lookup past the end still catch it.
+    """
 
 
 class NotSubsetError(SlatError):

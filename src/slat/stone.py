@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .core import Semilattice, _members, _or_rows, _row_at, _set_key, _transpose
+from .core import Semilattice, _members, _row_at, _rows, _set_key, _transpose
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -83,7 +83,9 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
 
 def kappa(space: UltrafilterSpace, e: int) -> int:
     """Base set of an element: the mask of the points whose ultrafilter contains it."""
-    return _row_at(space.lattice, space.base, e)
+    if not (0 <= e < len(space.lattice)):
+        raise ValueError(f"element index {e} out of range")
+    return space.base[e]
 
 
 def kappa_injective(space: UltrafilterSpace) -> bool:
@@ -281,7 +283,7 @@ def _nbhd_generators(S: Semilattice, e: int, es: Sequence[int]) -> int:
     test per element.  The suite calls this kernel and builds no Filter.
     """
     below = _row_at(S, S.down, e)
-    drop = _or_rows(S, S.down, es, 1 << S.zero)
+    drop = reduce(or_, _rows(S, S.down, es), 1 << S.zero)
     if drop & ~below:  # some down(x) leaves down(e): x is not below e
         bad = [x for x in es if not below >> x & 1]
         raise BadBasisError(

@@ -149,7 +149,7 @@ ROUTES = (
     Route("nonzero_pairs_below", lambda S: list(core.nonzero_pairs_below(S)), order_oracle.nonzero_pairs_below),
     Route("covering_pairs", _order_line, order_oracle.covering_pairs),
     Route("arrow", core.arrow, order_oracle.arrow, lambda S: _draws(S)[1]),
-    # the unchecked kernel that classification and the suite call
+    # the kernel that classification and the suite call
     Route("arrow.kernel", core._refines, order_oracle.arrow, lambda S: _draws(S)[1], ("rows",)),
     Route("constrained_set", core.constrained_set, order_oracle.constrained_set, lambda S: _draws(S)[2]),
     Route("is_cover", _is_cover, order_oracle.is_cover, lambda S: _draws(S)[3]),

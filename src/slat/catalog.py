@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .core import Semilattice, _meet_table, _members
+from .core import Semilattice, _members
 from .errors import NoMeetError, TooLargeError
 
 EXHAUSTIVE_LIMIT = 9
@@ -72,18 +72,6 @@ class CatalogSpec:
 
 def _interior_labels(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(_INTERIOR_NAMES[: n - 2]) + ("1",)
-
-
-def _meet_table_of(labels: tuple[str, ...],
-                   rel: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...] | None:
-    """Meet table of the interior relation plus the bounds, None if a pair has no meet."""
-    # Interior indices are 1..n-2; 0 is the bottom and n-1 the top.
-    n = len(labels)
-    bounds = [(0, j) for j in range(n)] + [(j, n - 1) for j in range(n)]
-    try:
-        return _meet_table(labels, bounds + list(rel), {})
-    except NoMeetError:
-        return None
 
 
 def canonical_key(S: Semilattice) -> tuple:
@@ -204,14 +192,17 @@ def _instances_of_size(n: int) -> list[Semilattice]:
 
 
 def _random_instance(n: int, rng: random.Random) -> Semilattice:
-    mids = range(1, n - 1)
-    pairs = [(a, b) for a in mids for b in mids if a < b]
+    """The first seeded random interior relation whose order has every meet."""
     labels = _interior_labels(n)
+    mids = labels[1:-1]
+    pairs = [(a, b) for i, a in enumerate(mids) for b in mids[i + 1:]]
+    bounds = [("0", x) for x in labels[1:]] + [(x, "1") for x in mids]
     while True:
-        rel = {p for p in pairs if rng.random() < 0.5}
-        table = _meet_table_of(labels, rel)
-        if table is not None:
-            return Semilattice(labels, table, zero=0, one=n - 1)
+        rel = [p for p in pairs if rng.random() < 0.5]
+        try:
+            return Semilattice.from_order(labels, bounds + rel)
+        except NoMeetError:
+            pass
 
 
 def enumerate_catalog(spec: CatalogSpec) -> Iterator[Semilattice]:

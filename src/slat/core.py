@@ -8,14 +8,15 @@ The order primitives read them through one kernel, the elements below m
 orthogonal to all of Y.  Every set of elements or of points is such a
 mask inside the library; the order primitives return frozensets.
 Element indices are checked where the rows are read: star, up, down,
-constrained_set, is_cover, arrow and stone.filterspace_nbhd refuse a
-negative index, or one past the last element, with BadIndexError, which
-only _refuse_index raises.  The check is a sign test per index and the
+constrained_set, is_cover, arrow, Filter, extend_to_ultrafilter, the
+pair routes of classify and pathlat, and stone.filterspace_nbhd refuse
+a negative index, or one past the last element, with BadIndexError,
+which only _refuse_index raises.  The check is a sign test per index and the
 row lookup's IndexError, inside the one pass each route already makes:
 in _rows, and written into the loop of the kernel _below_orthogonal,
 which so checks the family Y it is given too; its element m is its
 caller's to vouch for.  A single index, as star and arrow take, is
-range-tested by _row_at.
+range-tested by _row_at, inside a comparison the route makes anyway.
 Listings sort masks by _set_key.  The meet of a family is the element
 whose down row is the AND of the family's rows.  The n x n meet table
 is a view: the public constructor keeps the table it validated, and an
@@ -32,12 +33,14 @@ Every filter of a finite instance is such an up(g), and a Filter is its
 generator g, so filter listings and neighbourhoods read that order
 instead of rebuilding it.  Like up, star and the meet table, neither
 takes part in equality, hashing or repr.
-Validation is O(n^2): an idempotent, commutative table is associative
-iff down[meet(e, f)] == down[e] & down[f] for all e, f.  Every public
-or parsed construction validates.  The two library routes that build
-instances lawful by construction, path truncations and one-atom catalog
-extensions, go through Semilattice._from_rows instead: it takes down
-rows, labels and bounds that the caller proves, and checks nothing.
+Semilattice.__post_init__ is the one validator of rows: labels, bounds
+and the row law (any two down rows AND to an element's row), on rows
+that its callers prove to be down-sets of an order: the table
+constructor checks the table's own laws first, and text files and
+from_order go through the one order builder, _from_order, whose
+docstring proves its rows and which builds no table.  Truncations and
+one-atom catalog extensions, lawful by construction, go through
+Semilattice._from_rows, which checks nothing.
 
 All operations are exact and nothing here caps the size.  The limits
 live where the cost explodes, and refuse with TooLargeError before the
@@ -51,7 +54,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, eq, or_
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     BadIndexError,
@@ -65,8 +68,9 @@ from .errors import (
     ZeroSourceError,
 )
 
-# Labels appear in the text format, so they must survive tokenization.
-_FORBIDDEN_LABEL_CHARS = set("<#=")
+# Labels appear in the text format, so they must survive tokenization:
+# non-empty, and free of whitespace (str.isspace) and of '<', '#', '='.
+_LABEL = re.compile(r"[^\s<#=]+")
 
 _FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _ONE_BIT = re.compile("1")
@@ -104,7 +108,7 @@ def _set_key(mask: int) -> tuple:
 
 
 def _check_label(label: str) -> None:
-    if not label or any(c.isspace() for c in label) or set(label) & _FORBIDDEN_LABEL_CHARS:
+    if not _LABEL.fullmatch(label):
         raise FormatError(f"bad label {label!r}: labels are non-empty and free of whitespace, '<', '#', '='")
 
 
@@ -112,14 +116,10 @@ def _check_label(label: str) -> None:
 class Semilattice:
     """A bounded meet semilattice, stored as its down rows.
 
-    The public constructor takes the full meet table and validates
-    everything: the table must be idempotent, commutative, associative,
-    and the designated zero and one must be absorbing and neutral.
-    Invalid tables raise InvalidSemilatticeError.  It keeps the validated
-    table as the meet_table view and derives the down, up and star rows
-    (see the module docstring).  Equality and hashing read the labels,
-    the bounds and the down rows.  The one construction that skips the
-    checks is the private _from_rows, for callers that prove their rows.
+    The public constructor takes the full meet table, refuses what only
+    a table can break and keeps it as the meet_table view;
+    __post_init__ then validates the rows (see the module docstring).
+    Equality and hashing read the labels, the bounds and the down rows.
     """
 
     labels: tuple[str, ...]
@@ -131,62 +131,60 @@ class Semilattice:
 
     def __init__(self, labels: tuple[str, ...], meet_table: tuple[tuple[int, ...], ...],
                  zero: int, one: int) -> None:
-        # The table seeds the meet_table view; __post_init__ validates it.
-        self.__dict__.update(labels=labels, meet_table=meet_table, zero=zero, one=one)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if n < 2:
-            raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
-        if len(set(self.labels)) != n:
-            raise InvalidSemilatticeError("labels must be distinct")
-        for lab in self.labels:
-            _check_label(lab)
-        if not (0 <= self.zero < n and 0 <= self.one < n) or self.zero == self.one:
-            raise InvalidSemilatticeError("zero and one must be distinct valid indices")
-        t = self.meet_table
+        # What only a table can break: shape, entries, idempotence, commutativity
+        # and the row law down[meet(e, f)] == down[e] & down[f], which with the two
+        # before it makes the rows the down-sets of an order whose glb is the table.
+        n, t = len(labels), meet_table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidSemilatticeError("meet table must be n x n")
-        for row in t:
-            for v in row:
-                if not (0 <= v < n):
-                    raise InvalidSemilatticeError("meet table entries must be element indices")
+        if not all(0 <= v < n for row in t for v in row):
+            raise InvalidSemilatticeError("meet table entries must be element indices")
         for i in range(n):
             if t[i][i] != i:
-                raise InvalidSemilatticeError(f"meet not idempotent at {self.labels[i]!r}")
-            if t[i][self.zero] != self.zero:
-                raise InvalidSemilatticeError(f"zero not absorbing at {self.labels[i]!r}")
-            if t[i][self.one] != i:
-                raise InvalidSemilatticeError(f"one not neutral at {self.labels[i]!r}")
+                raise InvalidSemilatticeError(f"meet not idempotent at {labels[i]!r}")
             for j in range(i + 1, n):
                 if t[i][j] != t[j][i]:
-                    raise InvalidSemilatticeError(
-                        f"meet not commutative at ({self.labels[i]!r}, {self.labels[j]!r})")
+                    raise InvalidSemilatticeError(f"meet not commutative at ({labels[i]!r}, {labels[j]!r})")
         rng = range(n)
         down = tuple(_row(map(eq, row, rng)) for row in t)  # meet(e, f) == f
-        # The row law: with idempotence and commutativity it makes the rows
-        # the down-sets of a partial order whose glb is the table.
         for e in rng:
             de, row = down[e], t[e]
             for f in range(e + 1, n):
                 if down[row[f]] != de & down[f]:
                     a, b, c = _associativity_witness(t, down, e, f)
                     raise InvalidSemilatticeError(
-                        "meet not associative at "
-                        f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})")
-        _set_rows(self, down)
+                        f"meet not associative at ({labels[a]!r}, {labels[b]!r}, {labels[c]!r})")
+        self.__dict__.update(labels=labels, meet_table=t, zero=zero, one=one, down=down)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        labels, zero, one = self.labels, self.zero, self.one
+        n = len(labels)
+        if n < 2:
+            raise InvalidSemilatticeError("a bounded semilattice needs at least two elements")
+        if len(set(labels)) != n:
+            raise InvalidSemilatticeError("labels must be distinct")
+        for lab in labels:
+            _check_label(lab)
+        if not (0 <= zero < n and 0 <= one < n) or zero == one:
+            raise InvalidSemilatticeError("zero and one must be distinct valid indices")
+        _set_rows(self, self.down)
+        down, up, star = self.down, self.up, self.star
+        full = (1 << n) - 1
+        if lost := full & ~(up[zero] & down[one]):
+            e = (lost & -lost).bit_length() - 1
+            law = "one not neutral" if up[zero] >> e & 1 else "zero not absorbing"
+            raise InvalidSemilatticeError(f"{law} at {labels[e]!r}")
+        # Comparable pairs meet at the lower element and pairs in star at zero.
+        _check_meets(labels, down, [full & ~(u | d | s) for u, d, s in zip(up, down, star)])
 
     @classmethod
     def _from_rows(cls, labels: tuple[str, ...], zero: int, one: int,
                    down: tuple[int, ...]) -> "Semilattice":
         """The instance whose down rows the caller has proven.
 
-        Nothing is checked.  The caller proves that its labels are two or
-        more distinct, well-formed labels, that zero and one are distinct
-        indices among them, and that down[e] is the down-set of e in a
-        bounded semilattice with that zero and one: each caller's
-        docstring gives its proof, and the tests hold both callers' rows
+        Nothing is checked: each caller's docstring proves what
+        __post_init__ would check, and the tests hold both callers' rows
         and derived tables to the validated rebuild and to oracles.
         """
         S = object.__new__(cls)
@@ -258,7 +256,7 @@ class Semilattice:
         every pair of elements must have a unique greatest lower bound,
         and the global minimum and maximum become zero and one.
         """
-        return _assemble(labels, list(pairs), {})
+        return _from_order(labels, pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "Semilattice":
@@ -348,89 +346,100 @@ def _associativity_witness(t, down, e: int, f: int) -> tuple[int, int, int]:
     return (a, a, b) if t[a][m] != m else (a, m, x)
 
 
-def _meet_table(labels: Sequence[str], pairs: Iterable[tuple[int, int]],
-                preset: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-    """Meet table of the order generated by index pairs (a, b) meaning a <= b.
+def _check_meets(labels: Sequence[str], down: Sequence[int], others: Sequence[int]) -> None:
+    """NoMeetError at the first pair e < f, f in others[e], whose rows AND to no row."""
+    rows = set(down)
+    for e, de in enumerate(down):
+        for f in _members(others[e] >> e + 1 << e + 1):
+            if de & down[f] not in rows:
+                raise NoMeetError(f"no meet for ({labels[e]!r}, {labels[f]!r}): "
+                                  "not determined by the declared order or meet lines")
 
-    The reflexive-transitive closure is kept as down rows, so the meet of
-    i and j is the element whose row is below[i] & below[j].  Preset
-    entries win.  Cycles raise CycleError; NoMeetError names the first
-    pair, in row order, that has no meet.
+
+def _from_order(labels: Sequence[str], pairs: Iterable[tuple[str, str]],
+                meets: Iterable[tuple[str, str, str]] = ()) -> Semilattice:
+    """The one order builder: the semilattice of the order that label pairs
+    (a, b), read a <= b, generate, validated once by __post_init__.
+
+    The down rows come from one topological pass (Kahn's algorithm): once
+    all elements declared below an element are passed, its row is final
+    and is OR-ed into the rows of those declared above it.  So a row holds
+    its element and all below it along chains of pairs, and the rows are
+    antisymmetric iff every element is passed; else CycleError names the
+    first pair, in index order, that a cycle forces equal.  A meet fact
+    (a, b, c) adds c <= a and c <= b, and then every element below a and
+    b must lie below c.  The zero is the element in every row, the one
+    the element whose row is full; without either, a pair with no meet
+    is refused first.
     """
-    n = len(labels)
-    below = [1 << i for i in range(n)]
-    for a, b in pairs:
-        below[b] |= 1 << a
-    for k in range(n):  # Warshall closure
-        for i in range(n):
-            if below[i] >> k & 1:
-                below[i] |= below[k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if below[i] == below[j]:
-                raise CycleError(f"order pairs force {labels[i]!r} = {labels[j]!r}")
-    by_row = {row: m for m, row in enumerate(below)}
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            g = preset[i, j] if (i, j) in preset else by_row.get(below[i] & below[j])
-            if g is None:
-                raise NoMeetError(
-                    f"no meet for ({labels[i]!r}, {labels[j]!r}): "
-                    "not determined by the declared order or meet lines")
-            row.append(g)
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _assemble(labels: Sequence[str], pairs: list[tuple[str, str]],
-              overrides: Mapping[tuple[str, str], str]) -> Semilattice:
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
+    n = len(labels)
+    if len(set(labels)) != n:
         raise FormatError("duplicate labels")
     for lab in labels:
         _check_label(lab)
     idx = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-
-    def lookup(lab: str) -> int:
-        if lab not in idx:
-            raise FormatError(f"unknown label {lab!r}")
-        return idx[lab]
-
-    order = [(lookup(a), lookup(b)) for a, b in pairs]
-    preset = {}
-    for (a, b), c in overrides.items():
-        preset[lookup(a), lookup(b)] = preset[lookup(b), lookup(a)] = lookup(c)
-    table = _meet_table(labels, order, preset)
-
-    mins = [z for z in range(n) if all(table[z][e] == z for e in range(n))]
-    maxs = [u for u in range(n) if all(table[u][e] == e for e in range(n))]
-    if not mins or not maxs:
+    try:
+        order = [(idx[a], idx[b]) for a, b in pairs]
+        facts = [(idx[a], idx[b], idx[c]) for a, b, c in meets]
+    except KeyError as exc:
+        raise FormatError(f"unknown label {exc.args[0]!r}") from None
+    down = [1 << i for i in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for a, b in [*order, *((c, x) for a, b, c in facts for x in (a, b))]:
+        if a != b:
+            above[a].append(b)
+            waiting[b] += 1
+    passed = [i for i in range(n) if not waiting[i]]
+    for a in passed:  # grows while it is read
+        for b in above[a]:
+            down[b] |= down[a]
+            waiting[b] -= 1
+            if not waiting[b]:
+                passed.append(b)
+    if len(passed) < n:  # close the rows the pass left, which hold every cycle, to name the pair
+        left = [i for i in range(n) if waiting[i]]
+        for _ in left:  # a path among them has fewer edges than they number
+            for a in left:
+                for b in above[a]:
+                    down[b] |= down[a]
+        i, j = min((i, j) for i in left for j in left if i < j and down[i] == down[j])
+        raise CycleError(f"order pairs force {labels[i]!r} = {labels[j]!r}")
+    for a, b, c in facts:
+        if extra := down[a] & down[b] & ~down[c]:
+            x = labels[(extra & -extra).bit_length() - 1]
+            raise FormatError(f"meet line '{labels[a]} {labels[b]} = {labels[c]}' contradicts the order: "
+                              f"{x!r} lies below {labels[a]!r} and {labels[b]!r} but not below {labels[c]!r}")
+    full = (1 << n) - 1
+    bottom = reduce(and_, down, full)
+    if not bottom or full not in down:
+        _check_meets(labels, down, [full] * n)
         raise NoBoundError("the order has no global minimum or no global maximum")
-    return Semilattice(labels, table, mins[0], maxs[0])
+    S = object.__new__(Semilattice)
+    S.__dict__.update(labels=labels, zero=bottom.bit_length() - 1, one=down.index(full), down=tuple(down))
+    S.__post_init__()
+    return S
 
 
 def parse_semilattice(text: str) -> Semilattice:
     """Parse the semilattice text format.
 
     One 'elements:' line, any number of 'order:' lines with a<b tokens,
-    optional 'meet: a b = c' lines declaring or overriding single entries.
-    '#' starts a comment.  Bounds are inferred from the resulting table.
+    and optional 'meet: a b = c' lines, each adding c <= a and c <= b
+    and requiring c to be the glb of a and b.  '#' starts a comment.
     """
     labels: tuple[str, ...] | None = None
     pairs: list[tuple[str, str]] = []
-    overrides: dict[tuple[str, str], str] = {}
+    meets: list[tuple[str, str, str]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, rest = line.partition(":")
+        if not colon:
             raise FormatError(f"expected 'key: ...' but got {line!r}")
-        key, rest = line.split(":", 1)
-        key = key.strip()
-        rest = rest.strip()
+        key, rest = key.strip(), rest.strip()
         if key == "elements":
             if labels is not None:
                 raise FormatError("duplicate elements line")
@@ -439,22 +448,20 @@ def parse_semilattice(text: str) -> Semilattice:
                 raise FormatError("elements line declares nothing")
         elif key == "order":
             for tok in rest.split():
-                if tok.count("<") != 1:
-                    raise FormatError(f"bad order token {tok!r}, expected a<b")
-                a, b = tok.split("<")
-                if not a or not b:
+                a, _, b = tok.partition("<")
+                if not a or not b or "<" in b:
                     raise FormatError(f"bad order token {tok!r}, expected a<b")
                 pairs.append((a, b))
         elif key == "meet":
             parts = rest.split()
             if len(parts) != 4 or parts[2] != "=":
                 raise FormatError(f"bad meet line {rest!r}, expected 'meet: a b = c'")
-            overrides[(parts[0], parts[1])] = parts[3]
+            meets.append((parts[0], parts[1], parts[3]))
         else:
             raise FormatError(f"unknown section {key!r}")
     if labels is None:
         raise FormatError("missing elements line")
-    return _assemble(labels, pairs, overrides)
+    return _from_order(labels, pairs, meets)
 
 
 def _refuse_index(S: Semilattice, i: int) -> NoReturn:
@@ -534,8 +541,8 @@ def _lower_covers(S: Semilattice, g: int) -> int:
 
 
 def _check_pair_below(S: Semilattice, e: int, f: int) -> None:
-    """Refuse (e, f) with BadPairError unless 0 != f < e."""
-    if f == S.zero or f == e or not S.leq(f, e):
+    """Refuse (e, f) unless 0 != f < e; f <= e iff down[e] & up[f] is not empty."""
+    if not _row_at(S, S.down, e) & _row_at(S, S.up, f) or f == e or f == S.zero:
         raise BadPairError(f"need 0 != f < e, got f={S.labels[f]!r} e={S.labels[e]!r}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .core import Semilattice, _below_orthogonal, _members, _set_key
+from .core import Semilattice, _below_orthogonal, _members, _row_at, _set_key
 from .errors import NotAFilterError, ZeroElementError
 
 
@@ -30,7 +30,8 @@ class Filter:
     generator: int
 
     def __post_init__(self) -> None:
-        if self.generator == self.lattice.zero:
+        S = self.lattice
+        if _row_at(S, S.down, self.generator) == 1 << S.zero:  # only the zero's row is {0}
             raise ZeroElementError("zero generates no filter")
 
     @classmethod
@@ -114,7 +115,7 @@ def extend_to_ultrafilter(S: Semilattice, e: int) -> Filter:
     terminates with the meet criterion satisfied.  Each meet is read off
     the down rows, so no meet table is derived.
     """
-    if e == S.zero:
+    if _row_at(S, S.down, e) == 1 << S.zero:  # as in Filter, with e checked
         raise ZeroElementError("zero extends to no ultrafilter")
     g = e
     full = (1 << len(S)) - 1

@@ -16,17 +16,21 @@ replaced; tight_filters keeps the filters it finds none for.  The tests
 hold the library's versions to all of these.  with_atom_table is the meet
 table of a one-atom extension as the catalog patched it from the
 smaller table, before extensions were built from down rows only; the
-tests hold the table derived from those rows to it.
+tests hold the table derived from those rows to it.  random_instance
+draws the catalog's random instances through the full meet table, as
+the catalog did before its one order builder.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 from typing import Iterable
 
 import order_oracle
-from slat.catalog import _canonical_instance, _interior_labels, _meet_table_of
+from order_oracle import _meet_table_of
+from slat.catalog import _canonical_instance, _interior_labels
 from slat.catalog import canonical_key as library_key
 from slat.core import Semilattice, _below_orthogonal, _members, constrained_set, up
 from slat.filters import Filter
@@ -52,6 +56,19 @@ def instances_of_size(n: int) -> list[Semilattice]:
             continue
         keys.add(library_key(Semilattice(labels, table, zero=0, one=n - 1)))
     return [_canonical_instance(k) for k in sorted(keys)]
+
+
+def random_instance(n: int, rng: random.Random) -> Semilattice:
+    """The catalog's random instance of size n as it was built through
+    the full meet table, with the same draws from rng."""
+    mids = range(1, n - 1)
+    pairs = [(a, b) for a in mids for b in mids if a < b]
+    labels = _interior_labels(n)
+    while True:
+        rel = {p for p in pairs if rng.random() < 0.5}
+        table = _meet_table_of(labels, rel)
+        if table is not None:
+            return Semilattice(labels, table, zero=0, one=n - 1)
 
 
 def canonical_key(S: Semilattice) -> tuple:

@@ -5,15 +5,21 @@ semilattice.  A random sample of count k is the first k instances of the
 sample with the same size and seed, so each (size, seed) is drawn once,
 at the largest count taken.  A slice names the instances one comparison
 runs on; slices share their instances.  A copy's permutation is drawn
-from RELABEL_SEED and the instance's text, whatever ran first.
+from RELABEL_SEED and the instance's text, whatever ran first.  The
+slice "texts" holds semilattice files for the parser: the catalog's and
+the copies' to_text, the benchmark's input files, and fixed draws of
+the semilattice_files strategy that the CLI fuzz also draws from.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from slat.catalog import CatalogSpec, enumerate_catalog
 from slat.core import Semilattice
@@ -66,6 +72,64 @@ def truncations(*pairs) -> tuple[Semilattice, ...]:
     return tuple(truncation(graph, depth) for graph, depth in pairs)
 
 
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+FUZZ_DRAWS = 400
+
+# Files built from each format's own tokens, half of them then spoilt by
+# up to three stray tokens or lines: '<', '=', ':', comments, repeated keys, and
+# non-ASCII text, no-break and line-separator spaces among it.
+NOISE = ("<", "=", ":", "#", "# note", "a<", "<b", "a<b<1", "x:y", "é", "λ", "a\u00a0b", "\u2028",
+         "elements: a", "order:", "meet: a b = 0", "vertices: t", "root:", "edge a t t")
+
+
+def spoil(draw, lines: list[str]) -> str:
+    strays = st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(NOISE)), min_size=1, max_size=3)
+    for at, token in draw(strays) if draw(st.booleans()) else ():
+        if at == len(lines):
+            lines.append(token)
+        else:
+            lines[at] += " " + token
+    return "\n".join(lines)
+
+
+@st.composite
+def semilattice_files(draw) -> str:
+    """An elements line, a<b tokens that follow its order, and perhaps a meet line."""
+    labels = draw(st.lists(st.sampled_from(("0", "a", "b", "c", "1", "é")), min_size=2, max_size=5,
+                           unique=True))
+    pairs = [f"{a}<{b}" for i, a in enumerate(labels) for b in labels[i + 1:]]
+    lines = ["elements: " + " ".join(labels), "order: " + " ".join(draw(st.lists(st.sampled_from(pairs))))]
+    if draw(st.booleans()):
+        a, b, c = (draw(st.sampled_from(labels)) for _ in range(3))
+        lines.append(f"meet: {a} {b} = {c}")
+    return spoil(draw, lines)
+
+
+def _fuzz_files() -> list[str]:
+    """The FUZZ_DRAWS files of one derandomized run of semilattice_files,
+    the same on every run of one hypothesis version."""
+    drawn: list[str] = []
+
+    @settings(max_examples=FUZZ_DRAWS, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(semilattice_files())
+    def draw(text):
+        drawn.append(text)
+
+    draw()
+    return drawn
+
+
+def _texts() -> tuple[str, ...]:
+    """Semilattice files: the catalog's and the copies' to_text, the
+    benchmark's inputs (graph files among them, which the parser
+    refuses) and the fuzz files without meet lines, whose meaning the
+    table oracle does not share."""
+    return (*(x.to_text() for S in catalog() for x in copies(S)),
+            *(path.read_text(encoding="utf-8") for path in sorted(BENCH_INPUTS.rglob("*.txt"))),
+            *(text for text in _fuzz_files() if "meet" not in text))
+
+
 # the sets that the listings, the Stone points and the cover-pair verdicts run on
 INSTANCE_SETS = ("catalog-7", "random-8-12", "bench-truncations")
 SLICES = {
@@ -83,6 +147,7 @@ SLICES = {
     "neighbourhoods": lambda: (*catalog(), *sample(10, 4, seed=5), *sample(range(8, 13), 3),
                                *truncations(*BENCH_TRUNCATIONS)),
     "suite": lambda: (*catalog(), *sample(range(8, 13), 2)),
+    "texts": _texts,
 }
 
 

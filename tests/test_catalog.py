@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 import catalog_oracle
 import corpus
-from slat.catalog import CatalogSpec, _instances_of_size, canonical_key, enumerate_catalog
+from slat.catalog import CatalogSpec, _instances_of_size, _random_instance, canonical_key, enumerate_catalog
 from slat.core import Semilattice
 from slat.errors import TooLargeError
 
@@ -108,6 +109,18 @@ def test_catalog_listing_is_frozen():
     text = "".join(S.to_text() for S in corpus.catalog())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1f17f813df8ccc3a21f975eaf88f8715b44475993a61fd651a9f1b2454c3c9b9")
+
+
+def test_random_instances_match_the_table_route():
+    # The seeded sequence depends only on which draws are accepted, so the
+    # order builder must accept exactly the draws the full table accepted.
+    for n in range(2, 13):
+        for seed in range(4):
+            rng, old = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                S, T = _random_instance(n, rng), catalog_oracle.random_instance(n, old)
+                assert (S, S.meet_table) == (T, T.meet_table)
+            assert rng.random() == old.random()
 
 
 def test_exhaustive_size_cap():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slat
+from corpus import semilattice_files, spoil
 from slat import cli, pathlat
 from slat.cli import main
 
@@ -466,34 +467,12 @@ def test_bad_semilattice_file(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
-# Files built from each format's own tokens, half of them then spoilt by
-# up to three stray tokens or lines: '<', '=', ':', comments, repeated keys, and
-# non-ASCII text, no-break and line-separator spaces among it.
-_NOISE = ("<", "=", ":", "#", "# note", "a<", "<b", "a<b<1", "x:y", "é", "λ", "a\u00a0b", "\u2028",
-          "elements: a", "order:", "meet: a b = 0", "vertices: t", "root:", "edge a t t")
-
-
-def _spoil(draw, lines: list[str]) -> str:
-    strays = st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(_NOISE)), min_size=1, max_size=3)
-    for at, token in draw(strays) if draw(st.booleans()) else ():
-        if at == len(lines):
-            lines.append(token)
-        else:
-            lines[at] += " " + token
-    return "\n".join(lines)
-
-
-@st.composite
-def _semilattice_files(draw) -> str:
-    """An elements line, a<b tokens that follow its order, and perhaps a meet line."""
-    labels = draw(st.lists(st.sampled_from(("0", "a", "b", "c", "1", "é")), min_size=2, max_size=5,
-                           unique=True))
-    pairs = [f"{a}<{b}" for i, a in enumerate(labels) for b in labels[i + 1:]]
-    lines = ["elements: " + " ".join(labels), "order: " + " ".join(draw(st.lists(st.sampled_from(pairs))))]
-    if draw(st.booleans()):
-        a, b, c = (draw(st.sampled_from(labels)) for _ in range(3))
-        lines.append(f"meet: {a} {b} = {c}")
-    return _spoil(draw, lines)
+def test_meet_line_against_the_declared_order_exits_two(tmp_path, capsys):
+    # the line reads 1 <= a, which the declared a < 1 contradicts
+    p = tmp_path / "overrule.slat"
+    p.write_text("elements: 0 a 1\norder: 0<a a<1\nmeet: a 1 = 1\n")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr() == ("", "error: order pairs force 'a' = '1'\n")
 
 
 @st.composite
@@ -504,11 +483,11 @@ def _graph_files(draw) -> str:
     ends = st.sampled_from(vertices)
     lines = ["vertices: " + " ".join(vertices), "root: " + vertices[0]]
     lines += [f"edge {eid} {draw(ends)} {draw(ends)}" for eid in ids]
-    return _spoil(draw, lines)
+    return spoil(draw, lines)
 
 
 file_fuzz_cases = st.one_of(
-    st.tuples(st.sampled_from(("check", "stone")), _semilattice_files(), st.just(None)),
+    st.tuples(st.sampled_from(("check", "stone")), semilattice_files(), st.just(None)),
     st.tuples(st.just("graph"), _graph_files(), st.integers(1, 3)))
 
 

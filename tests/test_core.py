@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import order_oracle
 from conftest import idx, labels
 from slat.catalog import CatalogSpec, enumerate_catalog
+from slat.classify import trapping_witness
 from slat.core import (
     Semilattice,
     _members,
@@ -34,7 +36,10 @@ from slat.errors import (
     NotSubsetError,
     ZeroSourceError,
 )
+from slat.filters import Filter, extend_to_ultrafilter, principal_filter
+from slat.pathlat import sibling_cover_witness
 from slat.stone import filterspace_nbhd
+from test_oracles import _outcome
 
 VEE_TEXT = """
 # two atoms under a common top
@@ -150,6 +155,46 @@ def test_parse_meet_override():
     assert S.meet(S.index("x"), S.index("y")) == S.zero
 
 
+def test_meet_lines_declare_but_never_overrule():
+    # a meet line may add the relations it implies
+    S = parse_semilattice("elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\nmeet: a b = a\n")
+    assert S.leq(S.index("a"), S.index("b"))
+    # but c must be the greatest lower bound once they are added
+    with pytest.raises(FormatError, match=r"^meet line 'a b = 0' contradicts the order: "
+                                          r"'c' lies below 'a' and 'b' but not below '0'$"):
+        parse_semilattice("elements: 0 a b c 1\norder: 0<c c<a c<b a<1 b<1\nmeet: a b = 0\n")
+    # and 1 <= a closes a cycle with the declared a < 1
+    with pytest.raises(CycleError, match=r"^order pairs force 'a' = '1'$"):
+        parse_semilattice("elements: 0 a 1\norder: 0<a a<1\nmeet: a 1 = 1\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_a_meet_line_adds_its_two_relations_and_nothing_else(n, data):
+    names = [f"e{i}" for i in range(n)]
+    pool = [f"{x}<{y}" for i, x in enumerate(names) for y in names[i + 1:]]
+    order = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    if data.draw(st.booleans()):
+        order += [f"e0<{x}" for x in names[1:]] + [f"{x}<{names[-1]}" for x in names[1:-1]]
+    a, b, c = (data.draw(st.sampled_from(names)) for _ in range(3))
+    text = f"elements: {' '.join(names)}\norder: {' '.join(order)}\n"
+    got = _outcome(parse_semilattice, (f"{text}meet: {a} {b} = {c}\n",))
+    # the table oracle, given c <= a and c <= b as order pairs
+    expected = _outcome(order_oracle.parse_semilattice, (f"{text}order: {c}<{a} {c}<{b}\n",))
+    contradiction = isinstance(got, tuple) and got[0] == "FormatError" and "contradicts the order" in got[1]
+    if isinstance(expected, Semilattice):
+        if expected.meet(names.index(a), names.index(b)) == names.index(c):
+            assert got == expected
+            assert all(got.leq(*map(names.index, pair.split("<"))) for pair in order)
+        else:
+            assert contradiction, got
+    elif expected[0] in ("NoMeetError", "NoBoundError"):
+        # refused either way; the meet line may be refused first
+        assert got == expected or contradiction, (got, expected)
+    else:
+        assert got == expected
+
+
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse_semilattice("order: a<b")  # no elements line
@@ -227,6 +272,13 @@ BAD_INDEX_CALLS = {
               lambda S, i: arrow(S, S.one, [S.zero, i])),
     "filterspace_nbhd": (lambda S, i: filterspace_nbhd(S, i, []),
                          lambda S, i: filterspace_nbhd(S, S.one, [S.zero, i])),
+    "Filter": (lambda S, i: Filter(S, i),),
+    "principal_filter": (lambda S, i: principal_filter(S, i),),
+    "extend_to_ultrafilter": (lambda S, i: extend_to_ultrafilter(S, i),),
+    "trapping_witness": (lambda S, i: trapping_witness(S, i, S.index("a")),
+                         lambda S, i: trapping_witness(S, S.one, i)),
+    "sibling_cover_witness": (lambda S, i: sibling_cover_witness(S, i, S.index("a")),
+                              lambda S, i: sibling_cover_witness(S, S.one, i)),
 }
 
 

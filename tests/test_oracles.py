@@ -140,6 +140,9 @@ def _points(masks) -> list[frozenset]:
 
 
 ROUTES = (
+    # the one order builder, against the parser that built the full meet table
+    Route("parse_semilattice", core.parse_semilattice, order_oracle.parse_semilattice, lambda text: [(text,)],
+          ("texts",)),
     # the order primitives, on the rows
     Route("star", core.star, order_oracle.star, lambda S: _each(S, S.elements())),
     Route("up", core.up, order_oracle.up, lambda S: _singletons(S) + _draws(S)[0]),
@@ -228,6 +231,7 @@ DRIVERS = {
 COMPARED_ELSEWHERE = {
     "order_oracle.associativity_violation": "test_rows.py::test_row_law_accepts_exactly_the_associative_tables",
     "catalog_oracle.instances_of_size": "test_catalog.py::test_extension_matches_the_relation_scan",
+    "catalog_oracle.random_instance": "test_catalog.py::test_random_instances_match_the_table_route",
     "catalog_oracle.canonical_key": "test_catalog.py::test_canonical_key_partitions_like_the_permutation_oracle",
     "catalog_oracle.with_atom_table": "test_rows.py::test_rows_built_instances_match_the_validated_rebuild",
     "pathlat_oracle.ancestor_chain_table": "test_rows.py::test_rows_built_instances_match_the_validated_rebuild",
@@ -271,6 +275,13 @@ def drive(request: pytest.FixtureRequest, *instances, where: str | None = None) 
 def test_route_matches_oracle(route):
     for i, instance in enumerate(corpus.instances(*route.corpus)):
         check(route, instance, f"slice {'+'.join(route.corpus)}, instance {i}")
+
+
+def test_parse_route_fails_when_the_builder_drops_the_last_pair(monkeypatch):
+    build = core._from_order
+    monkeypatch.setattr(core, "_from_order", lambda labels, pairs, meets=(): build(labels, list(pairs)[:-1], meets))
+    with pytest.raises(AssertionError, match="^parse_semilattice on slice texts, instance "):
+        test_route_matches_oracle(BY_NAME["parse_semilattice"])
 
 
 def _test_exists(test_id: str) -> bool:

@@ -31,25 +31,28 @@ with the number of operations on them.
 Two kernels work on roots: _walk meets or joins two of them and _flip
 complements one.  _build makes one chain of nodes per word and joins
 the chains with _walk.  normalize, meet, join and complement check
-their arguments and wrap one kernel result as a PrefixClopen;
-kappa_word and eval_expr are built on them.  Each _walk and _flip call
-memoizes the nodes it combines for that call only.
+their arguments and hand one kernel result to _clopen, the one maker of
+internal results; kappa_word and eval_expr are built on them.  Each
+_walk and _flip call memoizes the nodes it combines for that call only.
+Nothing is cached on a word, an expression or a root: the node table
+already shares every sub-clopen, so such a cache would save only the
+repeat of an identical call, for a lookup on every call and memory per
+distinct input.
 
-_walk keeps an explicit stack, and _build is chains joined by _walk,
-so neither has a depth limit.  _flip is the one recursive route, one
-Python frame per trie level, so complementing a clopen deeper than the
-recursion limit raises RecursionError (reported by the command line as
-one error line).  That limit is kept on purpose for now: the
-complement of a cylinder of n symbols has n words of up to n symbols,
-about 8 MB of output at 4000 symbols over two letters, and the
-cantor-exprs benchmark declares RecursionError for its two cylinders
-past the limit because its word-by-word check of such outputs would
-double the process's peak memory.
+_walk keeps an explicit stack, and _build is chains joined by _walk, so
+neither has a depth limit.  _flip recurses, one Python frame per trie
+level, so complementing a clopen deeper than the recursion limit raises
+RecursionError (one error line from the command line).  That is kept on
+purpose for now: the complement of a cylinder of n symbols has n words
+of up to n symbols, about 8 MB of output at 4000 symbols over two
+letters, and the cantor-exprs benchmark declares RecursionError for its
+two cylinders past the limit, as its word-by-word check of such outputs
+would double the process's peak memory.
 
-Alphabets are strings of distinct symbols.  A one-symbol alphabet is
-permitted but degenerate: a node has one child, a leaf by induction,
-so _mk folds every trie to a leaf and the algebra collapses to {bottom,
-top}.
+Alphabets are strings of distinct symbols, each checked and indexed once
+into the record _record keeps for it.  A one-symbol alphabet is allowed
+but degenerate: a node has one child, a leaf by induction, so _mk folds
+every trie to a leaf and the algebra collapses to {bottom, top}.
 """
 
 from __future__ import annotations
@@ -81,11 +84,20 @@ def _mk(kids: tuple[int, ...]) -> int:
     return node
 
 
-def _check_alphabet(alphabet: str) -> None:
+@lru_cache(maxsize=16)
+def _record(alphabet: str) -> tuple[frozenset[str], dict[str, int], tuple[tuple[int, str], ...]]:
+    """An alphabet validated and indexed: its symbol set, each symbol's
+    rank, and the (rank, symbol) pairs from the last symbol down.  A
+    refused alphabet raises, so no record of it is kept."""
     if not alphabet:
         raise ValueError("alphabet must not be empty")
-    if len(set(alphabet)) != len(alphabet):
+    symbols = frozenset(alphabet)
+    if len(symbols) != len(alphabet):
         raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
+    return symbols, {s: i for i, s in enumerate(alphabet)}, tuple(enumerate(alphabet))[::-1]
+
+
+_check_alphabet = _record
 
 
 def is_degenerate_alphabet(alphabet: str) -> bool:
@@ -96,34 +108,32 @@ def is_degenerate_alphabet(alphabet: str) -> bool:
 def _check_words(alphabet: str, words: Sequence[str]) -> None:
     """Raise ForeignSymbolError naming the first word with a symbol outside
     the alphabet; one set test when there is none."""
-    if set(alphabet).issuperset("".join(words)):
+    symbols = _record(alphabet)[0]
+    if symbols.issuperset("".join(words)):
         return
     for word in words:
-        foreign = set(word) - set(alphabet)
+        foreign = set(word) - symbols
         if foreign:
             raise ForeignSymbolError(
                 f"word {word!r} uses symbols {sorted(foreign)} outside alphabet {alphabet!r}")
 
 
-@lru_cache(maxsize=16)
-def _ranks(alphabet: str) -> dict[str, int]:
-    return {s: i for i, s in enumerate(alphabet)}
-
-
 def _build(alphabet: str, words: Sequence[str]) -> int:
     """The root of the trie covering the cylinders of `words`, in any order
     and with repeats: each word is a chain of nodes made from its last
-    symbol up, and the chains are joined one by one.  A join with a chain
-    descends only along the chain's path, so the whole build is linear in
-    the total length of the words and, like _walk, iterative."""
-    k, rank = len(alphabet), _ranks(alphabet)
+    symbol up in one reused kids buffer, and the chains are joined one by
+    one.  A join with a chain descends only along the chain's path, so the
+    build is linear in the total length of the words and iterative."""
+    rank = _record(alphabet)[1]
+    kids = [OUT] * len(alphabet)
     root = OUT
     for word in words:
         node = IN
         for s in reversed(word):
-            kids = [OUT] * k
-            kids[rank[s]] = node
+            i = rank[s]
+            kids[i] = node
             node = _mk(tuple(kids))
+            kids[i] = OUT
         root = _walk(root, node, IN, OUT)
     return root
 
@@ -131,16 +141,18 @@ def _build(alphabet: str, words: Sequence[str]) -> int:
 def _words_of(alphabet: str, root: int) -> tuple[str, ...]:
     """The words of a trie, shortlex sorted: the paths to its IN leaves in
     pre-order, which is symbol order, then a stable sort by length."""
+    backwards = _record(alphabet)[2]
     out = []
     stack = [(root, "")]
-    last = len(alphabet) - 1
     while stack:
         node, prefix = stack.pop()
         if node == IN:
             out.append(prefix)
         elif node != OUT:
             kids = _KIDS[node]
-            stack.extend((kids[i], prefix + alphabet[i]) for i in range(last, -1, -1) if kids[i] != OUT)
+            for i, s in backwards:
+                if kids[i] != OUT:
+                    stack.append((kids[i], prefix + s))
     out.sort(key=len)
     return tuple(out)
 
@@ -168,15 +180,6 @@ class PrefixClopen:
         _set_alphabet(self, alphabet)
         _set_root(self, root)
         _set_words(self, words)
-
-    @classmethod
-    def _of(cls, alphabet: str, root: int) -> "PrefixClopen":
-        """The clopen of a trie root, unchecked: roots are canonical."""
-        P = object.__new__(cls)
-        _set_alphabet(P, alphabet)
-        _set_root(P, root)
-        _set_words(P, None)
-        return P
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PrefixClopen is immutable; cannot set {name!r}")
@@ -232,19 +235,29 @@ class PrefixClopen:
 
 # The slots are set through their member descriptors, bound once, which
 # gets past the immutability guard at less cost than object.__setattr__.
+_new = object.__new__
 _set_alphabet = PrefixClopen.alphabet.__set__
 _set_root = PrefixClopen.root.__set__
 _set_words = PrefixClopen._words.__set__
 
 
+def _clopen(alphabet: str, root: int) -> PrefixClopen:
+    """The clopen of a trie root, unchecked: roots are canonical."""
+    P = _new(PrefixClopen)
+    _set_alphabet(P, alphabet)
+    _set_root(P, root)
+    _set_words(P, None)
+    return P
+
+
 def bottom(alphabet: str) -> PrefixClopen:
     _check_alphabet(alphabet)
-    return PrefixClopen._of(alphabet, OUT)
+    return _clopen(alphabet, OUT)
 
 
 def top(alphabet: str) -> PrefixClopen:
     _check_alphabet(alphabet)
-    return PrefixClopen._of(alphabet, IN)
+    return _clopen(alphabet, IN)
 
 
 def normalize(alphabet: str, words: Iterable[str]) -> PrefixClopen:
@@ -257,12 +270,7 @@ def normalize(alphabet: str, words: Iterable[str]) -> PrefixClopen:
     _check_alphabet(alphabet)
     words = list(words)
     _check_words(alphabet, words)
-    return PrefixClopen._of(alphabet, _build(alphabet, words))
-
-
-def _same_alphabet(P: PrefixClopen, Q: PrefixClopen) -> None:
-    if P.alphabet != Q.alphabet:
-        raise AlphabetMismatchError(f"{P.alphabet!r} vs {Q.alphabet!r}")
+    return _clopen(alphabet, _build(alphabet, words))
 
 
 def _walk(x: int, y: int, zero: int, one: int) -> int:
@@ -309,14 +317,18 @@ def _walk(x: int, y: int, zero: int, one: int) -> int:
 
 def join(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
     """Union of the covered point sets."""
-    _same_alphabet(P, Q)
-    return PrefixClopen._of(P.alphabet, _walk(P.root, Q.root, IN, OUT))
+    alphabet = P.alphabet
+    if Q.alphabet != alphabet:
+        raise AlphabetMismatchError(f"{alphabet!r} vs {Q.alphabet!r}")
+    return _clopen(alphabet, _walk(P.root, Q.root, IN, OUT))
 
 
 def meet(P: PrefixClopen, Q: PrefixClopen) -> PrefixClopen:
     """Intersection of the covered point sets."""
-    _same_alphabet(P, Q)
-    return PrefixClopen._of(P.alphabet, _walk(P.root, Q.root, OUT, IN))
+    alphabet = P.alphabet
+    if Q.alphabet != alphabet:
+        raise AlphabetMismatchError(f"{alphabet!r} vs {Q.alphabet!r}")
+    return _clopen(alphabet, _walk(P.root, Q.root, OUT, IN))
 
 
 def _flip(node: int, flipped: dict[int, int]) -> int:
@@ -325,9 +337,7 @@ def _flip(node: int, flipped: dict[int, int]) -> int:
     A recursive descent of exactly one Python frame per trie level: the
     children are flipped in a plain loop, since a comprehension or a
     generator would add a frame of its own per level.  `flipped` memoizes
-    the nodes of one call, shared subtries included."""
-    if node <= IN:
-        return IN - node
+    the nodes of one call, shared subtries included.  Leaves never enter."""
     out = flipped.get(node)
     if out is None:
         kids = []
@@ -339,13 +349,13 @@ def _flip(node: int, flipped: dict[int, int]) -> int:
 
 def complement(P: PrefixClopen) -> PrefixClopen:
     """Set complement inside the whole word space."""
-    return PrefixClopen._of(P.alphabet, _flip(P.root, {}))
+    root = P.root
+    return _clopen(P.alphabet, IN - root if root <= IN else _flip(root, {}))
 
 
 def leq(P: PrefixClopen, Q: PrefixClopen) -> bool:
     """Containment of covered point sets: P is its own meet with Q."""
-    _same_alphabet(P, Q)
-    return _walk(P.root, Q.root, OUT, IN) == P.root
+    return meet(P, Q).root == P.root
 
 
 def kappa_word(alphabet: str, word: str) -> PrefixClopen:
@@ -398,7 +408,7 @@ def membership(P: PrefixClopen, w: UPWord) -> bool:
     leaf, which a finite trie reaches within its height.
     """
     _check_words(P.alphabet, (w.preperiod, w.period))
-    rank = _ranks(P.alphabet)
+    rank = _record(P.alphabet)[1]
     symbols = chain(w.preperiod, cycle(w.period))
     node = P.root
     while node > IN:

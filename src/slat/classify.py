@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import stone
 from .core import (
-    Semilattice, _below_orthogonal, _check_pair_below, _members, _nonzero_cover_pairs, _refines,
+    Semilattice, _below_orthogonal, _check_pair_below, _members, _nonzero_cover_pairs,
     constrained_set)
 from .errors import TheoremViolationError
 from .filters import tight_filters
@@ -52,16 +52,14 @@ def meet_separation(S: Semilattice) -> bool:
 def trapping_witness(S: Semilattice, e: int, f: int) -> list[int] | None:
     """Witness family for the pair 0 != f < e, or None.
 
-    The candidate is maximal: every non-zero element below e orthogonal
-    to f.  If e does not refine into candidate + {f}, no smaller family
-    works either, and when the candidate is empty there is nothing to
+    The candidate W is maximal: every non-zero element below e orthogonal
+    to f.  e always refines into W + {f}, so that is not tested: a
+    non-zero x below e either meets f, or is orthogonal to f and so lies
+    in W, where it meets itself.  When W is empty there is nothing to
     witness with, so the pair is untrapped.
     """
     _check_pair_below(S, e, f)
-    W = _members(_below_orthogonal(S, e, (f,)) & ~(1 << S.zero))
-    if W and _refines(S, e, W + [f]):
-        return W
-    return None
+    return _members(_below_orthogonal(S, e, (f,)) & ~(1 << S.zero)) or None
 
 
 def satisfies_trapping(S: Semilattice) -> bool:

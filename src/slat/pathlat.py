@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Semilattice, _check_pair_below, _lower_covers, _members
+from .core import Semilattice, _check_pair_below, _lower_covers, _members, _row_at
 from .errors import (
     BadDepthError,
     BadPairError,
@@ -217,12 +217,12 @@ def level(S: Semilattice, e: int) -> int | float:
     """
     if e == S.zero:
         return math.inf
-    return S.up[e].bit_count()
+    return _row_at(S, S.up, e).bit_count()
 
 
 def covers_hat(S: Semilattice, e: int) -> frozenset:
     """Elements directly below e, with nothing strictly between."""
-    if e == S.zero:
+    if _row_at(S, S.down, e) == 1 << S.zero:  # only the zero has nothing else below it
         raise ZeroElementError("zero has no lower covers")
     return frozenset(_members(_lower_covers(S, e)))
 
@@ -265,9 +265,9 @@ def sibling_cover_witnesses(S: Semilattice, e: int) -> dict[int, list[int]]:
     refuses it, when [f, e] is not a chain; for f a lower cover of a g
     with [g, e] a chain, [f, e] is a chain iff it is [g, e] plus f.
     """
-    if e == S.zero:
+    up, down_e, zero = S.up, _row_at(S, S.down, e), S.zero
+    if down_e == 1 << zero:  # e is the zero
         raise ZeroElementError("zero has no lower covers")
-    up, down_e, zero = S.up, S.down[e], S.zero
     witnesses: dict[int, list[int]] = {}
     stack = [(e, [])]
     while stack:

@@ -96,9 +96,10 @@ def blind_zero_disjunctive(monkeypatch):
 
 @pytest.fixture
 def untrap_every_pair(monkeypatch):
-    """Fault injection: the refinement relation never holds, so every
-    strict non-zero pair looks untrapped."""
-    monkeypatch.setattr(classify, "_refines", lambda S, f, es: False)
+    """Fault injection: no element lies below e orthogonal to f, so every
+    trapping candidate is empty and every strict non-zero pair looks
+    untrapped."""
+    monkeypatch.setattr(classify, "_below_orthogonal", lambda S, m, Y: 1 << S.zero)
 
 
 def idx(S: Semilattice, label: str) -> int:

@@ -262,6 +262,32 @@ def test_eval_matches_the_closure_parser(text):
     assert outcome_of(eval_expr, text) == outcome_of(eval_by_operations, text)
 
 
+# Each public route that takes an alphabet, called with one.
+ALPHABET_ROUTES = {
+    "normalize": lambda alphabet: normalize(alphabet, ["a"]),
+    "kappa_word": lambda alphabet: kappa_word(alphabet, "a"),
+    "top": top,
+    "bottom": bottom,
+    "is_degenerate_alphabet": is_degenerate_alphabet,
+    "eval_expr": lambda alphabet: eval_expr(alphabet, "a"),
+    "PrefixClopen": lambda alphabet: PrefixClopen(alphabet, ("a",)),
+}
+
+
+@pytest.mark.parametrize("route", ALPHABET_ROUTES)
+def test_bad_alphabets_are_refused_before_and_after_a_good_one(route):
+    # Each alphabet is validated once and its record kept; a refusal is
+    # never kept, so it is given again after a valid alphabet was used.
+    call = ALPHABET_ROUTES[route]
+    cantor._record.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^alphabet must not be empty$"):
+            call("")
+        with pytest.raises(ValueError, match=r"^alphabet 'aa' repeats a symbol$"):
+            call("aa")
+        call("ab")
+
+
 def test_degenerate_alphabet():
     assert is_degenerate_alphabet("a")
     assert not is_degenerate_alphabet(AB)

@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantor_oracle import (
+    check_expr_against_oracle,
     complement_by_prefix_scan,
     complement_by_word_descent,
     four_rule_violation,
     meet_by_pair_scan,
     normalize_two_phase,
+    random_expr,
     reduce_one_pass,
+    shortlex,
 )
 from slat.cantor import PrefixClopen, complement, eval_expr, join, kappa_word, meet, normalize
 
@@ -116,6 +119,26 @@ def test_long_cylinders_match_prefix_scan():
     for length, alphabet in ((10, "ab"), (57, "abc"), (160, "abcd"), (400, "ba")):
         P = kappa_word(alphabet, "".join(rng.choice(alphabet) for _ in range(length)))
         assert complement(P).words == complement_by_prefix_scan(P)
+
+
+def test_word_listing_matches_the_oracle_on_wide_tries():
+    # Cylinder complements over four symbols, three siblings per level, up
+    # to the 900 symbols a complement reaches below the recursion limit.
+    rng = random.Random(28)
+    for length in (1, 2, 3, 10, 57, 160, 400, 900):
+        word = "".join(rng.choice("abcd") for _ in range(length))
+        siblings = {word[:i] + s for i, c in enumerate(word) for s in "abcd" if s != c}
+        got = complement(kappa_word("abcd", word)).words
+        assert got == shortlex("abcd", siblings), length
+        if length <= 400:
+            assert got == complement_by_word_descent("abcd", (word,)), length
+    for _ in range(300):
+        alphabet = rng.choice(("ab", "abc", "abcd", "dbca"))
+        expr = random_expr(rng, alphabet, 6)
+        words = eval_expr(alphabet, expr.text()).words
+        assert words == reduce_one_pass(alphabet, words), expr.text()
+        assert four_rule_violation(alphabet, words) is None, expr.text()
+        check_expr_against_oracle(alphabet, expr)
 
 
 def test_complement_takes_one_frame_per_symbol():

@@ -37,7 +37,7 @@ from slat.errors import (
     ZeroSourceError,
 )
 from slat.filters import Filter, extend_to_ultrafilter, principal_filter
-from slat.pathlat import sibling_cover_witness
+from slat.pathlat import covers_hat, level, sibling_cover_witness, sibling_cover_witnesses
 from slat.stone import filterspace_nbhd
 from test_oracles import _outcome
 
@@ -279,6 +279,9 @@ BAD_INDEX_CALLS = {
                          lambda S, i: trapping_witness(S, S.one, i)),
     "sibling_cover_witness": (lambda S, i: sibling_cover_witness(S, i, S.index("a")),
                               lambda S, i: sibling_cover_witness(S, S.one, i)),
+    "level": (lambda S, i: level(S, i),),
+    "covers_hat": (lambda S, i: covers_hat(S, i),),
+    "sibling_cover_witnesses": (lambda S, i: sibling_cover_witnesses(S, i),),
 }
 
 

@@ -12,12 +12,13 @@ ones except that x^y = 0 with x, y in U becomes a.
 
 Enumeration therefore grows each size from the classes of the size
 before, one admissible U at a time, and rejects isomorphs through a
-canonical key that minimizes the meet-table encoding over the interior
+canonical key that minimizes the relabeled down rows over the interior
 relabelings that keep each element in its invariant cell, (|down|,
-|up|).  Each class comes back relabeled to the table its key encodes.
-Cells make the key cheap on most shapes; an interior antichain of k
-elements is one cell and still costs k! permutations.  Nothing is kept
-between enumerate_catalog calls.
+|up|).  Each class comes back as the rows its key encodes, validated in
+full.  Only the rows are read; the meet table is a view for outside
+callers.  Cells make the key cheap on most shapes; an interior antichain
+of k elements is one cell and still costs k! permutations.  Nothing is
+kept between enumerate_catalog calls.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator
 
-from .core import Semilattice, _members
+from .core import Semilattice, _members, _validated
 from .errors import NoMeetError, TooLargeError
 
 EXHAUSTIVE_LIMIT = 9
@@ -75,19 +75,18 @@ def _interior_labels(n: int) -> tuple[str, ...]:
 
 
 def canonical_key(S: Semilattice) -> tuple:
-    """Least meet-table encoding over relabelings that respect invariant cells.
+    """Least down-row encoding over relabelings that respect invariant cells.
 
     Isomorphisms fix the bounds and preserve each interior element's
     invariant (|down|, |up|), so they map the cell of interior elements
     sharing an invariant onto itself.  The key relabels zero to 0 and one
     to n-1, lays the cells out in invariant order, tries every
-    permutation within each cell, and keeps the least flattened table.
-    Row i of an encoding is the old row old_of_new[i], its entries picked
-    in the new column order and renamed through new_of_old.  Isomorphic
-    inputs reach the same encodings, and equal encodings are equal
-    relabeled tables, so equal keys mean isomorphic instances.  The worst
-    case, an interior antichain of k elements, is one cell and k!
-    permutations.
+    permutation within each cell, and keeps the least tuple of rows.
+    Row i of an encoding is the down row of old_of_new[i], each member x
+    moved to bit new_of_old[x].  Isomorphic inputs reach the same
+    encodings, and equal encodings are equal relabeled orders, so equal
+    keys mean isomorphic instances.  The worst case, an interior
+    antichain of k elements, is one cell and k! permutations.
     """
     n = len(S)
     invariant = {i: (S.down[i].bit_count(), S.up[i].bit_count())
@@ -95,16 +94,14 @@ def canonical_key(S: Semilattice) -> tuple:
     cells: dict[tuple[int, int], list[int]] = {}
     for i in sorted(invariant, key=invariant.__getitem__):
         cells.setdefault(invariant[i], []).append(i)
-    table = S.meet_table
-    new_of_old = [0] * n
+    members = [_members(row) for row in S.down]
+    bit_of_old = [0] * n  # old element -> 1 << new_of_old[old]
     best: tuple | None = None
     for perms in itertools.product(*map(itertools.permutations, cells.values())):
         old_of_new = [S.zero, *itertools.chain.from_iterable(perms), S.one]
         for new, old in enumerate(old_of_new):
-            new_of_old[old] = new
-        pick, rename = itemgetter(*old_of_new), new_of_old.__getitem__
-        enc = tuple(itertools.chain.from_iterable(
-            map(rename, pick(table[old])) for old in old_of_new))
+            bit_of_old[old] = 1 << new
+        enc = tuple(sum(map(bit_of_old.__getitem__, members[old])) for old in old_of_new)
         if best is None or enc < best:
             best = enc
     assert best is not None
@@ -112,10 +109,10 @@ def canonical_key(S: Semilattice) -> tuple:
 
 
 def _canonical_instance(key: tuple) -> Semilattice:
-    """The instance whose meet table is the encoding in key."""
+    """The instance whose down rows are the encoding in key: a lawful
+    instance's rows relabeled, so an order's down-sets, as _validated asks."""
     n, _, enc = key
-    table = tuple(enc[i * n:(i + 1) * n] for i in range(n))
-    return Semilattice(_interior_labels(n), table, zero=0, one=n - 1)
+    return _validated(_interior_labels(n), 0, n - 1, enc)
 
 
 def _admissible_up_sets(P: Semilattice) -> Iterator[int]:
@@ -124,16 +121,17 @@ def _admissible_up_sets(P: Semilattice) -> Iterator[int]:
     P has its zero at 0 and its one at n-1.  U is non-empty, up-closed
     and leaves out zero, so it holds the one; and for x, y in U, x^y is
     in U or is zero.  Candidates are the interior subsets plus the one.
+    x^y is zero iff down[x] & down[y] is {0}, and in the up-closed U iff
+    that row, down(x^y), meets U.
     """
     n = len(P)
-    up, table = P.up, P.meet_table
+    up, down = P.up, P.down
     for interior in range(1 << (n - 2)):
         U = interior << 1 | 1 << (n - 1)
         members = _members(U)
         if any(up[x] & ~U for x in members):
             continue
-        allowed = U | 1 << P.zero
-        if all(allowed >> table[x][y] & 1
+        if all((d := down[x] & down[y]) & U or d == 1
                for i, x in enumerate(members) for y in members[i + 1:]):
             yield U
 
@@ -177,7 +175,7 @@ def _one_atom_extensions(classes: list[Semilattice]) -> list[Semilattice]:
 def _sizes(max_size: int) -> Iterator[list[Semilattice]]:
     """The classes of each size from 2 to max_size, each size grown from
     the one before."""
-    classes = [Semilattice(_interior_labels(2), ((0, 0), (0, 1)), zero=0, one=1)]
+    classes = [_validated(_interior_labels(2), 0, 1, (0b01, 0b11))]
     yield classes
     for _ in range(3, max_size + 1):
         classes = _one_atom_extensions(classes)

@@ -19,9 +19,9 @@ caller's to vouch for.  A single index, as star and arrow take, is
 range-tested by _row_at, inside a comparison the route makes anyway.
 Listings sort masks by _set_key.  The meet of a family is the element
 whose down row is the AND of the family's rows.  The n x n meet table
-is a view: the public constructor keeps the table it validated, and an
-instance built from rows derives it on first read (_derived_table).
-Classification, tightness and build_space read only the rows.
+is a view that only outside callers read (meet_table, meet): the public
+constructor keeps the table it validated, and an instance built from
+rows derives it on first read (_derived_table).  The library reads rows.
 The lower-cover relation has one kernel too, _lower_covers, which peels
 maximal elements off a down-set: covers_hat, to_text, the sibling
 witnesses of path semilattices and the cover pairs that classification
@@ -36,11 +36,11 @@ takes part in equality, hashing or repr.
 Semilattice.__post_init__ is the one validator of rows: labels, bounds
 and the row law (any two down rows AND to an element's row), on rows
 that its callers prove to be down-sets of an order: the table
-constructor checks the table's own laws first, and text files and
+constructor checks the table's own laws first; text files and
 from_order go through the one order builder, _from_order, whose
-docstring proves its rows and which builds no table.  Truncations and
-one-atom catalog extensions, lawful by construction, go through
-Semilattice._from_rows, which checks nothing.
+docstring proves its rows; it and the kept catalog classes end in
+_validated.  Truncations and one-atom catalog extensions, lawful by
+construction, go through Semilattice._from_rows, which checks nothing.
 
 All operations are exact and nothing here caps the size.  The limits
 live where the cost explodes, and refuse with TooLargeError before the
@@ -416,8 +416,13 @@ def _from_order(labels: Sequence[str], pairs: Iterable[tuple[str, str]],
     if not bottom or full not in down:
         _check_meets(labels, down, [full] * n)
         raise NoBoundError("the order has no global minimum or no global maximum")
+    return _validated(labels, bottom.bit_length() - 1, down.index(full), tuple(down))
+
+
+def _validated(labels: tuple[str, ...], zero: int, one: int, down: tuple[int, ...]) -> Semilattice:
+    """The instance of rows its caller proves are an order's down-sets, validated by __post_init__."""
     S = object.__new__(Semilattice)
-    S.__dict__.update(labels=labels, zero=bottom.bit_length() - 1, one=down.index(full), down=tuple(down))
+    S.__dict__.update(labels=labels, zero=zero, one=one, down=down)
     S.__post_init__()
     return S
 

@@ -135,8 +135,8 @@ def validate_rooted(G: RootedGraph) -> bool:
 
 def zero_disjunctive_graph(G: RootedGraph) -> bool:
     """Graph-side criterion: every in-degree is zero or at least two."""
-    if not validate_rooted(G):
-        raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
+    if lost := unreachable_vertices(G):
+        raise NotRootedError(f"unreachable vertices: {lost}")
     return all(len(edges) != 1 for edges in _in_edges(G).values())
 
 
@@ -178,8 +178,8 @@ def truncate(G: RootedGraph, depth: int) -> Semilattice:
     holding the zero and the whole subtree, before it is OR-ed up.  The
     root's parent is the zero, whose row is reset to {0}.
     """
-    if not validate_rooted(G):
-        raise NotRootedError(f"unreachable vertices: {unreachable_vertices(G)}")
+    if lost := unreachable_vertices(G):
+        raise NotRootedError(f"unreachable vertices: {lost}")
     if not isinstance(depth, int) or depth < 1:
         raise BadDepthError(f"depth must be a positive integer, got {depth!r}")
     into = _in_edges(G)

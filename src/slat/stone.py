@@ -229,24 +229,18 @@ class Representation:
 
 def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
     """Do the 0/1 values keep the bounds and every meet, value(meet(e, f))
-    = value(e) * value(f)?  Row e of that law reads the values along the
-    meet table's row e, which must equal the values themselves where
-    value(e) = 1 and all zeros where value(e) = 0.  The entries of row e
-    are exactly down(e), so the zero rows ask that no 1 lie below a 0:
-    that the 1-set be closed upward, which it is iff the up rows of its
-    members cover nothing outside it.  The 1-rows imply that too (row x
-    reads value(y) = value(x) at each y above x), but the closure test
-    turns most vectors away before any table row is read, and then only
-    the 1-rows are read."""
+    = value(e) * value(f)?  Given the bounds, the laws are the filter
+    axioms for the 1-set F: F holds 1 and not 0; if e is in F and e <= f,
+    value(e) = value(meet(e, f)) = value(e) * value(f) puts f in F; and F
+    holds meet(e, f) when it holds e and f.  Conversely a filter holds
+    meet(e, f) iff it holds e and f.  So is_filter's test decides: F lies
+    in up(m), m its meet, and is a filter iff up(m) has |F| members."""
     values = tuple(values)
     if not (len(values) == len(S.labels) and values[S.zero] == 0 and values[S.one] == 1
             and _BITS.issuperset(values)):
         return False
-    ones = list(itertools.compress(itertools.count(), values))
-    if reduce(or_, map(S.up.__getitem__, ones)).bit_count() != len(ones):
-        return False
-    at, table = values.__getitem__, S.meet_table
-    return all(tuple(map(at, table[e])) == values for e in ones)
+    ones = list(itertools.compress(S.elements(), values))
+    return S.up[S.meet_all(ones)].bit_count() == len(ones)
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
@@ -256,10 +250,11 @@ def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
 
 
 def filter_of_rep(S: Semilattice, rep: Representation) -> Filter:
-    """Preimage of 1, which the representation laws force to be a filter."""
+    """Preimage of 1, the filter up(g) of g the meet of the 1-set (see
+    is_representation).  Filter refuses g = 0, which only a wrong test passes."""
     if rep.lattice is not S and rep.lattice != S or not is_representation(S, rep.values):
         raise NotARepresentationError("values fail the representation laws")
-    return Filter.from_carrier(S, (e for e in S.elements() if rep.values[e] == 1))
+    return Filter(S, S.meet_all(itertools.compress(S.elements(), rep.values)))
 
 
 def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
@@ -331,7 +326,7 @@ def _check_bounded_hom(S: Semilattice, B: FiniteBooleanAlgebra,
         raise NotAHomomorphismError("one must map to the top")
     for e in S.elements():
         for f in S.elements():
-            if frozenset(alpha[S.meet(e, f)]) != frozenset(alpha[e]) & frozenset(alpha[f]):
+            if frozenset(alpha[S.meet_all((e, f))]) != frozenset(alpha[e]) & frozenset(alpha[f]):
                 raise NotAHomomorphismError(
                     f"meets not preserved at ({S.labels[e]!r}, {S.labels[f]!r})")
 

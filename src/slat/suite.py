@@ -181,7 +181,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         W = classify.trapping_witness(S, e, f)
         if W is None:
             continue
-        if not W or not all(S.leq(w, e) and S.meet(w, f) == S.zero and w != S.zero for w in W):
+        if not W or not all(S.leq(w, e) and orthogonal[f] >> w & 1 and w != S.zero for w in W):
             ok = False
             break
         if not _refines(S, e, W + [f]):
@@ -223,7 +223,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
 
     # Base sets obey the meet law (also verified inside build_space).
     ok = all(
-        base[S.meet(e, f)] == base[e] & base[f]
+        base[S.meet_all((e, f))] == base[e] & base[f]
         for e in S.elements() for f in S.elements())
     report.record("base_meet_law", ok, S, "base sets break the meet law")
 

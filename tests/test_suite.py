@@ -11,7 +11,7 @@ import pytest
 import corpus
 import suite_oracle
 from slat import core, stone, suite
-from slat.catalog import CatalogSpec
+from slat.catalog import CatalogSpec, _instances_of_size
 from slat.cli import main
 from slat.core import Semilattice
 from slat.suite import VerificationReport, run_suite
@@ -172,7 +172,7 @@ def _rejects_top_filter(S, values):
                          ids=["accepts-all-ones", "rejects-top-filter"])
 def test_wrong_is_representation_is_a_counterexample(wrong, monkeypatch, capsys):
     # The round trip through a wrong is_representation raises
-    # NotAFilterError or NotARepresentationError; the suite records it as
+    # ZeroElementError or NotARepresentationError; the suite records it as
     # a failure of its check instead of letting it escape as an input error.
     monkeypatch.setattr(stone, "is_representation", wrong)
     report = run_suite(CatalogSpec(max_size=5))
@@ -244,3 +244,15 @@ def test_suite_makes_every_library_call(column, spec, monkeypatch):
         monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
     assert run_suite(spec).ok()
     assert calls == {name: budget[column] for (_, name), budget in CALL_BUDGET.items()}
+
+
+def test_catalog_and_suite_derive_no_meet_table(monkeypatch):
+    # The down rows are the only order the library reads: enumeration,
+    # canonical keys, the representation test and every suite check run
+    # with the table view switched off.
+    def no_table(S):
+        raise AssertionError("a library route derived a meet table")
+    monkeypatch.setattr(core, "_derived_table", no_table)
+    assert len(_instances_of_size(9)) == 1078
+    assert run_suite(CatalogSpec(max_size=7)).ok()
+    assert run_suite(CatalogSpec(max_size=10, mode="random", sample_count=20, seed=1)).ok()

@@ -40,14 +40,17 @@ repeat of an identical call, for a lookup on every call and memory per
 distinct input.
 
 _walk keeps an explicit stack, and _build is chains joined by _walk, so
-neither has a depth limit.  _flip recurses, one Python frame per trie
-level, so complementing a clopen deeper than the recursion limit raises
-RecursionError (one error line from the command line).  That is kept on
-purpose for now: the complement of a cylinder of n symbols has n words
-of up to n symbols, about 8 MB of output at 4000 symbols over two
-letters, and the cantor-exprs benchmark declares RecursionError for its
-two cylinders past the limit, as its word-by-word check of such outputs
-would double the process's peak memory.
+neither has a depth limit.  eval_expr reads its tokens in one loop with
+an explicit stack of open parentheses, so '!' and parentheses nest to
+any depth, and an evaluation leaves no reference cycle behind.  _flip
+recurses, one Python frame per trie level, so complementing a clopen
+deeper than the recursion limit raises RecursionError (one error line
+from the command line).  That is kept on purpose for now: the
+complement of a cylinder of n symbols has n words of up to n symbols,
+about 8 MB of output at 4000 symbols over two letters, and the
+cantor-exprs benchmark declares RecursionError for its two cylinders
+past the limit, as its word-by-word check of such outputs would double
+the process's peak memory.
 
 Alphabets are strings of distinct symbols, each checked and indexed once
 into the record _record keeps for it.  A one-symbol alphabet is allowed
@@ -442,54 +445,65 @@ def eval_expr(alphabet: str, text: str) -> PrefixClopen:
 
     '!' binds tightest, then '&', then '|'; parentheses group.  Each atom
     is a kappa_word, top or bottom, and each operator the public meet,
-    join or complement.
+    join or complement, applied as soon as its operands are read.
+
+    One loop reads the tokens, expecting a factor or an operator in turn,
+    and keeps an explicit stack with one entry per open parenthesis: the
+    enclosing level's join of its finished terms, meet of its finished
+    factors and count of pending '!'.  So '!' and parentheses nest to any
+    depth, and an evaluation makes no closure and leaves no reference
+    cycle for the garbage collector.
     """
     _check_alphabet(alphabet)
     tokens: list[str | None] = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression")
     tokens.append(None)  # past the end
-    pos = 0
-
-    def parse_expr() -> PrefixClopen:
-        nonlocal pos
-        acc = parse_term()
-        while tokens[pos] == "|":
-            pos += 1
-            acc = join(acc, parse_term())
-        return acc
-
-    def parse_term() -> PrefixClopen:
-        nonlocal pos
-        acc = parse_factor()
-        while tokens[pos] == "&":
-            pos += 1
-            acc = meet(acc, parse_factor())
-        return acc
-
-    def parse_factor() -> PrefixClopen:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        pos += 1
-        if tok == "!":
-            return complement(parse_factor())
-        if tok == "(":
-            inner = parse_expr()
-            if tokens[pos] != ")":
+    stack: list[tuple[PrefixClopen | None, PrefixClopen | None, int]] = []
+    terms = factors = None  # this level's join of terms, meet of factors
+    nots = 0
+    operand = True  # a factor comes next, else an operator
+    for tok in tokens:
+        if operand:
+            if tok == "!":
+                nots += 1
+                continue
+            if tok == "(":
+                stack.append((terms, factors, nots))
+                terms = factors = None
+                nots = 0
+                continue
+            if tok is None:
+                raise ParseError("unexpected end of expression")
+            if tok in (")", "&", "|"):
+                raise ParseError(f"unexpected {tok!r}")
+            if tok in ("TOP", "^"):
+                value = top(alphabet)
+            elif tok in ("BOT", "-"):
+                value = bottom(alphabet)
+            else:
+                value = kappa_word(alphabet, tok)
+        else:
+            if tok == "&":
+                operand = True
+                continue
+            terms = factors if terms is None else join(terms, factors)
+            if tok == "|":
+                factors = None
+                operand = True
+                continue
+            if not stack:
+                break
+            if tok != ")":
                 raise ParseError("missing closing parenthesis")
-            pos += 1
-            return inner
-        if tok in (")", "&", "|"):
-            raise ParseError(f"unexpected {tok!r}")
-        if tok in ("TOP", "^"):
-            return top(alphabet)
-        if tok in ("BOT", "-"):
-            return bottom(alphabet)
-        return kappa_word(alphabet, tok)
-
-    result = parse_expr()
-    if tokens[pos] is not None:
-        raise ParseError(f"trailing input from {tokens[pos]!r}")
-    return result
+            value = terms
+            terms, factors, nots = stack.pop()
+        # A factor is read: its pending '!'s apply, then it joins the meet.
+        while nots:
+            value = complement(value)
+            nots -= 1
+        factors = value if factors is None else meet(factors, value)
+        operand = False
+    if tok is not None:
+        raise ParseError(f"trailing input from {tok!r}")
+    return terms

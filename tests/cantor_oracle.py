@@ -11,8 +11,8 @@ order) and the complement that rescans every prefix at every node, which
 the library first used; then the one-pass reduction, the pair-scan meet
 and the word-descent complement, which the trie replaced.  The tests
 hold the trie's words to all of them, and the expression tokenizer's
-pattern to the character scan it replaced.  So too the evaluator that
-reads its tokens through peek and take closures, the cylinder test that
+pattern to the character scan it replaced.  So too the recursive-descent
+evaluator that the explicit-stack loop replaced, the cylinder test that
 lists the complement's words and the membership test that scans every
 word.
 """
@@ -180,9 +180,10 @@ def complement_by_word_descent(alphabet: str, words) -> tuple[str, ...]:
 
 
 def eval_by_operations(alphabet: str, text: str) -> PrefixClopen:
-    """The expression evaluator before its tokens were indexed directly:
-    the same grammar, errors and operations as eval_expr, with peek and
-    take closures over the token list and a length test for its end."""
+    """The recursive-descent expression evaluator that eval_expr's loop
+    replaced: the same grammar, errors and operations, with one parser
+    closure per grammar rule, peek and take closures over the token list
+    and a length test for its end.  It recurses once per nesting level."""
     _check_alphabet(alphabet)
     tokens = _TOKEN.findall(text)
     pos = 0

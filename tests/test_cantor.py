@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -238,9 +239,9 @@ expr_texts = st.lists(st.sampled_from(
     ("a", "b", "x", "&", "|", "!", "(", ")", "^", "-", "TOP", "BOT", " ", "\t")), max_size=12).map("".join)
 
 
-def outcome_of(evaluate, text: str):
+def outcome_of(evaluate, text: str, alphabet: str = AB):
     try:
-        return evaluate(AB, text)
+        return evaluate(alphabet, text)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -260,6 +261,51 @@ def test_eval_raises_what_the_closure_parser_raises(text, error):
 @given(expr_texts)
 def test_eval_matches_the_closure_parser(text):
     assert outcome_of(eval_expr, text) == outcome_of(eval_by_operations, text)
+
+
+def test_eval_matches_the_closure_parser_on_a_seeded_sweep():
+    rng = random.Random(31)
+    for i in range(3000):
+        alphabet = ("ab", "abc", "ba")[i % 3]
+        text = random_expr(rng, alphabet, 6).text()
+        assert outcome_of(eval_expr, text, alphabet) == outcome_of(eval_by_operations, text, alphabet), text
+    for i in range(2000):
+        alphabet = ("ab", "abc", "ba")[i % 3]
+        pieces = (*alphabet, "x", *"&|!()^-", "TOP", "BOT", " ", "\t", "\n")
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 24)))
+        assert outcome_of(eval_expr, text, alphabet) == outcome_of(eval_by_operations, text, alphabet), text
+
+
+@pytest.mark.parametrize("alphabet, word", [("ab", "ab"), ("abc", "cab"), ("ba", ""), ("ab", "bbb")])
+def test_nesting_past_the_recursion_limit_has_closed_forms(alphabet, word):
+    # k nested '!' give the word's cylinder for even k and its complement
+    # for odd k, whatever the grouping; the closure parser would recurse k
+    # frames deep, so the closed forms are the oracle here.
+    cylinder = kappa_word(alphabet, word)
+    spelled = word or "TOP"
+    limit = sys.getrecursionlimit()
+    for k in (0, 1, 2, 3, limit - 1, limit, 3 * limit, 3 * limit + 1):
+        want = cylinder if k % 2 == 0 else complement(cylinder)
+        assert eval_expr(alphabet, "!" * k + spelled) == want, k
+        assert eval_expr(alphabet, "!(" * k + spelled + ")" * k) == want, k
+        assert eval_expr(alphabet, "(" * k + "!" * k + spelled + ")" * k) == want, k
+    deep = 3 * limit
+    assert outcome_of(eval_expr, "(" * deep + spelled, alphabet) == (
+        ParseError, "missing closing parenthesis")
+    assert outcome_of(eval_expr, "!" * deep, alphabet) == (ParseError, "unexpected end of expression")
+
+
+def test_evaluation_leaves_no_reference_cycle():
+    # An evaluation makes no closure, so none of its objects waits for the
+    # cyclic garbage collector.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            eval_expr(AB, "!(a | b & !ab) & (ba | -)")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Each public route that takes an alphabet, called with one.

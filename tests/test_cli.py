@@ -166,14 +166,26 @@ def test_cantor_still_requires_an_alphabet():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a\n", "")
 
 
-@pytest.mark.parametrize("expr", ["!" * 3000 + "a", "!" + "ab" * 1000],
-                         ids=["nested-complements", "long-cylinder"])
+# The complement of a trie deeper than the recursion limit still recurses
+# in _flip; the expression evaluator itself keeps an explicit stack.
+@pytest.mark.parametrize("expr", ["!" + "ab" * 1000], ids=["long-cylinder"])
 def test_cantor_recursion_ends_in_one_error_line(expr):
     proc = run_slat("cantor", "--alphabet", "ab", expr)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr, shown", [
+    ("!" * 3000 + "a", "a\n"),
+    ("(" * 3000 + "a" + ")" * 3000, "a\n"),
+    ("!(" * 2000 + "ab|b" + ")" * 2000, "b ab\n"),
+], ids=["nested-complements", "nested-parentheses", "nested-complemented-groups"])
+def test_cantor_nesting_past_the_recursion_limit_answers(expr, shown):
+    # '!' and parentheses nest on the evaluator's own stack, not Python's
+    proc = run_slat("cantor", "--alphabet", "ab", expr)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown, "")
 
 
 def test_cantor_deep_join_answers():

@@ -31,7 +31,7 @@ from typing import Iterator
 from .core import Semilattice, _members, _validated
 from .errors import NoMeetError, TooLargeError
 
-EXHAUSTIVE_LIMIT = 9
+EXHAUSTIVE_LIMIT = 10
 
 _INTERIOR_NAMES = "abcdefghij"
 

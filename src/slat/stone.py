@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .core import Semilattice, _members, _row_at, _rows, _set_key, _transpose
+from .core import Semilattice, _members, _refuse_index, _set_key, _transpose
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -234,13 +234,15 @@ def is_representation(S: Semilattice, values: tuple[int, ...]) -> bool:
     value(e) = value(meet(e, f)) = value(e) * value(f) puts f in F; and F
     holds meet(e, f) when it holds e and f.  Conversely a filter holds
     meet(e, f) iff it holds e and f.  So is_filter's test decides: F lies
-    in up(m), m its meet, and is a filter iff up(m) has |F| members."""
+    in up(m), m its meet, and is a filter iff up(m) has |F| members, the
+    count of 1s.  The down row of m is the AND of the down rows of F,
+    which is not empty as it holds one; no list of F is built."""
     values = tuple(values)
     if not (len(values) == len(S.labels) and values[S.zero] == 0 and values[S.one] == 1
             and _BITS.issuperset(values)):
         return False
-    ones = list(itertools.compress(S.elements(), values))
-    return S.up[S.meet_all(ones)].bit_count() == len(ones)
+    m = S._element_of_row[reduce(and_, itertools.compress(S.down, values))]
+    return S.up[m].bit_count() == values.count(1)
 
 
 def rep_of_filter(S: Semilattice, F: Filter) -> Representation:
@@ -275,10 +277,22 @@ def _nbhd_generators(S: Semilattice, e: int, es: Sequence[int]) -> int:
     Every filter is up(g) for a non-zero g, which holds e iff g <= e and
     omits x iff g is not below x, so the generators are read off the down
     rows.  The indices are checked where the rows are read, at one sign
-    test per element.  The suite calls this kernel and builds no Filter.
+    test per element, written into this loop as in core._below_orthogonal:
+    the suite calls this kernel and builds no Filter, and reading the rows
+    through core._row_at and a core._rows generator makes each call about
+    twice as slow.
     """
-    below = _row_at(S, S.down, e)
-    drop = reduce(or_, _rows(S, S.down, es), 1 << S.zero)
+    down = S.down
+    if not 0 <= e < len(down):
+        _refuse_index(S, e)
+    below, drop = down[e], 1 << S.zero
+    for x in es:
+        if x < 0:
+            _refuse_index(S, x)
+        try:
+            drop |= down[x]
+        except IndexError:
+            _refuse_index(S, x)
     if drop & ~below:  # some down(x) leaves down(e): x is not below e
         bad = [x for x in es if not below >> x & 1]
         raise BadBasisError(

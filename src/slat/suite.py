@@ -20,13 +20,17 @@ suite's cost is its library calls.  On n elements an instance asks
 is_representation of all 2^n vectors of 0s and 1s, and the arrow kernel
 of each non-zero f with each family of at most three elements.  The heavy
 checks make their calls through one map over the argument lists, and
-what depends only on n (the families of at most three elements, and the
-masks that step them up by one element) is built once per size.
+what depends only on n is built once per size (_size_tables): the
+families of at most three elements, the masks that step them up by one
+element, and the 2^n vectors themselves.
 
-The 2^n scan stays: a wrong is_representation may err on a single
-vector, such as the all-ones one, which sends zero to 1 and which no
-search that prunes on the laws would ever ask.  test_suite.py pins the
-number of calls to each route.
+The calls stay, and so the work goes into making each one cheap: the
+kernels run their loops in one frame, with their index checks written
+in, and the suite skips only its own work, such as a neighbourhood with
+no points to check, never a call.  The 2^n scan stays too: a wrong
+is_representation may err on a single vector, such as the all-ones
+one, which sends zero to 1 and which no search that prunes on the laws
+would ever ask.  test_suite.py pins the number of calls to each route.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ class _SizeTables(NamedTuple):
     family_bits: tuple[int, ...]  # family A -> 1 << A
     holding: tuple[int, ...]  # element x -> the families that hold x
     lacking: tuple[int, ...]  # element x -> the families of at most two that lack x
+    vectors: tuple[tuple[int, ...], ...]  # the 2^n vectors of 0s and 1s, in product order
 
 
 @cache
@@ -120,7 +125,8 @@ def _size_tables(n: int) -> _SizeTables:
                 holding[x] |= bit
             elif len(es) < 3:
                 lacking[x] |= bit
-    return _SizeTables(tuple(_subsets(elements, 2)), families, family_bits, tuple(holding), tuple(lacking))
+    return _SizeTables(tuple(_subsets(elements, 2)), families, family_bits, tuple(holding), tuple(lacking),
+                       tuple(itertools.product((0, 1), repeat=n)))
 
 
 def _check_instance(S: Semilattice, report: VerificationReport) -> None:
@@ -272,7 +278,7 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
         for F in all_filters:
             if stone.filter_of_rep(S, stone.rep_of_filter(S, F)) != F:
                 ok = False
-        for bits in filter(partial(stone.is_representation, S), itertools.product((0, 1), repeat=len(S))):
+        for bits in filter(partial(stone.is_representation, S), tables.vectors):
             rep_count += 1
             if stone.rep_of_filter(S, stone.filter_of_rep(S, stone.Representation(S, bits))).values != bits:
                 ok = False
@@ -312,7 +318,10 @@ def _check_instance(S: Semilattice, report: VerificationReport) -> None:
     for e in S.nonzero():
         sets = list(_subsets(_members(below[e]), 2))
         for es, hood in zip(sets, map(stone._nbhd_generators, repeat(S), repeat(e), sets)):
-            hood = _members(hood & points)
+            hood &= points
+            if not hood:  # no point of the space to check
+                continue
+            hood = _members(hood)
             hood_points = sum(1 << point_of[g] for g in hood)
             for g in hood:
                 picks = [pick[g][x] for x in es]

@@ -124,9 +124,9 @@ def test_random_instances_match_the_table_route():
 
 
 def test_exhaustive_size_cap():
-    assert CatalogSpec(max_size=9).max_size == 9
-    with pytest.raises(TooLargeError, match="up to 9"):
-        CatalogSpec(max_size=10)
+    assert CatalogSpec(max_size=10).max_size == 10
+    with pytest.raises(TooLargeError, match="up to 10"):
+        CatalogSpec(max_size=11)
 
 
 def test_random_size_cap():

@@ -408,6 +408,14 @@ def test_graph_depth_beyond_the_last_path(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_catalog_refuses_exhaustive_sizes_beyond_the_limit(capsys):
+    # the refusal comes before any enumeration, so size 11 costs nothing
+    assert main(["catalog", "--max-size", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive enumeration supports sizes up to 10, got 11\n"
+
+
 def test_catalog_refuses_sizes_beyond_labels(capsys):
     assert main(["catalog", "--max-size", "13", "--random", "1"]) == 2
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -204,6 +205,12 @@ def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
         failed.update(name for name, passed in got.items() if not passed)
     # each fault shows in at least one of the five checks
     assert bool(failed) == bool(fault)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_size_tables_hold_every_vector_in_product_order(n):
+    # the representation scan asks every 0/1 vector once, in product order
+    assert suite._size_tables(n).vectors == tuple(itertools.product((0, 1), repeat=n))
 
 
 # How often the suite calls each library route, through the bindings the

@@ -24,7 +24,7 @@ import sys
 from typing import NoReturn
 
 from . import cantor, classify, pathlat, stone
-from .catalog import CatalogSpec
+from .catalog import EXHAUSTIVE_LIMIT, MAX_SIZE, CatalogSpec
 from .core import Semilattice, _members, nonzero_pairs_below, parse_semilattice
 from .errors import SlatError, TheoremViolationError
 from .filters import enumerate_filters, is_ultrafilter
@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="run the verification suite over small instances")
     p.add_argument("--max-size", type=int, required=True,
-                   help="largest size: every class of 2..max-size elements, up to 9, "
-                        "or with --random the sample size, up to 12")
+                   help=f"largest size: every class of 2..max-size elements, up to {EXHAUSTIVE_LIMIT}, "
+                        f"or with --random the sample size, up to {MAX_SIZE}")
     p.add_argument("--random", type=int, default=None, metavar="M",
                    help="sample M random instances of exactly max-size elements")
     p.add_argument("--seed", type=int, default=0)

@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .core import Semilattice, _members, _refuse_index, _set_key, _transpose
+from .core import Semilattice, _members, _refuse_index, _row_at, _set_key, _transpose
 from .errors import (
     BadBasisError,
     NotAFilterError,
@@ -83,9 +83,7 @@ def build_space(S: Semilattice) -> UltrafilterSpace:
 
 def kappa(space: UltrafilterSpace, e: int) -> int:
     """Base set of an element: the mask of the points whose ultrafilter contains it."""
-    if not (0 <= e < len(space.lattice)):
-        raise ValueError(f"element index {e} out of range")
-    return space.base[e]
+    return _row_at(space.lattice, space.base, e)
 
 
 def kappa_injective(space: UltrafilterSpace) -> bool:

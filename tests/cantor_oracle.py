@@ -14,7 +14,11 @@ hold the trie's words to all of them, and the expression tokenizer's
 pattern to the character scan it replaced.  So too the recursive-descent
 evaluator that the explicit-stack loop replaced, the cylinder test that
 lists the complement's words and the membership test that scans every
-word.
+word.  cover_set is the finite-depth model of a word list and
+clopen_cover that of a clopen; random_expr draws Expr trees, whose
+oracle method models an expression, and check_expr_against_oracle holds
+eval_expr to that model.  The benchmark's cantor workload imports
+cover_set and random_expr.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from slat.cantor import (
 from slat.errors import ParseError
 
 
-def shortlex(alphabet: str, words) -> tuple[str, ...]:
+def _shortlex(alphabet: str, words) -> tuple[str, ...]:
     rank = {c: i for i, c in enumerate(alphabet)}
     return tuple(sorted(words, key=lambda w: (len(w), [rank[c] for c in w])))
 
@@ -60,7 +64,7 @@ def normalize_two_phase(alphabet: str, words) -> tuple[str, ...]:
                 kept -= family
                 kept.add(p)
                 changed = True
-    return shortlex(alphabet, kept)
+    return _shortlex(alphabet, kept)
 
 
 def four_rule_violation(alphabet: str, words) -> str | None:
@@ -75,7 +79,7 @@ def four_rule_violation(alphabet: str, words) -> str | None:
     for p in {w[:-1] for w in words if w}:
         if all(p + s in seen for s in alphabet):
             return f"complete sibling family under {p!r} not collapsed"
-    if tuple(words) != shortlex(alphabet, words):
+    if tuple(words) != _shortlex(alphabet, words):
         return "words not in shortlex order"
     return None
 
@@ -285,7 +289,7 @@ def cover_set(alphabet: str, words, L: int) -> frozenset:
     return frozenset(out)
 
 
-def full_set(alphabet: str, L: int) -> frozenset:
+def _full_set(alphabet: str, L: int) -> frozenset:
     return frozenset("".join(t) for t in itertools.product(alphabet, repeat=L))
 
 
@@ -321,11 +325,11 @@ class Expr:
         if self.op == "word":
             return cover_set(alphabet, [self.args[0]], L)
         if self.op == "top":
-            return full_set(alphabet, L)
+            return _full_set(alphabet, L)
         if self.op == "bot":
             return frozenset()
         if self.op == "not":
-            return full_set(alphabet, L) - self.args[0].oracle(alphabet, L)
+            return _full_set(alphabet, L) - self.args[0].oracle(alphabet, L)
         a = self.args[0].oracle(alphabet, L)
         b = self.args[1].oracle(alphabet, L)
         return a & b if self.op == "and" else a | b

@@ -8,7 +8,11 @@ canonical_key permutes the whole interior, with no invariant cells.
 enumerate_filters builds every principal up-set afresh and sorts the
 filters, where the library reads the up-sets and their order that the
 semilattice keeps; filterspace_nbhd scans that listing, and
-enumerate_ultrafilters keeps the filters that order_oracle finds maximal.
+enumerate_ultrafilters keeps the filters that order_oracle's meet
+criterion accepts.  subset_scan_filters finds the filters straight from
+the axioms among all subsets, is_maximal_filter is literal maximality
+among the listed filters, and tight_by_triple_scan decides tightness
+over every (X, Y, Z) triple.
 scan_tight_pivots decides tightness by the (pivot, Y) subset scan that
 the single-element criterion replaced, and pivot_violations runs that
 criterion's cover test at every pivot, which the test at the generator
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import cache
 from typing import Iterable
 
 import order_oracle
@@ -92,9 +96,9 @@ def enumerate_filters(S: Semilattice) -> list[Filter]:
     return list(_filters(S))
 
 
-# filterspace_nbhd scans the listing once per (e, es), and the listing
-# routes and their arguments list the same instance in turn
-@lru_cache(maxsize=4)
+# filterspace_nbhd scans the listing once per (e, es), and each listing
+# route and its arguments list every instance of its slices
+@cache
 def _filters(S: Semilattice) -> tuple[Filter, ...]:
     return tuple(sorted((Filter.from_carrier(S, up(S, {e})) for e in S.nonzero()), key=Filter.sort_key))
 
@@ -106,8 +110,23 @@ def filterspace_nbhd(S: Semilattice, e: int, es: Iterable[int]) -> list[Filter]:
             if e in F.carrier and all(x not in F.carrier for x in es)]
 
 
+def subset_scan_filters(S: Semilattice) -> set[frozenset]:
+    """The carriers of every non-empty subset that omits zero and is closed
+    under meets and upward."""
+    es = list(S.elements())
+    return {A for r in range(1, len(es) + 1) for A in map(frozenset, itertools.combinations(es, r))
+            if S.zero not in A and all(S.meet(x, y) in A for x in A for y in A)
+            and all(f in A for x in A for f in es if S.leq(x, f))}
+
+
+def is_maximal_filter(S: Semilattice, carrier: frozenset) -> bool:
+    """No filter's carrier strictly contains this one."""
+    return not any(carrier < F.carrier for F in enumerate_filters(S))
+
+
 def enumerate_ultrafilters(S: Semilattice) -> list[Filter]:
-    """The filters that no other filter strictly contains, by the set scan."""
+    """The filters that order_oracle.is_ultrafilter accepts: no element
+    outside the filter meets each of its members above zero."""
     return [F for F in enumerate_filters(S) if order_oracle.is_ultrafilter(S, F.carrier)]
 
 
@@ -147,6 +166,25 @@ def pivot_violations(S: Semilattice, carrier: frozenset) -> list[int]:
     avoid = S.up[S.meet_all(carrier)] | zero
     return [x for x in sorted(carrier)
             if _below_orthogonal(S, x, _members(S.down[x] & ~avoid)) == zero]
+
+
+def tight_by_triple_scan(S: Semilattice, carrier: frozenset) -> bool:
+    """No (X, Y, Z) triple, X inside the filter and Y outside it, has a
+    cover Z of the constrained set of (X, Y) that avoids the filter."""
+    inside = sorted(carrier)
+    outside = [e for e in S.elements() if e not in carrier]
+    for X in _subsets(inside):
+        for Y in _subsets(outside):
+            target = constrained_set(S, X, Y)
+            for Z in _subsets(sorted(target)):
+                covers = all(any(S.meet(x, z) != S.zero for z in Z) for x in target if x != S.zero)
+                if covers and not set(Z) & carrier:
+                    return False
+    return True
+
+
+def _subsets(xs: list[int]):
+    return (c for r in range(len(xs) + 1) for c in itertools.combinations(xs, r))
 
 
 def tight_filters(S: Semilattice) -> list[Filter]:

@@ -1,14 +1,15 @@
 """The instances that library routes are held to their oracles on, each
 built once per session: the catalog up to 7 elements, seeded random
-samples, truncations of the loop graphs and one relabeled copy of each
-semilattice.  A random sample of count k is the first k instances of the
-sample with the same size and seed, so each (size, seed) is drawn once,
-at the largest count taken.  A slice names the instances one comparison
-runs on; slices share their instances.  A copy's permutation is drawn
-from RELABEL_SEED and the instance's text, whatever ran first.  The
-slice "texts" holds semilattice files for the parser: the catalog's and
-the copies' to_text, the benchmark's input files, and fixed draws of
-the semilattice_files strategy that the CLI fuzz also draws from.
+samples, truncations of the loop graphs, (graph, depth) pairs for the
+truncation route and one relabeled copy of each semilattice.  A random
+sample of count k is the first k instances of the sample with the same
+size and seed, so each (size, seed) is drawn once, at the largest count
+taken.  A slice names the instances one comparison runs on; slices
+share their instances.  A copy's permutation is drawn from RELABEL_SEED
+and the instance's text, whatever ran first.  The slice "texts" holds
+semilattice files for the parser: the catalog's and the copies' to_text,
+the benchmark's input files, and fixed draws of the semilattice_files
+strategy that the CLI fuzz also draws from.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import random
 from functools import cache
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -130,18 +130,24 @@ def _texts() -> tuple[str, ...]:
             *(text for text in _fuzz_files() if "meet" not in text))
 
 
-# the sets that the listings, the Stone points and the cover-pair verdicts run on
-INSTANCE_SETS = ("catalog-7", "random-8-12", "bench-truncations")
+# the truncations the sibling cover witnesses were first checked on, and
+# the (graph, depth) pairs the truncation route builds
+LOOP_TRUNCATIONS = (*(("two-loop", d) for d in range(1, 8)), *(("three-loop", d) for d in range(1, 5)),
+                    *(("one-loop", d) for d in range(1, 41)))
+LOOP_GRAPHS = (*(("two-loop", d) for d in range(1, 9)), *(("three-loop", d) for d in range(1, 6)))
 SLICES = {
+    "catalog-5": lambda: catalog(5),
+    "catalog-6": lambda: catalog(6),
     "catalog-7": lambda: catalog(),
     "random-8-12": lambda: sample(range(8, 13), 3),
     "bench-truncations": lambda: truncations(*BENCH_TRUNCATIONS),
+    "loop-truncations": lambda: truncations(*LOOP_TRUNCATIONS),
+    "loop-graphs": lambda: tuple((GRAPHS[graph], depth) for graph, depth in LOOP_GRAPHS),
     "rows": lambda: (*catalog(), *sample(10, 30, seed=4), *truncations(("two-loop", 4), ("three-loop", 3))),
     "opens": lambda: (*catalog(), *sample(10, 10, seed=4)),
     "clopens": lambda: (*catalog(), *sample(range(8, 12), 10),
                         *truncations(("two-loop", 3), ("three-loop", 2), ("one-loop", 6))),
-    "base-laws": lambda: (*catalog(), *sample(range(8, 12), 6), *truncations(
-        *(("two-loop", d) for d in range(1, 9)), *(("three-loop", d) for d in range(1, 6)))),
+    "base-laws": lambda: (*catalog(), *sample(range(8, 12), 6), *truncations(*LOOP_GRAPHS)),
     "tight-scan": lambda: (*catalog(), *sample(9, 30, seed=2), *truncations(("two-loop", 3), ("three-loop", 2))),
     "representations": lambda: (*catalog(6), *sample(range(8, 11), 2)),
     "neighbourhoods": lambda: (*catalog(), *sample(10, 4, seed=5), *sample(range(8, 13), 3),
@@ -152,23 +158,14 @@ SLICES = {
 
 
 @cache
-def instances(*names: str) -> tuple:
-    """The union of the named slices, each instance once, in order."""
-    return tuple({id(x): x for name in names for x in SLICES[name]()}.values())
-
-
-def params(name: str) -> list:
-    """A pytest param (name, i) for each instance i of the slice, with the
-    id n<size>, which pytest numbers apart where sizes repeat.  The slice
-    is built at collection.  Should building it raise, as a library fault
-    can make it do, the one param (name, None) stands for the whole slice,
-    and its test fails where it builds the slice again, so the fault fails
-    tests instead of their collection."""
-    try:
-        built = instances(name)
-    except Exception:  # reported by the test that rebuilds the slice
-        return [pytest.param(name, None, id=name)]
-    return [pytest.param(name, i, id=f"n{len(S)}") for i, S in enumerate(built)]
+def instances(*names: str) -> tuple[tuple[str, object], ...]:
+    """The union of the named slices, each instance once, in order, with
+    where it is first found: its slice and its index there."""
+    found: dict[int, tuple[str, object]] = {}
+    for name in names:
+        for i, x in enumerate(SLICES[name]()):
+            found.setdefault(id(x), (f"slice {name}, instance {i}", x))
+    return tuple(found.values())
 
 
 def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import slat
 from corpus import semilattice_files, spoil
 from slat import cli, pathlat
+from slat.catalog import EXHAUSTIVE_LIMIT, MAX_SIZE
 from slat.cli import main
 
 VEE_TEXT = "elements: 0 a b 1\norder: 0<a 0<b a<1 b<1\n"
@@ -278,6 +279,13 @@ def test_help_exits_zero(argv):
     code, out, err = outcome(argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: slat ") and "options:" in out
+
+
+def test_catalog_help_names_the_size_limits():
+    code, out, err = outcome(["catalog", "--help"])
+    assert (code, err) == (0, "")
+    words = " ".join(out.split())  # argparse wraps to the terminal width
+    assert f"elements, up to {EXHAUSTIVE_LIMIT}, or" in words and f"sample size, up to {MAX_SIZE}" in words
 
 
 def _every_command(vee_file, two_loop_file) -> list[list[str]]:

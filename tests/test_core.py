@@ -38,7 +38,7 @@ from slat.errors import (
 )
 from slat.filters import Filter, extend_to_ultrafilter, principal_filter
 from slat.pathlat import covers_hat, level, sibling_cover_witness, sibling_cover_witnesses
-from slat.stone import filterspace_nbhd
+from slat.stone import build_space, filterspace_nbhd, kappa
 from test_oracles import _outcome
 
 VEE_TEXT = """
@@ -282,6 +282,7 @@ BAD_INDEX_CALLS = {
     "level": (lambda S, i: level(S, i),),
     "covers_hat": (lambda S, i: covers_hat(S, i),),
     "sibling_cover_witnesses": (lambda S, i: sibling_cover_witnesses(S, i),),
+    "kappa": (lambda S, i: kappa(build_space(S), i),),
 }
 
 

@@ -4,15 +4,15 @@ A Route pairs a library callable with its oracle, the calls to make on
 one instance and the corpus slices that test_route_matches_oracle runs it
 on, one test id per route.  check() makes each call on the instance and
 on its relabeled copy; a SlatError counts as a result, so a refusal must
-match in type and message.  A mismatch names the instance: where it was
-taken from, whether it is the relabeled copy, and its text when short.
-The library keeps sets of points as int masks, and the route adapters
-hand them to the comparison as the oracles' frozensets.  The
-parametrized comparisons that held these routes before keep their ids
-and run the routes DRIVERS gives them.  The audit fails when a public
-function of an oracle module is the oracle of no route and is not in
+match in type and message.  A mismatch names the instance: the slice,
+its index there, whether it is the relabeled copy, and its text when
+short.  The library keeps sets of points as int masks, and the route
+adapters hand them to the comparison as the oracles' frozensets.  A
+theorem route holds a library route to the oracle of an equivalent
+property.  The audit reads every tests/*_oracle.py and fails when a
+public function there is the oracle of no route and is not in
 COMPARED_ELSEWHERE, the oracles compared on hypothesis draws, fault
-injections, fresh builds or whole sets.
+injections, fresh builds, word lists or whole sets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import inspect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -44,8 +45,8 @@ class Route:
     name: str
     library: Callable
     oracle: Callable
+    corpus: tuple[str, ...]  # the slices of corpus.SLICES it runs on
     args: Callable = lambda S: [(S,)]  # an instance -> the argument tuples to call both with
-    corpus: tuple[str, ...] = ()
 
 
 def _each(S: Semilattice, xs) -> list[tuple]:
@@ -105,7 +106,7 @@ def _vectors(S: Semilattice) -> list[tuple]:
     return _each(S, vectors)
 
 
-@lru_cache(maxsize=2)  # the routes of an instance and its copy run in turn
+@cache  # the Stone routes of one slice share its spaces
 def _space(S: Semilattice) -> list[tuple]:
     return [(stone.build_space(S),)]
 
@@ -134,99 +135,106 @@ def _violations(S: Semilattice, A: frozenset) -> list[int]:
     return list(filters.tight_violations(S, Filter.from_carrier(S, A)))
 
 
+def _is_ultrafilter(S: Semilattice, A: frozenset) -> bool:
+    return filters.is_ultrafilter(S, Filter.from_carrier(S, A))
+
+
+def _extension_verdicts(S: Semilattice, e: int) -> tuple[bool, bool]:
+    """Whether the extension of e holds e, and whether it is an ultrafilter."""
+    U = filters.extend_to_ultrafilter(S, e)
+    return e in U, filters.is_ultrafilter(S, U)
+
+
 def _points(masks) -> list[frozenset]:
     """Each mask of point indices as the frozenset of its points."""
     return [frozenset(_members(m)) for m in masks]
 
 
+# the sets the listings, the Stone points and the cover-pair verdicts run on
+LISTINGS = ("catalog-7", "random-8-12", "bench-truncations")
+# the truncations and catalog intervals the cover routes run on
+COVERS = ("loop-truncations", "catalog-6")
+
 ROUTES = (
     # the one order builder, against the parser that built the full meet table
-    Route("parse_semilattice", core.parse_semilattice, order_oracle.parse_semilattice, lambda text: [(text,)],
-          ("texts",)),
+    Route("parse_semilattice", core.parse_semilattice, order_oracle.parse_semilattice, ("texts",),
+          lambda text: [(text,)]),
     # the order primitives, on the rows
-    Route("star", core.star, order_oracle.star, lambda S: _each(S, S.elements())),
-    Route("up", core.up, order_oracle.up, lambda S: _singletons(S) + _draws(S)[0]),
-    Route("down", core.down, order_oracle.down, lambda S: _singletons(S) + _draws(S)[0]),
-    Route("level", pathlat.level, order_oracle.level, lambda S: _each(S, S.elements())),
-    Route("covers_hat", pathlat.covers_hat, order_oracle.covers_hat, lambda S: _each(S, S.nonzero())),
-    Route("nonzero_pairs_below", lambda S: list(core.nonzero_pairs_below(S)), order_oracle.nonzero_pairs_below),
-    Route("covering_pairs", _order_line, order_oracle.covering_pairs),
-    Route("arrow", core.arrow, order_oracle.arrow, lambda S: _draws(S)[1]),
+    Route("star", core.star, order_oracle.star, ("rows",), lambda S: _each(S, S.elements())),
+    Route("up", core.up, order_oracle.up, ("rows",), lambda S: _singletons(S) + _draws(S)[0]),
+    Route("down", core.down, order_oracle.down, ("rows",), lambda S: _singletons(S) + _draws(S)[0]),
+    Route("level", pathlat.level, order_oracle.level, ("rows",), lambda S: _each(S, S.elements())),
+    Route("covers_hat", pathlat.covers_hat, order_oracle.covers_hat, ("rows",), lambda S: _each(S, S.nonzero())),
+    Route("nonzero_pairs_below", lambda S: list(core.nonzero_pairs_below(S)), order_oracle.nonzero_pairs_below,
+          ("rows",)),
+    Route("covering_pairs", _order_line, order_oracle.covering_pairs, ("rows", *COVERS)),
+    Route("arrow", core.arrow, order_oracle.arrow, ("rows",), lambda S: _draws(S)[1]),
     # the kernel that classification and the suite call
-    Route("arrow.kernel", core._refines, order_oracle.arrow, lambda S: _draws(S)[1], ("rows",)),
-    Route("constrained_set", core.constrained_set, order_oracle.constrained_set, lambda S: _draws(S)[2]),
-    Route("is_cover", _is_cover, order_oracle.is_cover, lambda S: _draws(S)[3]),
+    Route("arrow.kernel", core._refines, order_oracle.arrow, ("rows",), lambda S: _draws(S)[1]),
+    Route("constrained_set", core.constrained_set, order_oracle.constrained_set, ("rows",), lambda S: _draws(S)[2]),
+    Route("is_cover", _is_cover, order_oracle.is_cover, ("rows",), lambda S: _draws(S)[3]),
     # filters and classification
-    Route("is_filter", filters.is_filter, order_oracle.is_filter, _carriers),
-    Route("is_ultrafilter", lambda S, A: filters.is_ultrafilter(S, Filter.from_carrier(S, A)),
-          order_oracle.is_ultrafilter, _filter_carriers),
+    Route("is_filter", filters.is_filter, order_oracle.is_filter, ("rows",), _carriers),
+    Route("is_ultrafilter", _is_ultrafilter, order_oracle.is_ultrafilter, ("rows",), _filter_carriers),
+    # the meet criterion, against literal maximality among all filters
+    Route("is_ultrafilter.maximality", _is_ultrafilter, catalog_oracle.is_maximal_filter, ("catalog-6",),
+          _filter_carriers),
     Route("extend_to_ultrafilter", lambda S, e: filters.extend_to_ultrafilter(S, e).carrier,
-          order_oracle.extend_to_ultrafilter, lambda S: _each(S, S.nonzero())),
-    Route("meet_separation", classify.meet_separation, order_oracle.meet_separation),
-    Route("is_zero_disjunctive", classify.is_zero_disjunctive, order_oracle.is_zero_disjunctive),
-    Route("satisfies_trapping", classify.satisfies_trapping, order_oracle.satisfies_trapping),
+          order_oracle.extend_to_ultrafilter, ("rows",), lambda S: _each(S, S.nonzero())),
+    # the theorem: the extension of e holds e and is an ultrafilter
+    Route("extend_to_ultrafilter.is_ultrafilter", _extension_verdicts, lambda S, e: (True, True), ("catalog-6",),
+          lambda S: _each(S, S.nonzero())),
+    Route("meet_separation", classify.meet_separation, order_oracle.meet_separation, ("rows",)),
+    Route("is_zero_disjunctive", classify.is_zero_disjunctive, order_oracle.is_zero_disjunctive,
+          ("rows", *LISTINGS)),
+    Route("satisfies_trapping", classify.satisfies_trapping, order_oracle.satisfies_trapping, LISTINGS),
     # the theorem, on the oracles' side too: trapping iff 0-disjunctive
-    Route("trapping_is_zero_disjunctive", classify.satisfies_trapping, order_oracle.is_zero_disjunctive),
-    Route("enumerate_filters", filters.enumerate_filters, catalog_oracle.enumerate_filters),
+    Route("trapping_is_zero_disjunctive", classify.satisfies_trapping, order_oracle.is_zero_disjunctive, LISTINGS),
+    Route("enumerate_filters", filters.enumerate_filters, catalog_oracle.enumerate_filters, ("rows", *LISTINGS)),
+    # the listing, against the subsets that satisfy the filter axioms
+    Route("enumerate_filters.subset_scan", lambda S: {F.carrier for F in filters.enumerate_filters(S)},
+          catalog_oracle.subset_scan_filters, ("catalog-6",)),
     Route("filter_generators", lambda S: [filters.principal_filter(S, g) for g in S.filter_generators],
-          catalog_oracle.enumerate_filters),
-    Route("enumerate_ultrafilters", filters.enumerate_ultrafilters, catalog_oracle.enumerate_ultrafilters),
-    Route("tight_filters", filters.tight_filters, catalog_oracle.tight_filters, corpus=("tight-scan",)),
-    Route("tight_violations", _violations, catalog_oracle.scan_tight_pivots, _filter_carriers, ("tight-scan",)),
-    Route("tight_violations.pivots", _violations, catalog_oracle.pivot_violations, _filter_carriers,
-          ("tight-scan",)),
-    Route("filterspace_nbhd", stone.filterspace_nbhd, catalog_oracle.filterspace_nbhd, _neighbourhoods,
-          ("neighbourhoods",)),
+          catalog_oracle.enumerate_filters, ("rows", *LISTINGS)),
+    Route("enumerate_ultrafilters", filters.enumerate_ultrafilters, catalog_oracle.enumerate_ultrafilters, LISTINGS),
+    Route("tight_filters", filters.tight_filters, catalog_oracle.tight_filters, ("tight-scan", *LISTINGS)),
+    # the theorem on finite instances: the tight filters are the ultrafilters
+    Route("tight_filters_are_ultrafilters", filters.tight_filters, catalog_oracle.enumerate_ultrafilters,
+          ("catalog-6",)),
+    Route("is_tight", lambda S, A: filters.is_tight(S, Filter.from_carrier(S, A)),
+          catalog_oracle.tight_by_triple_scan, ("catalog-5",), _filter_carriers),
+    Route("tight_violations", _violations, catalog_oracle.scan_tight_pivots, ("tight-scan",), _filter_carriers),
+    Route("tight_violations.pivots", _violations, catalog_oracle.pivot_violations, ("tight-scan",),
+          _filter_carriers),
+    Route("filterspace_nbhd", stone.filterspace_nbhd, catalog_oracle.filterspace_nbhd, ("neighbourhoods",),
+          _neighbourhoods),
     # the mask kernel that the suite calls, against the generators the oracle lists
     Route("filterspace_nbhd.generators", lambda S, e, es: _members(stone._nbhd_generators(S, e, es)),
           lambda S, e, es: sorted(F.generator for F in catalog_oracle.filterspace_nbhd(S, e, es)),
-          _neighbourhoods, ("neighbourhoods",)),
+          ("neighbourhoods",), _neighbourhoods),
     # the Stone space
-    Route("build_space.points", lambda S: list(stone.build_space(S).points), catalog_oracle.enumerate_ultrafilters),
-    Route("build_space.base", lambda S: tuple(_points(stone.build_space(S).base)), stone_oracle.base_sets),
+    Route("build_space.points", lambda S: list(stone.build_space(S).points), catalog_oracle.enumerate_ultrafilters,
+          LISTINGS),
+    Route("build_space.base", lambda S: tuple(_points(stone.build_space(S).base)), stone_oracle.base_sets,
+          LISTINGS),
     # the oracle checks the space that build_space made, and finds no violation
-    Route("build_space.laws", lambda space: None, stone_oracle.base_law_violation, _space, ("base-laws",)),
-    Route("opens", lambda space: _points(stone.opens(space)), stone_oracle.base_set_unions, _space),
+    Route("build_space.laws", lambda space: None, stone_oracle.base_law_violation, ("base-laws",), _space),
+    Route("opens", lambda space: _points(stone.opens(space)), stone_oracle.base_set_unions, ("opens",), _space),
     Route("clopen_elements", lambda space: tuple(_points(stone.clopen_elements(space))),
-          stone_oracle.clopen_elements, _space),
+          stone_oracle.clopen_elements, ("clopens",), _space),
     Route("clopen_algebra.atoms", lambda space: _points(stone.clopen_algebra(space).atoms),
-          stone_oracle.clopen_atoms, _space),
-    Route("dense_check", stone.dense_check, stone_oracle.dense_check, _space),
-    Route("is_representation", stone.is_representation, suite_oracle.is_representation, _vectors,
-          ("representations",)),
+          stone_oracle.clopen_atoms, ("clopens",), _space),
+    Route("dense_check", stone.dense_check, stone_oracle.dense_check, ("clopens",), _space),
+    Route("is_representation", stone.is_representation, suite_oracle.is_representation, ("representations",),
+          _vectors),
     # truncations and their covers
-    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, lambda pair: [pair]),
-    Route("cover_table", lambda S: {g: pathlat.covers_hat(S, g) for g in S.nonzero()}, pathlat_oracle.cover_table),
-    Route("sibling_cover_witnesses", _sibling_witnesses, pathlat_oracle.sibling_cover_witnesses,
+    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, ("loop-graphs",), lambda pair: [pair]),
+    Route("cover_table", lambda S: {g: pathlat.covers_hat(S, g) for g in S.nonzero()}, pathlat_oracle.cover_table,
+          COVERS),
+    Route("sibling_cover_witnesses", _sibling_witnesses, pathlat_oracle.sibling_cover_witnesses, COVERS,
           lambda S: _each(S, S.nonzero())),
 )
 BY_NAME = {route.name: route for route in ROUTES}
-
-# The parametrized comparisons that held these routes before keep their
-# ids, one per instance (425 ids in test_rows.py and test_clopen_atoms.py)
-# or per instance set or graph (the other seven tests), so that a failure
-# or a slow case in CI's --durations names its instance, and the ids that
-# test histories record stay; each runs the routes named here.
-_COVERS = ("cover_table", "covering_pairs", "sibling_cover_witnesses")
-DRIVERS = {
-    "test_rows.py::test_order_primitives_match_scans": (
-        "star", "up", "down", "level", "covers_hat", "nonzero_pairs_below", "covering_pairs", "arrow",
-        "constrained_set", "is_cover"),
-    "test_rows.py::test_filter_and_classification_checks_match_scans": (
-        "is_filter", "is_ultrafilter", "extend_to_ultrafilter", "meet_separation", "is_zero_disjunctive",
-        "enumerate_filters", "filter_generators"),
-    "test_rows.py::test_opens_match_all_unions_of_base_sets": ("opens",),
-    "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (
-        "clopen_elements", "clopen_algebra.atoms", "dense_check"),
-    "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (
-        "is_zero_disjunctive", "satisfies_trapping", "trapping_is_zero_disjunctive"),
-    "test_filters.py::test_derived_values_and_listing_match_oracles": ("enumerate_filters", "filter_generators"),
-    "test_filters.py::test_ultrafilter_and_tight_listings_match_oracles": ("enumerate_ultrafilters", "tight_filters"),
-    "test_stone.py::test_build_space_points_match_ultrafilter_oracle": ("build_space.points", "build_space.base"),
-    "test_pathlat.py::test_sibling_cover_witness_matches_all_covers_oracle": _COVERS,
-    "test_pathlat.py::test_sibling_cover_witness_matches_oracle_off_chains": _COVERS,
-    "test_pathlat.py::test_loop_truncations_match_prefix_compare_oracle": ("truncate",),
-}
 
 COMPARED_ELSEWHERE = {
     "order_oracle.associativity_violation": "test_rows.py::test_row_law_accepts_exactly_the_associative_tables",
@@ -238,6 +246,22 @@ COMPARED_ELSEWHERE = {
     "pathlat_oracle.unreachable_vertices": "test_pathlat.py::test_root_distances_are_shortest_backward_paths",
     "stone_oracle.extension_violation": "test_stone.py::test_extend_hom_is_a_boolean_hom_on_injective_instances",
     "suite_oracle.verdicts": "test_suite.py::test_mask_checks_match_frozenset_oracle",
+    "cantor_oracle.normalize_two_phase": "test_cantor_normal_form.py::test_normal_form_matches_two_phase",
+    "cantor_oracle.four_rule_violation":
+        "test_cantor_normal_form.py::test_constructor_accepts_what_the_four_rules_accept",
+    "cantor_oracle.complement_by_prefix_scan": "test_cantor_normal_form.py::test_complement_matches_prefix_scan",
+    "cantor_oracle.reduce_one_pass": "test_cantor_normal_form.py::test_operations_match_word_oracles",
+    "cantor_oracle.meet_by_pair_scan": "test_cantor_normal_form.py::test_operations_match_word_oracles",
+    "cantor_oracle.complement_by_word_descent": "test_cantor_normal_form.py::test_operations_match_word_oracles",
+    "cantor_oracle.eval_by_operations": "test_cantor.py::test_eval_matches_the_closure_parser",
+    "cantor_oracle.is_single_cylinder_complemented_by_words":
+        "test_cantor.py::test_single_cylinder_complemented_matches_listing_the_complement",
+    "cantor_oracle.membership_by_scan": "test_cantor.py::test_membership_walk_matches_word_scan",
+    "cantor_oracle.tokenize_by_scan": "test_cantor.py::test_token_pattern_matches_character_scan",
+    "cantor_oracle.cover_set": "test_cantor.py::test_ops_match_cover_semantics",
+    "cantor_oracle.clopen_cover": "test_cantor.py::test_ops_match_cover_semantics",
+    "cantor_oracle.random_expr": "test_cantor.py::test_seeded_expressions_against_oracle",
+    "cantor_oracle.check_expr_against_oracle": "test_cantor.py::test_seeded_expressions_against_oracle",
 }
 
 
@@ -261,20 +285,10 @@ def check(route: Route, instance, where: str) -> None:
             assert _outcome(route.library, args) == _outcome(route.oracle, args), _named(route, shown, x, args)
 
 
-def drive(request: pytest.FixtureRequest, *instances, where: str | None = None) -> None:
-    """Run the routes DRIVERS gives the requesting test on each instance.
-    A failure names the instance by where, or else by the test's id and
-    the instance's place among those given."""
-    names = DRIVERS[f"{request.path.name}::{request.function.__name__}"]
-    for i, instance in enumerate(instances):
-        for name in names:
-            check(BY_NAME[name], instance, where or f"{request.node.name}, instance {i}")
-
-
-@pytest.mark.parametrize("route", [r for r in ROUTES if r.corpus], ids=lambda r: r.name)
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.name)
 def test_route_matches_oracle(route):
-    for i, instance in enumerate(corpus.instances(*route.corpus)):
-        check(route, instance, f"slice {'+'.join(route.corpus)}, instance {i}")
+    for where, instance in corpus.instances(*route.corpus):
+        check(route, instance, where)
 
 
 def test_parse_route_fails_when_the_builder_drops_the_last_pair(monkeypatch):
@@ -290,14 +304,12 @@ def _test_exists(test_id: str) -> bool:
 
 
 def test_every_oracle_is_compared():
-    modules = (order_oracle, catalog_oracle, stone_oracle, pathlat_oracle, suite_oracle)
+    modules = [importlib.import_module(path.stem) for path in sorted(Path(__file__).parent.glob("*_oracle.py"))]
     oracles = {f"{m.__name__}.{name}" for m in modules for name, f in vars(m).items()
                if inspect.isfunction(f) and f.__module__ == m.__name__ and not name.startswith("_")}
     registered = {f"{r.oracle.__module__}.{r.oracle.__name__}" for r in ROUTES}
     assert oracles - registered - set(COMPARED_ELSEWHERE) == set(), "oracles with no comparison"
     assert set(COMPARED_ELSEWHERE) <= oracles - registered, "stale or registered oracles in the map"
-    assert all(map(_test_exists, [*COMPARED_ELSEWHERE.values(), *DRIVERS]))
-    driven = {name for names in DRIVERS.values() for name in names}
-    assert driven <= set(BY_NAME), "drivers name routes the registry does not hold"
-    assert {r.name for r in ROUTES if not r.corpus} <= driven, "routes that nothing runs"
+    assert all(map(_test_exists, COMPARED_ELSEWHERE.values()))
+    assert all(r.corpus and set(r.corpus) <= set(corpus.SLICES) for r in ROUTES), "routes that nothing runs"
     assert len(BY_NAME) == len(ROUTES)

@@ -1,4 +1,13 @@
-"""Rooted graphs and their truncated path semilattices."""
+"""Rooted graphs and their truncated path semilattices.
+
+covers_hat, the order line of to_text, sibling_cover_witness on every
+strict non-zero pair and sibling_cover_witnesses of each e are held to
+the table scans by the registry in test_oracles.py, on the loop
+truncations and on the catalog up to 6 elements, whose intervals need
+not be chains, so both routes must refuse the same pairs.  Truncations
+number parents first, so the cover kernel's climb is at most one step on
+them; each instance is also checked under shuffled indices.
+"""
 
 from __future__ import annotations
 
@@ -41,7 +50,6 @@ from slat.pathlat import (
     zero_disjunctive_graph,
 )
 from slat.stone import build_space, hausdorff_witness
-from test_oracles import drive
 
 TWO_LOOP_TEXT = """
 # one vertex, two loops
@@ -217,26 +225,6 @@ def test_sibling_cover_witness_validates(two_loop):
                 assert arrow(S, e, list(W) + [f])
 
 
-# covers_hat, the order line of to_text, sibling_cover_witness on every
-# strict non-zero pair and sibling_cover_witnesses of each e, against the
-# table scans, through the registry in test_oracles.py.  Truncations number
-# parents first, so the cover kernel's climb is at most one step on them;
-# each instance is also checked under shuffled indices.
-
-@pytest.mark.parametrize("graph, depths", [
-    ("two-loop", range(1, 8)),
-    ("three-loop", range(1, 5)),
-    ("one-loop", range(1, 41)),
-], ids=["two-loop", "three-loop", "one-loop"])
-def test_sibling_cover_witness_matches_all_covers_oracle(graph, depths, request):
-    drive(request, *(corpus.truncation(graph, depth) for depth in depths))
-
-
-def test_sibling_cover_witness_matches_oracle_off_chains(request):
-    # catalog intervals need not be chains: both routes refuse the same pairs
-    drive(request, *corpus.catalog(6))
-
-
 def test_sibling_cover_witness_bad_pairs(two_loop):
     S = truncate(two_loop, 2)
     with pytest.raises(ZeroElementError):
@@ -349,16 +337,6 @@ def test_truncate_matches_prefix_compare_oracle(G, depth):
     S = truncate(G, depth)
     assert S == pathlat_oracle.truncate(G, depth)
     assert_rows_match_validated_rebuild(S)
-
-
-@pytest.mark.parametrize("graph, depths", [
-    ("two-loop", range(1, 9)),
-    ("three-loop", range(1, 6)),
-], ids=["two-loop", "three-loop"])
-def test_loop_truncations_match_prefix_compare_oracle(graph, depths, request):
-    drive(request, *((corpus.GRAPHS[graph], depth) for depth in depths))
-    for depth in depths:
-        assert_rows_match_validated_rebuild(corpus.truncation(graph, depth))
 
 
 @pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)

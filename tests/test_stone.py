@@ -55,7 +55,6 @@ from slat.stone import (
     rep_of_filter,
 )
 from slat.suite import run_suite
-from test_oracles import drive
 
 
 def point_of(space, label: str) -> int:
@@ -77,11 +76,6 @@ def test_build_space_fixtures(vee, chain3, bool1):
     assert sc.base[idx(chain3, "a")] == sc.base[chain3.one]
 
     assert len(build_space(bool1).points) == 1
-
-
-@pytest.mark.parametrize("instances", corpus.INSTANCE_SETS)
-def test_build_space_points_match_ultrafilter_oracle(instances, request):
-    drive(request, *corpus.instances(instances))
 
 
 def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):

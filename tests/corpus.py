@@ -18,6 +18,7 @@ import random
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -130,10 +131,7 @@ def _texts() -> tuple[str, ...]:
             *(text for text in _fuzz_files() if "meet" not in text))
 
 
-# the truncations the sibling cover witnesses were first checked on, and
-# the (graph, depth) pairs the truncation route builds
-LOOP_TRUNCATIONS = (*(("two-loop", d) for d in range(1, 8)), *(("three-loop", d) for d in range(1, 5)),
-                    *(("one-loop", d) for d in range(1, 41)))
+# the (graph, depth) pairs of the truncation route, whose truncations the base laws run on
 LOOP_GRAPHS = (*(("two-loop", d) for d in range(1, 9)), *(("three-loop", d) for d in range(1, 6)))
 SLICES = {
     "catalog-5": lambda: catalog(5),
@@ -141,8 +139,12 @@ SLICES = {
     "catalog-7": lambda: catalog(),
     "random-8-12": lambda: sample(range(8, 13), 3),
     "bench-truncations": lambda: truncations(*BENCH_TRUNCATIONS),
-    "loop-truncations": lambda: truncations(*LOOP_TRUNCATIONS),
-    "loop-graphs": lambda: tuple((GRAPHS[graph], depth) for graph, depth in LOOP_GRAPHS),
+    # the truncations the sibling cover witnesses were first checked on
+    "two-loop-1-7": lambda: truncations(*(("two-loop", d) for d in range(1, 8))),
+    "three-loop-1-4": lambda: truncations(*(("three-loop", d) for d in range(1, 5))),
+    "one-loop-1-40": lambda: truncations(*(("one-loop", d) for d in range(1, 41))),
+    "two-loop-pairs-1-8": lambda: tuple((TWO_LOOP, d) for d in range(1, 9)),
+    "three-loop-pairs-1-5": lambda: tuple((THREE_LOOP, d) for d in range(1, 6)),
     "rows": lambda: (*catalog(), *sample(10, 30, seed=4), *truncations(("two-loop", 4), ("three-loop", 3))),
     "opens": lambda: (*catalog(), *sample(10, 10, seed=4)),
     "clopens": lambda: (*catalog(), *sample(range(8, 12), 10),
@@ -158,14 +160,28 @@ SLICES = {
 
 
 @cache
-def instances(*names: str) -> tuple[tuple[str, object], ...]:
+def instances(*names: str) -> tuple[tuple[str, int, object], ...]:
     """The union of the named slices, each instance once, in order, with
     where it is first found: its slice and its index there."""
-    found: dict[int, tuple[str, object]] = {}
+    found: dict[int, tuple[str, int, object]] = {}
     for name in names:
         for i, x in enumerate(SLICES[name]()):
-            found.setdefault(id(x), (f"slice {name}, instance {i}", x))
+            found.setdefault(id(x), (name, i, x))
     return tuple(found.values())
+
+
+def indices(name: str) -> list:
+    """A pytest param i for each instance i of the slice, with the id
+    n<size>, which pytest numbers apart where sizes repeat.  The slice is
+    built at collection.  Should building it raise, as a library fault can
+    make it do, the one param None stands for the whole slice, and its
+    test fails where it builds the slice again, so the fault fails tests
+    instead of their collection."""
+    try:
+        built = instances(name)
+    except Exception:  # reported by the test that rebuilds the slice
+        return [pytest.param(None, id=name)]
+    return [pytest.param(i, id=f"n{len(S)}") for _, i, S in built]
 
 
 def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:

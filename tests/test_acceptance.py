@@ -26,14 +26,12 @@ from slat.catalog import CatalogSpec, canonical_key, enumerate_catalog
 from slat.classify import (
     is_separative,
     is_zero_disjunctive,
-    meet_separation,
     satisfies_trapping,
     trapping_witness,
 )
 from slat.core import Semilattice, _members, arrow, down, nonzero_pairs_below, star
 from slat.errors import PreconditionFailedError
 from slat.filters import (
-    enumerate_filters,
     enumerate_ultrafilters,
     is_tight,
     principal_filter,

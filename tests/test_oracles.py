@@ -1,16 +1,18 @@
 """Every fast route against its brute-force oracle, from one registry.
 
 A Route pairs a library callable with its oracle, the calls to make on
-one instance and the corpus slices that test_route_matches_oracle runs it
-on, one test id per route.  check() makes each call on the instance and
-on its relabeled copy; a SlatError counts as a result, so a refusal must
-match in type and message.  A mismatch names the instance: the slice,
-its index there, whether it is the relabeled copy, and its text when
-short.  The library keeps sets of points as int masks, and the route
-adapters hand them to the comparison as the oracles' frozensets.  A
-theorem route holds a library route to the oracle of an equivalent
-property.  The audit reads every tests/*_oracle.py and fails when a
-public function there is the oracle of no route and is not in
+one instance and the corpus slices it runs on.  check() makes each call
+on the instance and on its relabeled copy; a SlatError counts as a
+result, so a refusal must match in type and message.  A mismatch names
+the instance: the slice, its index there, whether it is the relabeled
+copy, and its text when short.  The library keeps sets of points as int
+masks, and the route adapters hand them to the comparison as the
+oracles' frozensets.  A theorem route holds a library route to the
+oracle of an equivalent property.  Each route runs on each instance
+once, under the first slice of its corpus that holds it: in the test
+that OWN_IDS names for that slice, else in test_route_matches_oracle.
+The audit reads every tests/*_oracle.py and fails when a public
+function there is the oracle of no route and is not in
 COMPARED_ELSEWHERE, the oracles compared on hypothesis draws, fault
 injections, fresh builds, word lists or whole sets.
 """
@@ -152,8 +154,12 @@ def _points(masks) -> list[frozenset]:
 
 # the sets the listings, the Stone points and the cover-pair verdicts run on
 LISTINGS = ("catalog-7", "random-8-12", "bench-truncations")
+# the truncations the cover routes were first checked on, and the (graph,
+# depth) pairs of the truncation route
+LOOP_TRUNCATIONS = ("two-loop-1-7", "three-loop-1-4", "one-loop-1-40")
+LOOP_GRAPHS = ("two-loop-pairs-1-8", "three-loop-pairs-1-5")
 # the truncations and catalog intervals the cover routes run on
-COVERS = ("loop-truncations", "catalog-6")
+COVERS = (*LOOP_TRUNCATIONS, "catalog-6")
 
 ROUTES = (
     # the one order builder, against the parser that built the full meet table
@@ -228,13 +234,50 @@ ROUTES = (
     Route("is_representation", stone.is_representation, suite_oracle.is_representation, ("representations",),
           _vectors),
     # truncations and their covers
-    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, ("loop-graphs",), lambda pair: [pair]),
+    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, LOOP_GRAPHS, lambda pair: [pair]),
     Route("cover_table", lambda S: {g: pathlat.covers_hat(S, g) for g in S.nonzero()}, pathlat_oracle.cover_table,
           COVERS),
     Route("sibling_cover_witnesses", _sibling_witnesses, pathlat_oracle.sibling_cover_witnesses, COVERS,
           lambda S: _each(S, S.nonzero())),
 )
 BY_NAME = {route.name: route for route in ROUTES}
+
+# The comparisons that keep the test ids they had before every route
+# named its corpus, so that test histories and CI's --durations still
+# name them: each test, the slices it runs, and the routes it runs on
+# them.  An id runs its routes on one slice, or on one instance of the
+# slice "rows", "opens" or "clopens".
+_COVER_ROUTES = ("cover_table", "covering_pairs", "sibling_cover_witnesses")
+OWN_IDS = {
+    "test_rows.py::test_order_primitives_match_scans": (("rows",), (
+        "star", "up", "down", "level", "covers_hat", "nonzero_pairs_below", "covering_pairs", "arrow",
+        "constrained_set", "is_cover")),
+    "test_rows.py::test_filter_and_classification_checks_match_scans": (("rows",), (
+        "is_filter", "is_ultrafilter", "extend_to_ultrafilter", "meet_separation", "is_zero_disjunctive",
+        "enumerate_filters", "filter_generators")),
+    "test_rows.py::test_opens_match_all_unions_of_base_sets": (("opens",), ("opens",)),
+    "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (("clopens",), (
+        "clopen_elements", "clopen_algebra.atoms", "dense_check")),
+    "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (LISTINGS, (
+        "is_zero_disjunctive", "satisfies_trapping", "trapping_is_zero_disjunctive")),
+    "test_filters.py::test_derived_values_and_listing_match_oracles": (LISTINGS, (
+        "enumerate_filters", "filter_generators")),
+    "test_filters.py::test_ultrafilter_and_tight_listings_match_oracles": (LISTINGS, (
+        "enumerate_ultrafilters", "tight_filters")),
+    "test_filters.py::test_enumerate_filters_matches_subset_scan": (("catalog-6",), (
+        "enumerate_filters.subset_scan",)),
+    "test_filters.py::test_ultrafilter_criterion_is_maximality": (("catalog-6",), ("is_ultrafilter.maximality",)),
+    "test_filters.py::test_extension_is_an_ultrafilter_containing_seed": (("catalog-6",), (
+        "extend_to_ultrafilter.is_ultrafilter",)),
+    "test_filters.py::test_tightness_matches_triple_enumeration_oracle": (("catalog-5",), ("is_tight",)),
+    "test_filters.py::test_ultrafilters_are_tight_everywhere": (("catalog-6",), ("tight_filters_are_ultrafilters",)),
+    "test_stone.py::test_build_space_points_match_ultrafilter_oracle": (LISTINGS, (
+        "build_space.points", "build_space.base")),
+    "test_pathlat.py::test_sibling_cover_witness_matches_all_covers_oracle": (LOOP_TRUNCATIONS, _COVER_ROUTES),
+    "test_pathlat.py::test_sibling_cover_witness_matches_oracle_off_chains": (("catalog-6",), _COVER_ROUTES),
+    "test_pathlat.py::test_loop_truncations_match_prefix_compare_oracle": (LOOP_GRAPHS, ("truncate",)),
+}
+OWNED = {(route, name) for names, routes in OWN_IDS.values() for route in routes for name in names}
 
 COMPARED_ELSEWHERE = {
     "order_oracle.associativity_violation": "test_rows.py::test_row_law_accepts_exactly_the_associative_tables",
@@ -285,10 +328,26 @@ def check(route: Route, instance, where: str) -> None:
             assert _outcome(route.library, args) == _outcome(route.oracle, args), _named(route, shown, x, args)
 
 
-@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.name)
+def _run(route: Route, keep: Callable[[str, int], bool]) -> None:
+    """Check the route on the instances of its corpus that keep accepts
+    by the slice and index where each is first found."""
+    for name, i, instance in corpus.instances(*route.corpus):
+        if keep(name, i):
+            check(route, instance, f"slice {name}, instance {i}")
+
+
+def run_own(request: pytest.FixtureRequest, name: str, i: int | None = None) -> None:
+    """Run the routes OWN_IDS gives the requesting test on the slice, or
+    on its instance i."""
+    _, routes = OWN_IDS[f"{request.path.name}::{request.function.__name__}"]
+    for route in routes:
+        _run(BY_NAME[route], lambda at, j: at == name and i in (None, j))
+
+
+@pytest.mark.parametrize("route", [r for r in ROUTES if {(r.name, name) for name in r.corpus} - OWNED],
+                         ids=lambda r: r.name)
 def test_route_matches_oracle(route):
-    for where, instance in corpus.instances(*route.corpus):
-        check(route, instance, where)
+    _run(route, lambda name, i: (route.name, name) not in OWNED)
 
 
 def test_parse_route_fails_when_the_builder_drops_the_last_pair(monkeypatch):
@@ -312,4 +371,6 @@ def test_every_oracle_is_compared():
     assert set(COMPARED_ELSEWHERE) <= oracles - registered, "stale or registered oracles in the map"
     assert all(map(_test_exists, COMPARED_ELSEWHERE.values()))
     assert all(r.corpus and set(r.corpus) <= set(corpus.SLICES) for r in ROUTES), "routes that nothing runs"
+    assert all(map(_test_exists, OWN_IDS))
+    assert OWNED <= {(r.name, name) for r in ROUTES for name in r.corpus}, "owned slices outside a corpus"
     assert len(BY_NAME) == len(ROUTES)

@@ -50,6 +50,7 @@ from slat.pathlat import (
     zero_disjunctive_graph,
 )
 from slat.stone import build_space, hausdorff_witness
+from test_oracles import LOOP_GRAPHS, LOOP_TRUNCATIONS, run_own
 
 TWO_LOOP_TEXT = """
 # one vertex, two loops
@@ -225,6 +226,15 @@ def test_sibling_cover_witness_validates(two_loop):
                 assert arrow(S, e, list(W) + [f])
 
 
+@pytest.mark.parametrize("name", LOOP_TRUNCATIONS, ids=["two-loop", "three-loop", "one-loop"])
+def test_sibling_cover_witness_matches_all_covers_oracle(name, request):
+    run_own(request, name)
+
+
+def test_sibling_cover_witness_matches_oracle_off_chains(request):
+    run_own(request, "catalog-6")
+
+
 def test_sibling_cover_witness_bad_pairs(two_loop):
     S = truncate(two_loop, 2)
     with pytest.raises(ZeroElementError):
@@ -337,6 +347,11 @@ def test_truncate_matches_prefix_compare_oracle(G, depth):
     S = truncate(G, depth)
     assert S == pathlat_oracle.truncate(G, depth)
     assert_rows_match_validated_rebuild(S)
+
+
+@pytest.mark.parametrize("name", LOOP_GRAPHS, ids=["two-loop", "three-loop"])
+def test_loop_truncations_match_prefix_compare_oracle(name, request):
+    run_own(request, name)
 
 
 @pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)

@@ -55,6 +55,7 @@ from slat.stone import (
     rep_of_filter,
 )
 from slat.suite import run_suite
+from test_oracles import LISTINGS, run_own
 
 
 def point_of(space, label: str) -> int:
@@ -76,6 +77,11 @@ def test_build_space_fixtures(vee, chain3, bool1):
     assert sc.base[idx(chain3, "a")] == sc.base[chain3.one]
 
     assert len(build_space(bool1).points) == 1
+
+
+@pytest.mark.parametrize("name", LISTINGS)
+def test_build_space_points_match_ultrafilter_oracle(name, request):
+    run_own(request, name)
 
 
 def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):

@@ -199,9 +199,9 @@ def test_mask_checks_match_frozenset_oracle(fault, monkeypatch):
     if fault:
         monkeypatch.setattr(*FAULTS[fault])
     failed = set()
-    for where, S in corpus.instances("suite"):
+    for _, i, S in corpus.instances("suite"):
         got = _suite_verdicts(S)
-        assert got == suite_oracle.verdicts(S), f"{where}\n{S.to_text()}"
+        assert got == suite_oracle.verdicts(S), f"slice suite, instance {i}\n{S.to_text()}"
         failed.update(name for name, passed in got.items() if not passed)
     # each fault shows in at least one of the five checks
     assert bool(failed) == bool(fault)

@@ -44,7 +44,7 @@ from slat.cantor import (
 from slat.errors import ParseError
 
 
-def _shortlex(alphabet: str, words) -> tuple[str, ...]:
+def shortlex(alphabet: str, words) -> tuple[str, ...]:
     rank = {c: i for i, c in enumerate(alphabet)}
     return tuple(sorted(words, key=lambda w: (len(w), [rank[c] for c in w])))
 
@@ -64,7 +64,7 @@ def normalize_two_phase(alphabet: str, words) -> tuple[str, ...]:
                 kept -= family
                 kept.add(p)
                 changed = True
-    return _shortlex(alphabet, kept)
+    return shortlex(alphabet, kept)
 
 
 def four_rule_violation(alphabet: str, words) -> str | None:
@@ -79,7 +79,7 @@ def four_rule_violation(alphabet: str, words) -> str | None:
     for p in {w[:-1] for w in words if w}:
         if all(p + s in seen for s in alphabet):
             return f"complete sibling family under {p!r} not collapsed"
-    if tuple(words) != _shortlex(alphabet, words):
+    if tuple(words) != shortlex(alphabet, words):
         return "words not in shortlex order"
     return None
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache
+from functools import lru_cache
 from typing import Iterable
 
 import order_oracle
@@ -96,9 +96,9 @@ def enumerate_filters(S: Semilattice) -> list[Filter]:
     return list(_filters(S))
 
 
-# filterspace_nbhd scans the listing once per (e, es), and each listing
-# route and its arguments list every instance of its slices
-@cache
+# filterspace_nbhd scans the listing once per (e, es), and the listing
+# routes and their arguments list the same instance in turn
+@lru_cache(maxsize=4)
 def _filters(S: Semilattice) -> tuple[Filter, ...]:
     return tuple(sorted((Filter.from_carrier(S, up(S, {e})) for e in S.nonzero()), key=Filter.sort_key))
 

@@ -7,17 +7,12 @@ loop graphs, are built once per session in corpus.py; the registry of
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 import corpus
 from slat import classify, stone
 from slat.core import Semilattice
 from slat.pathlat import RootedGraph
-
-BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
-
 
 def assert_rows_match_validated_rebuild(S: Semilattice) -> None:
     """S equals the validated construction from its own table, and so do

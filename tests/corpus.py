@@ -18,7 +18,6 @@ import random
 from functools import cache
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -131,8 +130,10 @@ def _texts() -> tuple[str, ...]:
             *(text for text in _fuzz_files() if "meet" not in text))
 
 
-# the (graph, depth) pairs of the truncation route, whose truncations the base laws run on
-LOOP_GRAPHS = (*(("two-loop", d) for d in range(1, 9)), *(("three-loop", d) for d in range(1, 6)))
+# the (graph, depth) pairs of the truncation route, one slice per graph;
+# the base laws run on their truncations
+TRUNCATE_PAIRS = (*(("two-loop", d) for d in range(1, 9)), *(("three-loop", d) for d in range(1, 6)))
+TRUNCATE_SLICES = {graph: f"truncate-{graph}" for graph in ("two-loop", "three-loop")}
 SLICES = {
     "catalog-5": lambda: catalog(5),
     "catalog-6": lambda: catalog(6),
@@ -143,13 +144,13 @@ SLICES = {
     "two-loop-1-7": lambda: truncations(*(("two-loop", d) for d in range(1, 8))),
     "three-loop-1-4": lambda: truncations(*(("three-loop", d) for d in range(1, 5))),
     "one-loop-1-40": lambda: truncations(*(("one-loop", d) for d in range(1, 41))),
-    "two-loop-pairs-1-8": lambda: tuple((TWO_LOOP, d) for d in range(1, 9)),
-    "three-loop-pairs-1-5": lambda: tuple((THREE_LOOP, d) for d in range(1, 6)),
+    **{name: lambda graph=graph: tuple((GRAPHS[graph], d) for g, d in TRUNCATE_PAIRS if g == graph)
+       for graph, name in TRUNCATE_SLICES.items()},
     "rows": lambda: (*catalog(), *sample(10, 30, seed=4), *truncations(("two-loop", 4), ("three-loop", 3))),
     "opens": lambda: (*catalog(), *sample(10, 10, seed=4)),
     "clopens": lambda: (*catalog(), *sample(range(8, 12), 10),
                         *truncations(("two-loop", 3), ("three-loop", 2), ("one-loop", 6))),
-    "base-laws": lambda: (*catalog(), *sample(range(8, 12), 6), *truncations(*LOOP_GRAPHS)),
+    "base-laws": lambda: (*catalog(), *sample(range(8, 12), 6), *truncations(*TRUNCATE_PAIRS)),
     "tight-scan": lambda: (*catalog(), *sample(9, 30, seed=2), *truncations(("two-loop", 3), ("three-loop", 2))),
     "representations": lambda: (*catalog(6), *sample(range(8, 11), 2)),
     "neighbourhoods": lambda: (*catalog(), *sample(10, 4, seed=5), *sample(range(8, 13), 3),
@@ -168,20 +169,6 @@ def instances(*names: str) -> tuple[tuple[str, int, object], ...]:
         for i, x in enumerate(SLICES[name]()):
             found.setdefault(id(x), (name, i, x))
     return tuple(found.values())
-
-
-def indices(name: str) -> list:
-    """A pytest param i for each instance i of the slice, with the id
-    n<size>, which pytest numbers apart where sizes repeat.  The slice is
-    built at collection.  Should building it raise, as a library fault can
-    make it do, the one param None stands for the whole slice, and its
-    test fails where it builds the slice again, so the fault fails tests
-    instead of their collection."""
-    try:
-        built = instances(name)
-    except Exception:  # reported by the test that rebuilds the slice
-        return [pytest.param(None, id=name)]
-    return [pytest.param(i, id=f"n{len(S)}") for _, i, S in built]
 
 
 def relabeled(S: Semilattice, rng: random.Random) -> Semilattice:

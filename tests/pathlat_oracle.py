@@ -18,7 +18,7 @@ to all four, and the table derived from a truncation's rows to the last.
 
 from __future__ import annotations
 
-from functools import cache, cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import order_oracle
 from slat.core import Semilattice
@@ -95,7 +95,7 @@ def cover_table(S: Semilattice) -> dict[int, frozenset]:
     return dict(_cover_table(S))
 
 
-@cache  # cover_table reads it, and sibling_cover_witnesses at every pair
+@lru_cache(maxsize=2)  # sibling_cover_witnesses reads the table at every pair
 def _cover_table(S: Semilattice) -> dict[int, frozenset]:
     return {g: order_oracle.covers_hat(S, g) for g in S.nonzero()}
 

@@ -26,7 +26,7 @@ clopens as frozensets of point indices.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import lru_cache
 
 import catalog_oracle
 from slat.core import Semilattice, _members
@@ -66,9 +66,9 @@ def clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
     return _clopen_elements(space)
 
 
-# clopen_atoms and dense_check rescan each space that clopen_elements
+# clopen_atoms and dense_check rescan the space that clopen_elements just
 # listed, and the listing is exponential in the points
-@cache
+@lru_cache(maxsize=4)
 def _clopen_elements(space: UltrafilterSpace) -> tuple[frozenset, ...]:
     os = set(map(_points, opens(space)))
     universe = frozenset(range(len(space.points)))

@@ -20,7 +20,7 @@ from slat.classify import (
 from slat.core import arrow, down, nonzero_pairs_below, star
 from slat.errors import BadPairError, TheoremViolationError
 from slat.pathlat import truncate
-from test_oracles import LISTINGS, run_own
+from test_oracles import OWNED_TESTS
 
 
 def test_zero_disjunctive_fixtures(vee, chain3, bool1):
@@ -117,12 +117,10 @@ def test_compactability_report(vee, chain3):
     assert trapping_witness(chain3, chain3.one, idx(chain3, "a")) is None
 
 
-@pytest.mark.parametrize("name", LISTINGS)
-def test_cover_pair_verdicts_match_all_pair_oracles(name, request):
-    # Catalog instances and truncations number elements along the order,
-    # so the relabeled copies are the ones on which lower covers are found
-    # by climbing.
-    run_own(request, name)
+# Catalog instances and truncations number elements along the order, so
+# the relabeled copies are the ones on which lower covers are found by
+# climbing.
+test_cover_pair_verdicts_match_all_pair_oracles = OWNED_TESTS["test_cover_pair_verdicts_match_all_pair_oracles"]
 
 
 def test_classification_builds_no_per_pair_table():

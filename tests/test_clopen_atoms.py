@@ -34,7 +34,7 @@ from slat.core import Semilattice
 from slat.errors import TheoremViolationError, TooLargeError
 from slat.filters import Filter
 from slat.pathlat import truncate
-from test_oracles import BY_NAME, _outcome, run_own
+from test_oracles import BY_NAME, OWNED_TESTS, _outcome
 
 
 def _hand_built(draw: Callable[[int, int], int]) -> stone.UltrafilterSpace:
@@ -94,9 +94,7 @@ def test_hand_built_spaces_see_both_verdicts():
     assert min(verdicts.values()) > 100 and min(dense.values()) > 10 and merged > 20, (verdicts, dense, merged)
 
 
-@pytest.mark.parametrize("i", corpus.indices("clopens"))
-def test_clopen_algebra_and_density_match_the_scans(i, request):
-    run_own(request, "clopens", i)
+test_clopen_algebra_and_density_match_the_scans = OWNED_TESTS["test_clopen_algebra_and_density_match_the_scans"]
 
 
 def test_density_fails_at_an_atom_without_a_base_set(vee):

@@ -1,15 +1,10 @@
 """Filters, ultrafilters, tightness.
 
-The tests named in test_oracles.OWN_IDS run registered routes against
-their oracles, on the listing slices or on the catalog up to 6 elements
-(5 for the triple scan): the filter listing against the principal
-up-sets and against the subsets that satisfy the axioms, the ultrafilter
-criterion against the meet criterion and against literal maximality
-among all filters, the extension to an ultrafilter, and tightness
-against the full (X, Y, Z) triple scan; and the theorem that on finite
-instances the tight filters are the ultrafilters.  Tightness against the
-(pivot, Y) subset scan and the cover test at every pivot runs in
-test_oracles.py.
+The comparisons bound from test_oracles.OWNED_TESTS hold the filter
+listing, the ultrafilter criterion (also against literal maximality),
+the extension to an ultrafilter and tightness (also against the full
+(X, Y, Z) triple scan) to their oracles, and check on the catalog that
+the tight filters are the ultrafilters.
 """
 
 from __future__ import annotations
@@ -31,17 +26,15 @@ from slat.filters import (
     tight_violations,
 )
 from slat.stone import filterspace_nbhd
-from test_oracles import LISTINGS, run_own
+from test_oracles import OWNED_TESTS
 
-
-@pytest.mark.parametrize("name", LISTINGS)
-def test_derived_values_and_listing_match_oracles(name, request):
-    run_own(request, name)
-
-
-@pytest.mark.parametrize("name", LISTINGS)
-def test_ultrafilter_and_tight_listings_match_oracles(name, request):
-    run_own(request, name)
+test_derived_values_and_listing_match_oracles = OWNED_TESTS["test_derived_values_and_listing_match_oracles"]
+test_ultrafilter_and_tight_listings_match_oracles = OWNED_TESTS["test_ultrafilter_and_tight_listings_match_oracles"]
+test_enumerate_filters_matches_subset_scan = OWNED_TESTS["test_enumerate_filters_matches_subset_scan"]
+test_ultrafilter_criterion_is_maximality = OWNED_TESTS["test_ultrafilter_criterion_is_maximality"]
+test_extension_is_an_ultrafilter_containing_seed = OWNED_TESTS["test_extension_is_an_ultrafilter_containing_seed"]
+test_tightness_matches_triple_enumeration_oracle = OWNED_TESTS["test_tightness_matches_triple_enumeration_oracle"]
+test_ultrafilters_are_tight_everywhere = OWNED_TESTS["test_ultrafilters_are_tight_everywhere"]
 
 
 def test_returned_lists_are_fresh(vee, chain4):
@@ -85,10 +78,6 @@ def test_enumerate_filters_fixtures(vee, chain3, bool1):
     assert [F.labels() for F in enumerate_filters(bool1)] == [("1",)]
 
 
-def test_enumerate_filters_matches_subset_scan(request):
-    run_own(request, "catalog-6")
-
-
 def test_ultrafilter_criterion_fixtures(vee, chain3):
     a = idx(chain3, "a")
     assert is_ultrafilter(chain3, principal_filter(chain3, a))
@@ -98,19 +87,11 @@ def test_ultrafilter_criterion_fixtures(vee, chain3):
         Filter.from_carrier(vee, frozenset({idx(vee, "a")}))
 
 
-def test_ultrafilter_criterion_is_maximality(request):
-    run_own(request, "catalog-6")
-
-
 def test_extend_to_ultrafilter(vee, chain3):
     assert extend_to_ultrafilter(vee, idx(vee, "a")).labels() == ("a", "1")
     assert extend_to_ultrafilter(chain3, chain3.one).labels() == ("a", "1")
     with pytest.raises(ZeroElementError):
         extend_to_ultrafilter(vee, vee.zero)
-
-
-def test_extension_is_an_ultrafilter_containing_seed(request):
-    run_own(request, "catalog-6")
 
 
 def test_enumerate_ultrafilters_fixtures(vee, chain3, bool1):
@@ -139,15 +120,6 @@ def test_tight_filters_fixtures(vee, chain3, bool1):
     assert [F.labels() for F in tight_filters(vee)] == [("a", "1"), ("b", "1")]
     assert [F.labels() for F in tight_filters(chain3)] == [("a", "1")]
     assert [F.labels() for F in tight_filters(bool1)] == [("1",)]
-
-
-def test_tightness_matches_triple_enumeration_oracle(request):
-    # sizes up to 5 keep the full (X, Y, Z) scan cheap
-    run_own(request, "catalog-5")
-
-
-def test_ultrafilters_are_tight_everywhere(request):
-    run_own(request, "catalog-6")
 
 
 def test_filter_iteration_and_membership(vee):

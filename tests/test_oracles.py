@@ -4,17 +4,15 @@ A Route pairs a library callable with its oracle, the calls to make on
 one instance and the corpus slices it runs on.  check() makes each call
 on the instance and on its relabeled copy; a SlatError counts as a
 result, so a refusal must match in type and message.  A mismatch names
-the instance: the slice, its index there, whether it is the relabeled
-copy, and its text when short.  The library keeps sets of points as int
-masks, and the route adapters hand them to the comparison as the
-oracles' frozensets.  A theorem route holds a library route to the
-oracle of an equivalent property.  Each route runs on each instance
-once, under the first slice of its corpus that holds it: in the test
-that OWN_IDS names for that slice, else in test_route_matches_oracle.
-The audit reads every tests/*_oracle.py and fails when a public
-function there is the oracle of no route and is not in
-COMPARED_ELSEWHERE, the oracles compared on hypothesis draws, fault
-injections, fresh builds, word lists or whole sets.
+the slice, the index there, whether it is the copy, and the text of a
+small instance.  Route adapters hand the library's int masks of points
+to the comparison as the oracles' frozensets.  A theorem route holds a
+library route to the oracle of an equivalent property.  Each route runs
+on each instance once, under the first slice of its corpus that holds
+it: in the test OWN_IDS gives that slice, else in
+test_route_matches_oracle.  The audit reads every tests/*_oracle.py and
+fails on a public function there that is the oracle of no route and not
+in COMPARED_ELSEWHERE.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import inspect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -108,7 +106,7 @@ def _vectors(S: Semilattice) -> list[tuple]:
     return _each(S, vectors)
 
 
-@cache  # the Stone routes of one slice share its spaces
+@lru_cache(maxsize=2)  # the routes of an instance and its copy run in turn
 def _space(S: Semilattice) -> list[tuple]:
     return [(stone.build_space(S),)]
 
@@ -154,12 +152,10 @@ def _points(masks) -> list[frozenset]:
 
 # the sets the listings, the Stone points and the cover-pair verdicts run on
 LISTINGS = ("catalog-7", "random-8-12", "bench-truncations")
-# the truncations the cover routes were first checked on, and the (graph,
-# depth) pairs of the truncation route
-LOOP_TRUNCATIONS = ("two-loop-1-7", "three-loop-1-4", "one-loop-1-40")
-LOOP_GRAPHS = ("two-loop-pairs-1-8", "three-loop-pairs-1-5")
+# the truncations the cover routes were first checked on, by graph
+LOOP_TRUNCATIONS = {"two-loop": "two-loop-1-7", "three-loop": "three-loop-1-4", "one-loop": "one-loop-1-40"}
 # the truncations and catalog intervals the cover routes run on
-COVERS = (*LOOP_TRUNCATIONS, "catalog-6")
+COVERS = (*LOOP_TRUNCATIONS.values(), "catalog-6")
 
 ROUTES = (
     # the one order builder, against the parser that built the full meet table
@@ -234,7 +230,8 @@ ROUTES = (
     Route("is_representation", stone.is_representation, suite_oracle.is_representation, ("representations",),
           _vectors),
     # truncations and their covers
-    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, LOOP_GRAPHS, lambda pair: [pair]),
+    Route("truncate", pathlat.truncate, pathlat_oracle.truncate, tuple(corpus.TRUNCATE_SLICES.values()),
+          lambda pair: [pair]),
     Route("cover_table", lambda S: {g: pathlat.covers_hat(S, g) for g in S.nonzero()}, pathlat_oracle.cover_table,
           COVERS),
     Route("sibling_cover_witnesses", _sibling_witnesses, pathlat_oracle.sibling_cover_witnesses, COVERS,
@@ -242,42 +239,59 @@ ROUTES = (
 )
 BY_NAME = {route.name: route for route in ROUTES}
 
+
+def _per_instance(name: str) -> list:
+    """A param (slice, index) per instance, with the id n<size>, built at
+    collection; if building the slice raises, as a library fault can make
+    it, one param (slice, None) fails in the test instead."""
+    try:
+        return [pytest.param(name, i, id=f"n{len(S)}") for _, i, S in corpus.instances(name)]
+    except Exception:  # reported by the test
+        return [pytest.param(name, None, id=name)]
+
+
+def _per_slice(ids: dict[str, str]) -> list:
+    return [pytest.param(name, None, id=id) for id, name in ids.items()]
+
+
 # The comparisons that keep the test ids they had before every route
-# named its corpus, so that test histories and CI's --durations still
-# name them: each test, the slices it runs, and the routes it runs on
-# them.  An id runs its routes on one slice, or on one instance of the
-# slice "rows", "opens" or "clopens".
+# named its corpus: each test, where it runs and the routes it runs there.
+# It runs on one slice, or on params (slice, index or None for the whole
+# slice).  Each module binds its tests from OWNED_TESTS.
+_LISTED = _per_slice({name: name for name in LISTINGS})
 _COVER_ROUTES = ("cover_table", "covering_pairs", "sibling_cover_witnesses")
 OWN_IDS = {
-    "test_rows.py::test_order_primitives_match_scans": (("rows",), (
+    "test_rows.py::test_order_primitives_match_scans": (_per_instance("rows"), (
         "star", "up", "down", "level", "covers_hat", "nonzero_pairs_below", "covering_pairs", "arrow",
         "constrained_set", "is_cover")),
-    "test_rows.py::test_filter_and_classification_checks_match_scans": (("rows",), (
+    "test_rows.py::test_filter_and_classification_checks_match_scans": (_per_instance("rows"), (
         "is_filter", "is_ultrafilter", "extend_to_ultrafilter", "meet_separation", "is_zero_disjunctive",
         "enumerate_filters", "filter_generators")),
-    "test_rows.py::test_opens_match_all_unions_of_base_sets": (("opens",), ("opens",)),
-    "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (("clopens",), (
+    "test_rows.py::test_opens_match_all_unions_of_base_sets": (_per_instance("opens"), ("opens",)),
+    "test_clopen_atoms.py::test_clopen_algebra_and_density_match_the_scans": (_per_instance("clopens"), (
         "clopen_elements", "clopen_algebra.atoms", "dense_check")),
-    "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (LISTINGS, (
+    "test_classify.py::test_cover_pair_verdicts_match_all_pair_oracles": (_LISTED, (
         "is_zero_disjunctive", "satisfies_trapping", "trapping_is_zero_disjunctive")),
-    "test_filters.py::test_derived_values_and_listing_match_oracles": (LISTINGS, (
+    "test_filters.py::test_derived_values_and_listing_match_oracles": (_LISTED, (
         "enumerate_filters", "filter_generators")),
-    "test_filters.py::test_ultrafilter_and_tight_listings_match_oracles": (LISTINGS, (
+    "test_filters.py::test_ultrafilter_and_tight_listings_match_oracles": (_LISTED, (
         "enumerate_ultrafilters", "tight_filters")),
-    "test_filters.py::test_enumerate_filters_matches_subset_scan": (("catalog-6",), (
-        "enumerate_filters.subset_scan",)),
-    "test_filters.py::test_ultrafilter_criterion_is_maximality": (("catalog-6",), ("is_ultrafilter.maximality",)),
-    "test_filters.py::test_extension_is_an_ultrafilter_containing_seed": (("catalog-6",), (
+    "test_filters.py::test_enumerate_filters_matches_subset_scan": ("catalog-6", ("enumerate_filters.subset_scan",)),
+    "test_filters.py::test_ultrafilter_criterion_is_maximality": ("catalog-6", ("is_ultrafilter.maximality",)),
+    "test_filters.py::test_extension_is_an_ultrafilter_containing_seed": ("catalog-6", (
         "extend_to_ultrafilter.is_ultrafilter",)),
-    "test_filters.py::test_tightness_matches_triple_enumeration_oracle": (("catalog-5",), ("is_tight",)),
-    "test_filters.py::test_ultrafilters_are_tight_everywhere": (("catalog-6",), ("tight_filters_are_ultrafilters",)),
-    "test_stone.py::test_build_space_points_match_ultrafilter_oracle": (LISTINGS, (
+    "test_filters.py::test_tightness_matches_triple_enumeration_oracle": ("catalog-5", ("is_tight",)),
+    "test_filters.py::test_ultrafilters_are_tight_everywhere": ("catalog-6", ("tight_filters_are_ultrafilters",)),
+    "test_stone.py::test_build_space_points_match_ultrafilter_oracle": (_LISTED, (
         "build_space.points", "build_space.base")),
-    "test_pathlat.py::test_sibling_cover_witness_matches_all_covers_oracle": (LOOP_TRUNCATIONS, _COVER_ROUTES),
-    "test_pathlat.py::test_sibling_cover_witness_matches_oracle_off_chains": (("catalog-6",), _COVER_ROUTES),
-    "test_pathlat.py::test_loop_truncations_match_prefix_compare_oracle": (LOOP_GRAPHS, ("truncate",)),
+    "test_pathlat.py::test_sibling_cover_witness_matches_all_covers_oracle": (_per_slice(LOOP_TRUNCATIONS),
+                                                                              _COVER_ROUTES),
+    "test_pathlat.py::test_sibling_cover_witness_matches_oracle_off_chains": ("catalog-6", _COVER_ROUTES),
+    "test_pathlat.py::test_loop_truncations_match_prefix_compare_oracle": (_per_slice(corpus.TRUNCATE_SLICES),
+                                                                           ("truncate",)),
 }
-OWNED = {(route, name) for names, routes in OWN_IDS.values() for route in routes for name in names}
+OWNED = {(route, name) for where, routes in OWN_IDS.values() for route in routes
+         for name in ({where} if isinstance(where, str) else {p.values[0] for p in where})}
 
 COMPARED_ELSEWHERE = {
     "order_oracle.associativity_violation": "test_rows.py::test_row_law_accepts_exactly_the_associative_tables",
@@ -301,6 +315,7 @@ COMPARED_ELSEWHERE = {
         "test_cantor.py::test_single_cylinder_complemented_matches_listing_the_complement",
     "cantor_oracle.membership_by_scan": "test_cantor.py::test_membership_walk_matches_word_scan",
     "cantor_oracle.tokenize_by_scan": "test_cantor.py::test_token_pattern_matches_character_scan",
+    "cantor_oracle.shortlex": "test_cantor_normal_form.py::test_word_listing_matches_the_oracle_on_wide_tries",
     "cantor_oracle.cover_set": "test_cantor.py::test_ops_match_cover_semantics",
     "cantor_oracle.clopen_cover": "test_cantor.py::test_ops_match_cover_semantics",
     "cantor_oracle.random_expr": "test_cantor.py::test_seeded_expressions_against_oracle",
@@ -336,12 +351,16 @@ def _run(route: Route, keep: Callable[[str, int], bool]) -> None:
             check(route, instance, f"slice {name}, instance {i}")
 
 
-def run_own(request: pytest.FixtureRequest, name: str, i: int | None = None) -> None:
-    """Run the routes OWN_IDS gives the requesting test on the slice, or
-    on its instance i."""
-    _, routes = OWN_IDS[f"{request.path.name}::{request.function.__name__}"]
-    for route in routes:
-        _run(BY_NAME[route], lambda at, j: at == name and i in (None, j))
+def _owned_test(where, routes: tuple[str, ...]) -> Callable:
+    """The test that runs the routes on the slice where, or on the slice
+    or the instance that each of its params names."""
+    def test(name, i):
+        for route in routes:
+            _run(BY_NAME[route], lambda at, j: at == name and i in (None, j))
+    return (lambda: test(where, None)) if isinstance(where, str) else pytest.mark.parametrize("name, i", where)(test)
+
+
+OWNED_TESTS = {test_id.split("::")[1]: _owned_test(*entry) for test_id, entry in OWN_IDS.items()}
 
 
 @pytest.mark.parametrize("route", [r for r in ROUTES if {(r.name, name) for name in r.corpus} - OWNED],
@@ -357,9 +376,9 @@ def test_parse_route_fails_when_the_builder_drops_the_last_pair(monkeypatch):
         test_route_matches_oracle(BY_NAME["parse_semilattice"])
 
 
-def _test_exists(test_id: str) -> bool:
+def _test(test_id: str):
     path, name = test_id.split("::")
-    return callable(getattr(importlib.import_module(path.removesuffix(".py")), name, None))
+    return getattr(importlib.import_module(path.removesuffix(".py")), name, None)
 
 
 def test_every_oracle_is_compared():
@@ -369,8 +388,8 @@ def test_every_oracle_is_compared():
     registered = {f"{r.oracle.__module__}.{r.oracle.__name__}" for r in ROUTES}
     assert oracles - registered - set(COMPARED_ELSEWHERE) == set(), "oracles with no comparison"
     assert set(COMPARED_ELSEWHERE) <= oracles - registered, "stale or registered oracles in the map"
-    assert all(map(_test_exists, COMPARED_ELSEWHERE.values()))
+    assert all(callable(_test(test_id)) for test_id in COMPARED_ELSEWHERE.values())
     assert all(r.corpus and set(r.corpus) <= set(corpus.SLICES) for r in ROUTES), "routes that nothing runs"
-    assert all(map(_test_exists, OWN_IDS))
+    assert all(_test(test_id) is OWNED_TESTS[test_id.split("::")[1]] for test_id in OWN_IDS), "unbound tests"
     assert OWNED <= {(r.name, name) for r in ROUTES for name in r.corpus}, "owned slices outside a corpus"
     assert len(BY_NAME) == len(ROUTES)

@@ -1,16 +1,14 @@
 """Rooted graphs and their truncated path semilattices.
 
-covers_hat, the order line of to_text, sibling_cover_witness on every
-strict non-zero pair and sibling_cover_witnesses of each e are held to
-the table scans by the registry in test_oracles.py, on the loop
-truncations and on the catalog up to 6 elements, whose intervals need
-not be chains, so both routes must refuse the same pairs.  Truncations
-number parents first, so the cover kernel's climb is at most one step on
-them; each instance is also checked under shuffled indices.
+The cover routes of the registry in test_oracles.py run on the loop
+truncations, whose parents-first numbering keeps the cover kernel's
+climb to one step (the relabeled copies climb further), and on the
+catalog up to 6 elements, whose intervals need not be chains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -19,8 +17,8 @@ from hypothesis import strategies as st
 
 import corpus
 import pathlat_oracle
-from conftest import BENCH_INPUTS, assert_rows_match_validated_rebuild
-from corpus import THREE_LOOP
+from conftest import assert_rows_match_validated_rebuild
+from corpus import BENCH_INPUTS, THREE_LOOP
 from slat import pathlat
 from slat.catalog import canonical_key
 from slat.classify import is_zero_disjunctive
@@ -50,7 +48,7 @@ from slat.pathlat import (
     zero_disjunctive_graph,
 )
 from slat.stone import build_space, hausdorff_witness
-from test_oracles import LOOP_GRAPHS, LOOP_TRUNCATIONS, run_own
+from test_oracles import OWNED_TESTS
 
 TWO_LOOP_TEXT = """
 # one vertex, two loops
@@ -168,19 +166,17 @@ def test_level(two_loop):
 def test_level_strictly_decreases_upward(two_loop):
     for depth in (1, 2, 3):
         S = truncate(two_loop, depth)
-        for e in S.nonzero():
-            for f in S.nonzero():
-                if e != f and S.leq(f, e):
-                    assert level(S, f) > level(S, e)
+        for e, f in itertools.product(S.nonzero(), repeat=2):
+            if e != f and S.leq(f, e):
+                assert level(S, f) > level(S, e)
 
 
 def test_equal_levels_are_orthogonal_or_equal(two_loop):
     for depth in (1, 2, 3):
         S = truncate(two_loop, depth)
-        for e in S.nonzero():
-            for f in S.nonzero():
-                if level(S, e) == level(S, f) and e != f:
-                    assert S.meet(e, f) == S.zero
+        for e, f in itertools.product(S.nonzero(), repeat=2):
+            if level(S, e) == level(S, f) and e != f:
+                assert S.meet(e, f) == S.zero
 
 
 def test_unambiguous(two_loop, single_edge):
@@ -188,10 +184,9 @@ def test_unambiguous(two_loop, single_edge):
     for G in (two_loop, single_edge):
         for depth in (1, 2, 3):
             S = truncate(G, depth)
-            for e in S.nonzero():
-                for f in S.nonzero():
-                    if S.meet(e, f) != S.zero:
-                        assert S.leq(e, f) or S.leq(f, e)
+            for e, f in itertools.product(S.nonzero(), repeat=2):
+                if S.meet(e, f) != S.zero:
+                    assert S.leq(e, f) or S.leq(f, e)
 
 
 def test_covers_hat(two_loop, chain3):
@@ -216,23 +211,19 @@ def test_sibling_cover_witness_validates(two_loop):
     # the constructive witness satisfies the trapping semantics
     for depth in (1, 2, 3):
         S = truncate(two_loop, depth)
-        for e in S.nonzero():
-            for f in S.nonzero():
-                if e == f or not S.leq(f, e) or level(S, f) > depth:
-                    continue  # strict pairs away from the frontier
-                W = sibling_cover_witness(S, e, f)
-                region = (down(S, [e]) & star(S, f)) - {S.zero}
-                assert set(W) <= region
-                assert arrow(S, e, list(W) + [f])
+        for e, f in itertools.product(S.nonzero(), repeat=2):
+            if e == f or not S.leq(f, e) or level(S, f) > depth:
+                continue  # strict pairs away from the frontier
+            W = sibling_cover_witness(S, e, f)
+            region = (down(S, [e]) & star(S, f)) - {S.zero}
+            assert set(W) <= region
+            assert arrow(S, e, list(W) + [f])
 
 
-@pytest.mark.parametrize("name", LOOP_TRUNCATIONS, ids=["two-loop", "three-loop", "one-loop"])
-def test_sibling_cover_witness_matches_all_covers_oracle(name, request):
-    run_own(request, name)
-
-
-def test_sibling_cover_witness_matches_oracle_off_chains(request):
-    run_own(request, "catalog-6")
+test_sibling_cover_witness_matches_all_covers_oracle = \
+    OWNED_TESTS["test_sibling_cover_witness_matches_all_covers_oracle"]
+test_sibling_cover_witness_matches_oracle_off_chains = \
+    OWNED_TESTS["test_sibling_cover_witness_matches_oracle_off_chains"]
 
 
 def test_sibling_cover_witness_bad_pairs(two_loop):
@@ -349,9 +340,7 @@ def test_truncate_matches_prefix_compare_oracle(G, depth):
     assert_rows_match_validated_rebuild(S)
 
 
-@pytest.mark.parametrize("name", LOOP_GRAPHS, ids=["two-loop", "three-loop"])
-def test_loop_truncations_match_prefix_compare_oracle(name, request):
-    run_own(request, name)
+test_loop_truncations_match_prefix_compare_oracle = OWNED_TESTS["test_loop_truncations_match_prefix_compare_oracle"]
 
 
 @pytest.mark.parametrize("path", BENCH_GRAPHS, ids=lambda p: p.stem)

@@ -39,7 +39,7 @@ from slat.core import Semilattice
 from slat.errors import InvalidSemilatticeError
 from slat.filters import extend_to_ultrafilter
 from slat.pathlat import truncate
-from test_oracles import run_own
+from test_oracles import OWNED_TESTS
 
 
 def _table_labels(n: int) -> tuple[str, ...]:
@@ -105,19 +105,9 @@ def test_rows_of_the_vee(vee):
                                          vee.down[:a] + (bit[a],) + vee.down[a + 1:])
 
 
-@pytest.mark.parametrize("i", corpus.indices("rows"))
-def test_order_primitives_match_scans(i, request):
-    run_own(request, "rows", i)
-
-
-@pytest.mark.parametrize("i", corpus.indices("rows"))
-def test_filter_and_classification_checks_match_scans(i, request):
-    run_own(request, "rows", i)
-
-
-@pytest.mark.parametrize("i", corpus.indices("opens"))
-def test_opens_match_all_unions_of_base_sets(i, request):
-    run_own(request, "opens", i)
+test_order_primitives_match_scans = OWNED_TESTS["test_order_primitives_match_scans"]
+test_filter_and_classification_checks_match_scans = OWNED_TESTS["test_filter_and_classification_checks_match_scans"]
+test_opens_match_all_unions_of_base_sets = OWNED_TESTS["test_opens_match_all_unions_of_base_sets"]
 
 
 def _assert_table_derived_as(S: Semilattice, table, rng: random.Random) -> None:

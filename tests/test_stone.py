@@ -55,7 +55,7 @@ from slat.stone import (
     rep_of_filter,
 )
 from slat.suite import run_suite
-from test_oracles import LISTINGS, run_own
+from test_oracles import OWNED_TESTS
 
 
 def point_of(space, label: str) -> int:
@@ -79,9 +79,7 @@ def test_build_space_fixtures(vee, chain3, bool1):
     assert len(build_space(bool1).points) == 1
 
 
-@pytest.mark.parametrize("name", LISTINGS)
-def test_build_space_points_match_ultrafilter_oracle(name, request):
-    run_own(request, name)
+test_build_space_points_match_ultrafilter_oracle = OWNED_TESTS["test_build_space_points_match_ultrafilter_oracle"]
 
 
 def test_build_space_sees_a_lost_ultrafilter(vee, lose_an_ultrafilter):
@@ -254,18 +252,16 @@ def test_point_index_rejects_non_points(vee):
         space.point_index(principal_filter(vee, vee.one))
 
 
+def _vee_hom(vee) -> dict:
+    """The vee's atoms a and b to the atoms p and q of a four-element algebra."""
+    return {idx(vee, k): frozenset(v) for k, v in (("0", ""), ("a", "p"), ("b", "q"), ("1", "pq"))}
+
+
 def test_extend_hom_success(vee):
-    B = FiniteBooleanAlgebra(("p", "q"))
-    a, b = idx(vee, "a"), idx(vee, "b")
-    alpha = {
-        vee.zero: frozenset(),
-        a: frozenset({"p"}),
-        b: frozenset({"q"}),
-        vee.one: frozenset({"p", "q"}),
-    }
+    B, alpha = FiniteBooleanAlgebra(("p", "q")), _vee_hom(vee)
     space = build_space(vee)
     beta = extend_hom(vee, B, alpha)
-    assert beta[kappa(space, a)] == frozenset({"p"})
+    assert beta[kappa(space, idx(vee, "a"))] == frozenset({"p"})
     assert beta[kappa(space, vee.one)] == frozenset({"p", "q"})
     # beta extends alpha on every base set
     for e in vee.elements():
@@ -275,14 +271,7 @@ def test_extend_hom_success(vee):
 def test_extend_hom_unique(vee):
     # brute force: among all maps clopens -> B, exactly one is a Boolean
     # hom agreeing with alpha on base sets
-    B = FiniteBooleanAlgebra(("p", "q"))
-    a, b = idx(vee, "a"), idx(vee, "b")
-    alpha = {
-        vee.zero: frozenset(),
-        a: frozenset({"p"}),
-        b: frozenset({"q"}),
-        vee.one: frozenset({"p", "q"}),
-    }
+    B, alpha = FiniteBooleanAlgebra(("p", "q")), _vee_hom(vee)
     space = build_space(vee)
     beta = extend_hom(vee, B, alpha)
     alg = clopen_algebra(space)
@@ -293,10 +282,7 @@ def test_extend_hom_unique(vee):
         m = dict(zip(clopens, images))
         if any(m[base_of[e]] != alpha[e] for e in vee.elements()):
             continue
-        if any(
-            m[C & D] != m[C] & m[D] or m[C | D] != m[C] | m[D]
-            for C in clopens for D in clopens
-        ):
+        if any(m[C & D] != m[C] & m[D] or m[C | D] != m[C] | m[D] for C in clopens for D in clopens):
             continue
         if any(m[alg.complement(C)] != B.complement(m[C]) for C in clopens):
             continue
@@ -308,24 +294,14 @@ def test_extend_hom_unique(vee):
 def test_extend_hom_collapse_fails(vee):
     # sending the atom a to bottom leaves the pullback at p a non-maximal
     # filter, so there is nothing to extend
-    B = FiniteBooleanAlgebra(("p", "q"))
-    alpha = {
-        vee.zero: frozenset(),
-        idx(vee, "a"): frozenset(),
-        idx(vee, "b"): frozenset({"q"}),
-        vee.one: frozenset({"p", "q"}),
-    }
+    B, alpha = FiniteBooleanAlgebra(("p", "q")), {**_vee_hom(vee), idx(vee, "a"): frozenset()}
     with pytest.raises(PreconditionFailedError):
         extend_hom(vee, B, alpha)
 
 
 def test_extend_hom_needs_injective_base_map(chain3):
     B = FiniteBooleanAlgebra(("p",))
-    alpha = {
-        chain3.zero: frozenset(),
-        idx(chain3, "a"): frozenset({"p"}),
-        chain3.one: frozenset({"p"}),
-    }
+    alpha = {chain3.zero: frozenset(), idx(chain3, "a"): frozenset({"p"}), chain3.one: frozenset({"p"})}
     with pytest.raises(PreconditionFailedError):
         extend_hom(chain3, B, alpha)
 
@@ -347,8 +323,7 @@ def test_extend_hom_constant_top_degenerate(bool1):
     ("b", {"p"}, "meets not preserved at ('a', 'b')"),
 ])
 def test_extend_hom_rejects_non_homomorphisms(vee, label, image, message):
-    B = FiniteBooleanAlgebra(("p", "q"))
-    alpha = {idx(vee, k): frozenset(v) for k, v in (("0", ""), ("a", "p"), ("b", "q"), ("1", "pq"))}
+    B, alpha = FiniteBooleanAlgebra(("p", "q")), _vee_hom(vee)
     if image is None:
         del alpha[idx(vee, label)]
     else:
